@@ -3,16 +3,14 @@
 PR 5 rewrote :func:`repro.synth.logic.minimize._select_cover` on integer
 bitsets (AND/popcount instead of per-minterm ``covers()`` rescans); the
 pre-bitset implementation is kept in-tree as ``_select_cover_reference``
-for exactly this comparison.  This benchmark runs both on the *same*
-seeded dense random table the tracked ``qm_cover_selection`` scenario of
-``tools/bench.py`` measures (the smoke size CI records in
-``BENCH_PR5.json``), checks the covers are element-for-element identical,
-and enforces a >= 3x speedup floor so the win cannot silently regress.
+for exactly this comparison.  This benchmark runs both on the same seeded
+dense random 9-input table, checks the covers are element-for-element
+identical, and enforces a >= 3x speedup floor so the win cannot silently
+regress.
 """
 
-import importlib.util
+import random
 import time
-from pathlib import Path
 
 from repro.analysis.reporting import format_table
 from repro.synth.logic.minimize import (
@@ -21,15 +19,19 @@ from repro.synth.logic.minimize import (
     _select_cover,
     _select_cover_reference,
 )
+from repro.synth.logic.truth_table import TruthTable
+
+COVER_SEED = 2026
+COVER_INPUTS = 9
 
 
-def _load_bench_module():
-    """Load tools/bench.py (not a package) for its scenario definitions."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
-    spec = importlib.util.spec_from_file_location("sradgen_bench", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def cover_selection_table(num_inputs: int) -> TruthTable:
+    """A seeded dense random table: half of all minterms are on."""
+    rng = random.Random(COVER_SEED)
+    on_set = frozenset(
+        rng.sample(list(range(1 << num_inputs)), (1 << num_inputs) // 2)
+    )
+    return TruthTable(num_inputs=num_inputs, on_set=on_set)
 
 
 def _time(fn, repeats=3):
@@ -42,8 +44,7 @@ def _time(fn, repeats=3):
 
 
 def test_qm_cover_selection_speedup(benchmark, print_report):
-    bench = _load_bench_module()
-    table = bench.cover_selection_table(bench.COVER_INPUTS_SMOKE)
+    table = cover_selection_table(COVER_INPUTS)
     primes = _prime_implicants(table, MinimizationStats())
 
     new_s, cover = _time(

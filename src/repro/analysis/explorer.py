@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 from repro.core.mapping_params import MappingError
 from repro.engine.jobs import candidate_factories
 from repro.engine.pareto import pareto_min
-from repro.flow import FlowSpec, resolve_spec
+from repro.flow import DEFAULT_SPEC, FlowSpec
 from repro.generators.base import AddressGeneratorDesign
 from repro.hdl.netlist import NetlistError
 from repro.workloads.loopnest import AffineAccessPattern
@@ -111,11 +111,7 @@ def _evaluate(
 def explore(
     pattern: AffineAccessPattern,
     *,
-    spec: Optional[FlowSpec] = None,
-    library=None,
-    fsm_encodings: Optional[Sequence[str]] = None,
-    max_fsm_states: Optional[int] = None,
-    opt_level: Optional[int] = None,
+    spec: FlowSpec = DEFAULT_SPEC,
 ) -> ExplorationResult:
     """Evaluate every applicable architecture for ``pattern``.
 
@@ -138,17 +134,7 @@ def explore(
         benchmark instead), and ``spec.opt_level`` sets the
         logic-optimization effort (0 = raw netlists, the historical
         behaviour).
-    library, fsm_encodings, max_fsm_states, opt_level:
-        Deprecated loose-keyword forms of the corresponding spec fields.
     """
-    spec = resolve_spec(
-        spec,
-        caller="explore",
-        library=library,
-        fsm_encodings=fsm_encodings,
-        max_fsm_states=max_fsm_states,
-        opt_level=opt_level,
-    )
     sequence = pattern.to_sequence()
     result = ExplorationResult(workload=sequence.name)
 

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 from repro.core.mapper import map_address_sequence
 from repro.core.mapping_params import SragMapping
 from repro.core.srag import SragFunctionalModel, SragPorts, build_srag
-from repro.hdl.netlist import Netlist
+from repro.hdl.netlist import Netlist, sanitise_name
 from repro.hdl.simulator import Simulator
 from repro.workloads.sequences import AddressSequence
 
@@ -60,7 +60,7 @@ class SragAddressGenerator:
         dimension violates an SRAG restriction.
         """
         row_mapping, col_mapping = map_address_sequence(sequence)
-        netlist = Netlist(name or _sanitise(f"srag_{sequence.name}"))
+        netlist = Netlist(name or sanitise_name(f"srag_{sequence.name}"))
         clk = netlist.add_input("clk")
         next_signal = netlist.add_input("next")
         reset = netlist.add_input("reset")
@@ -149,11 +149,3 @@ class SragAddressGenerator:
             self.sequence.linear[i % self.sequence.length] for i in range(steps)
         ]
         return produced == expected
-
-
-def _sanitise(name: str) -> str:
-    """Make a workload name safe for use as a netlist identifier."""
-    cleaned = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-    if not cleaned or not (cleaned[0].isalpha() or cleaned[0] == "_"):
-        cleaned = f"n_{cleaned}"
-    return cleaned

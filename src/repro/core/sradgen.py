@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.core.addm_generator import SragAddressGenerator
 from repro.core.mapping_params import SragMapping
-from repro.flow import FlowSpec, resolve_spec
+from repro.flow import DEFAULT_SPEC, FlowSpec
 from repro.hdl.emit import emit_verilog, emit_vhdl
 from repro.synth.flow import run_synthesis_flow
 from repro.synth.report import SynthesisResult
@@ -73,9 +73,7 @@ def generate(
     emit_vhdl_text: bool = True,
     emit_verilog_text: bool = False,
     synthesize: bool = False,
-    spec: Optional[FlowSpec] = None,
-    library=None,
-    opt_level: Optional[int] = None,
+    spec: FlowSpec = DEFAULT_SPEC,
     verify: bool = True,
     name: Optional[str] = None,
 ) -> SRAdGenResult:
@@ -94,8 +92,6 @@ def generate(
         Flow configuration (:class:`repro.flow.FlowSpec`) for the synthesis
         step: cell library, buffering threshold, logic-optimization effort.
         Defaults to an all-defaults spec.
-    library, opt_level:
-        Deprecated loose-keyword forms of the corresponding spec fields.
     verify:
         Check, by gate-level simulation, that the elaborated netlist actually
         regenerates the input sequence before emitting anything.
@@ -110,9 +106,6 @@ def generate(
         If verification fails (which would indicate a library bug rather
         than an unmappable sequence).
     """
-    spec = resolve_spec(
-        spec, caller="generate", library=library, opt_level=opt_level
-    )
     generator = SragAddressGenerator.from_sequence(sequence, name=name)
     if verify and not generator.verify(structural=True):
         raise RuntimeError(

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.flow import DEFAULT_SPEC, FSM_ENCODINGS, FlowSpec, resolve_spec
+from repro.flow import DEFAULT_SPEC, FSM_ENCODINGS, FlowSpec
 from repro.generators.arithmetic import ArithmeticAddressGenerator
 from repro.generators.base import AddressGeneratorDesign
 from repro.generators.counter_based import CounterBasedAddressGenerator
@@ -133,11 +133,8 @@ class EvalJob:
     ``spec.opt_level > 0`` runs the logic-optimization pipeline
     (:mod:`repro.synth.opt`) before buffering and timing, so area/delay
     figures describe the netlist a real synthesis tool would report on.
-
-    The pre-``FlowSpec`` loose keywords (``library=``, ``max_fanout=``,
-    ``max_fsm_states=``, ``power_cycles=``, ``opt_level=``) keep working
-    under a :class:`DeprecationWarning`; the matching read-only attributes
-    remain available as undeprecated conveniences.
+    The knob fields (``library``, ``opt_level``, ...) are readable as
+    convenience attributes.
     """
 
     workload: str
@@ -147,51 +144,13 @@ class EvalJob:
     variant: str
     spec: FlowSpec = DEFAULT_SPEC
 
-    def __init__(
-        self,
-        workload: str,
-        rows: int,
-        cols: int,
-        style: str,
-        variant: str,
-        spec: Optional[FlowSpec] = None,
-        *,
-        library: Optional[str] = None,
-        max_fanout: Optional[int] = None,
-        max_fsm_states: Optional[int] = None,
-        power_cycles: Optional[int] = None,
-        opt_level: Optional[int] = None,
-    ):
-        if spec is not None and not isinstance(spec, FlowSpec):
-            # The pre-FlowSpec dataclass had ``library`` as its sixth
-            # positional field; a name (or CellLibrary) landing in the spec
-            # slot is that legacy form, routed through the same shim.
-            if library is not None:
-                raise TypeError(
-                    "EvalJob() got the library both positionally and by keyword"
-                )
-            library, spec = spec, None
-        object.__setattr__(self, "workload", workload)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "style", style)
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(
-            self,
-            "spec",
-            resolve_spec(
-                spec,
-                caller="EvalJob",
-                library=library,
-                max_fanout=max_fanout,
-                max_fsm_states=max_fsm_states,
-                power_cycles=power_cycles,
-                opt_level=opt_level,
-            ),
-        )
+    def __post_init__(self) -> None:
+        # Jobs arrive from grids, the CLI and the service wire: reject
+        # anything but a spec here rather than deep inside a worker.
+        if not isinstance(self.spec, FlowSpec):
+            raise TypeError(f"EvalJob: spec must be a FlowSpec, got {self.spec!r}")
 
-    # Convenience views onto the spec (reading these is not deprecated --
-    # only constructing jobs from loose keywords is).
+    # Convenience views onto the spec.
     @property
     def library(self) -> str:
         return self.spec.library
@@ -289,11 +248,7 @@ class Campaign:
         geometries: Sequence[Tuple[int, int]],
         styles: Optional[Sequence[Tuple[str, str]]] = None,
         libraries: Optional[Sequence[str]] = None,
-        spec: Optional[FlowSpec] = None,
-        max_fanout: Optional[int] = None,
-        max_fsm_states: Optional[int] = None,
-        power_cycles: Optional[int] = None,
-        opt_level: Optional[int] = None,
+        spec: FlowSpec = DEFAULT_SPEC,
         description: str = "",
     ) -> "Campaign":
         """Expand a full cross-product grid into a campaign.
@@ -309,20 +264,10 @@ class Campaign:
         shared by every job in the grid: a non-zero ``spec.power_cycles``
         additionally runs the switching-activity power study over that many
         simulated cycles at every grid point; a non-zero ``spec.opt_level``
-        runs logic optimization at every grid point.  The old loose
-        keywords (``max_fanout=`` etc.) keep working under a
-        :class:`DeprecationWarning`.
+        runs logic optimization at every grid point.
         """
-        base = resolve_spec(
-            spec,
-            caller="Campaign.from_grid",
-            max_fanout=max_fanout,
-            max_fsm_states=max_fsm_states,
-            power_cycles=power_cycles,
-            opt_level=opt_level,
-        )
         chosen = tuple(styles) if styles is not None else STYLE_VARIANTS
-        library_axis = tuple(libraries) if libraries is not None else (base.library,)
+        library_axis = tuple(libraries) if libraries is not None else (spec.library,)
         jobs = [
             EvalJob(
                 workload=workload,
@@ -330,7 +275,7 @@ class Campaign:
                 cols=cols,
                 style=style,
                 variant=variant,
-                spec=base.with_overrides(library=library),
+                spec=spec.with_overrides(library=library),
             )
             for workload in workloads
             for rows, cols in geometries

@@ -155,6 +155,16 @@ class EvalRecord:
         return cls(cached=cached, **{k: v for k, v in data.items() if k in known})
 
 
+def warn_unclosed(owner: object) -> None:
+    """``ResourceWarning`` for a pool owner reclaimed by the garbage collector."""
+    warnings.warn(
+        f"unclosed {type(owner).__name__} reclaimed by the garbage collector; "
+        "call close() or use it as a context manager",
+        ResourceWarning,
+        source=owner,
+    )
+
+
 def _warm_worker() -> None:
     """Process-pool initializer: pre-import the evaluation stack.
 
@@ -515,23 +525,6 @@ class CampaignRunner:
     def chunk_size(self) -> Optional[int]:
         return self._scheduler.chunk_size
 
-    @property
-    def _pool(self):
-        return self._scheduler._pool
-
-    @_pool.setter
-    def _pool(self, pool) -> None:
-        self._scheduler._pool = pool
-
-    def _get_pool(self):
-        return self._scheduler._get_pool()
-
-    def _discard_pool(self) -> None:
-        self._scheduler._discard_pool()
-
-    def _chunked(self, jobs: List[EvalJob]) -> List[List[EvalJob]]:
-        return self._scheduler._chunked(jobs)
-
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
         """Shut down the private scheduler's worker pool (idempotent).
@@ -557,12 +550,7 @@ class CampaignRunner:
             and not getattr(self, "_closed", True)
             and scheduler._pool is not None
         ):
-            warnings.warn(
-                "unclosed CampaignRunner reclaimed by the garbage collector; "
-                "call close() or use it as a context manager",
-                ResourceWarning,
-                source=self,
-            )
+            warn_unclosed(self)
         if scheduler is not None and getattr(self, "_owns_scheduler", False):
             scheduler.close()
 

@@ -51,7 +51,6 @@ import os
 import queue
 import threading
 import time
-import warnings
 from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 try:  # the process submodule is missing on platforms without multiprocessing
@@ -63,7 +62,7 @@ except ImportError:  # pragma: no cover - environment dependent
 from repro.engine import runner as _runner
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import EvalJob
-from repro.engine.runner import ERROR, EvalRecord, _warm_worker
+from repro.engine.runner import ERROR, EvalRecord, _warm_worker, warn_unclosed
 from repro.obs import get_tracer, log, metrics, span, tracing_enabled
 from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy
@@ -338,12 +337,7 @@ class Scheduler:
 
     def __del__(self):  # pragma: no cover - interpreter-shutdown dependent
         if getattr(self, "_pool", None) is not None:
-            warnings.warn(
-                "unclosed Scheduler reclaimed by the garbage collector; "
-                "call close() or use it as a context manager",
-                ResourceWarning,
-                source=self,
-            )
+            warn_unclosed(self)
         self._discard_pool()
 
     def _chunked(self, jobs: List[EvalJob]) -> List[List[EvalJob]]:

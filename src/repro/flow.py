@@ -17,18 +17,12 @@ at their default values, so every cache key and JSONL record minted before
 the field existed survives byte-for-byte.  Fields that have been hashed
 since the seed (``library``, ``max_fanout``, ``max_fsm_states``) are always
 present, for the same reason.
-
-The loose keyword arguments the entry points used to take keep working
-through :func:`resolve_spec` -- one shared compatibility shim that assembles
-a spec from legacy keywords and emits a single :class:`DeprecationWarning`
-per call.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 __all__ = [
     "DEFAULT_SPEC",
@@ -36,7 +30,6 @@ __all__ = [
     "FlowSpec",
     "cli_overrides",
     "opt_label_suffix",
-    "resolve_spec",
 ]
 
 #: Default symbolic-FSM state encodings explored per workload.  (Canonical
@@ -191,8 +184,7 @@ class FlowSpec:
         """A copy with the given fields replaced.
 
         ``None`` means "keep the current value" (no field may legitimately
-        be ``None``), which lets optional CLI flags and legacy keywords be
-        forwarded wholesale.  Unknown field names raise ``TypeError``.
+        be ``None``), which lets optional CLI flags be forwarded wholesale.  Unknown field names raise ``TypeError``.
         """
         supplied = {name: value for name, value in overrides.items() if value is not None}
         if not supplied:
@@ -271,34 +263,6 @@ def cli_overrides(namespace: Any) -> Dict[str, Any]:
         if value is not None:
             overrides[spec_field.name] = value
     return overrides
-
-
-def resolve_spec(
-    spec: Optional[FlowSpec],
-    *,
-    caller: str,
-    **legacy: Any,
-) -> FlowSpec:
-    """The shared deprecation shim behind every redesigned entry point.
-
-    ``legacy`` holds the caller's old loose keywords with ``None`` meaning
-    "not passed".  Any that were passed are folded into the spec (on top of
-    ``spec`` when both are given, which keeps ``dataclasses.replace``-style
-    call sites working) under a single :class:`DeprecationWarning` per call,
-    attributed to the user's call site.
-    """
-    if spec is not None and not isinstance(spec, FlowSpec):
-        raise TypeError(f"{caller}: spec must be a FlowSpec, got {spec!r}")
-    supplied = {name: value for name, value in legacy.items() if value is not None}
-    if supplied:
-        warnings.warn(
-            f"{caller}: the {', '.join(sorted(supplied))} argument(s) are "
-            "deprecated; pass spec=repro.flow.FlowSpec(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    base = spec if spec is not None else DEFAULT_SPEC
-    return base.with_overrides(**supplied)
 
 
 #: The all-defaults spec (module-level so un-configured call paths share one

@@ -23,7 +23,7 @@ from repro.generators.base import AddressGeneratorDesign
 from repro.hdl.components.adder import build_ripple_adder
 from repro.hdl.components.counter import build_binary_counter
 from repro.hdl.components.decoder import build_decoder
-from repro.hdl.netlist import Bus, Net, Netlist, NetlistError
+from repro.hdl.netlist import Bus, Net, Netlist, NetlistError, sanitise_name
 from repro.hdl.simulator import Simulator
 from repro.synth.logic.minimize import minimize
 from repro.synth.logic.synthesize import sop_to_netlist
@@ -77,7 +77,7 @@ class ArithmeticAddressGenerator(AddressGeneratorDesign):
 
     # -------------------------------------------------------------- elaborate
     def elaborate(self) -> Netlist:
-        netlist = Netlist(_sanitise(self.name))
+        netlist = Netlist(sanitise_name(self.name))
         clk = netlist.add_input("clk")
         next_signal = netlist.add_input("next")
         reset = netlist.add_input("reset")
@@ -168,10 +168,3 @@ class ArithmeticAddressGenerator(AddressGeneratorDesign):
             addresses.append(sim.peek_bus(address_bus))
             sim.step()
         return addresses
-
-
-def _sanitise(name: str) -> str:
-    cleaned = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-    if not cleaned or not (cleaned[0].isalpha() or cleaned[0] == "_"):
-        cleaned = f"n_{cleaned}"
-    return cleaned

@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 from typing import Dict, List, Optional
 
-from repro.flow import FlowSpec, resolve_spec
+from repro.flow import DEFAULT_SPEC, FlowSpec
 from repro.hdl.netlist import Netlist
 from repro.obs import phase, tracing_enabled
 from repro.synth.flow import run_synthesis_flow
@@ -80,11 +80,8 @@ class AddressGeneratorDesign(abc.ABC):
 
     def synthesize(
         self,
-        *args,
-        spec: Optional[FlowSpec] = None,
-        library=None,
-        max_fanout: Optional[int] = None,
-        opt_level: Optional[int] = None,
+        spec: FlowSpec = DEFAULT_SPEC,
+        *,
         metadata: Optional[Dict[str, object]] = None,
     ) -> SynthesisResult:
         """Run the synthesis flow on the design's netlist.
@@ -93,40 +90,12 @@ class AddressGeneratorDesign(abc.ABC):
         defaults to an all-defaults spec).  It optimizes and buffers a
         private clone of the netlist, so repeated synthesis runs (under
         different specs, say) all start from the same raw design.
-
-        ``library`` is keyword-only; the historical positional form -- and
-        the loose ``library``/``max_fanout``/``opt_level`` keywords -- keep
-        working under a :class:`DeprecationWarning`.
         """
-        if args:
-            if len(args) > 1:
-                raise TypeError(
-                    f"synthesize() takes at most 1 positional argument "
-                    f"({len(args)} given)"
-                )
-            if isinstance(args[0], FlowSpec):
-                if spec is not None:
-                    raise TypeError(
-                        "synthesize() got the spec both positionally and by keyword"
-                    )
-                spec = args[0]
-            else:
-                # The pre-FlowSpec signature took the library positionally;
-                # fold it into the shim so the call warns once like any
-                # legacy kwarg.
-                if library is not None:
-                    raise TypeError(
-                        "synthesize() got the library both positionally and "
-                        "by keyword"
-                    )
-                library = args[0]
-        spec = resolve_spec(
-            spec,
-            caller=f"{type(self).__name__}.synthesize",
-            library=library,
-            max_fanout=max_fanout,
-            opt_level=opt_level,
-        )
+        if not isinstance(spec, FlowSpec):
+            raise TypeError(
+                f"{type(self).__name__}.synthesize: spec must be a FlowSpec, "
+                f"got {spec!r}"
+            )
         # Elaboration ("logic synthesis": building the structural netlist,
         # including any FSM minimisation) is attributed as its own flow
         # stage; note the cached-netlist fast path makes repeat synthesis

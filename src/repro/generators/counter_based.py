@@ -30,7 +30,7 @@ from repro.hdl.components.adder import build_ripple_adder
 from repro.hdl.components.counter import BinaryCounter, build_binary_counter
 from repro.hdl.components.decoder import build_decoder
 from repro.hdl.components.gates import build_and_tree
-from repro.hdl.netlist import Bus, Net, Netlist, NetlistError
+from repro.hdl.netlist import Bus, Net, Netlist, NetlistError, sanitise_name
 from repro.hdl.simulator import Simulator
 from repro.synth.cell_library import CellLibrary, STD018
 from repro.synth.report import SynthesisResult
@@ -83,7 +83,7 @@ class CounterBasedAddressGenerator(AddressGeneratorDesign):
 
     # -------------------------------------------------------------- elaborate
     def elaborate(self) -> Netlist:
-        netlist = Netlist(_sanitise(self.name))
+        netlist = Netlist(sanitise_name(self.name))
         clk = netlist.add_input("clk")
         next_signal = netlist.add_input("next")
         reset = netlist.add_input("reset")
@@ -352,10 +352,3 @@ def standalone_decoder_report(
         name=netlist.name,
         metadata={"address_width": address_width, "num_outputs": num_outputs},
     )
-
-
-def _sanitise(name: str) -> str:
-    cleaned = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-    if not cleaned or not (cleaned[0].isalpha() or cleaned[0] == "_"):
-        cleaned = f"n_{cleaned}"
-    return cleaned

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.generators.base import AddressGeneratorDesign
-from repro.hdl.netlist import Bus, Netlist
+from repro.hdl.netlist import Bus, Netlist, sanitise_name
 from repro.hdl.simulator import Simulator
 from repro.synth.fsm import FiniteStateMachine, FsmSynthesisResult, synthesize_fsm
 from repro.workloads.sequences import AddressSequence
@@ -53,7 +53,7 @@ class FsmAddressGenerator(AddressGeneratorDesign):
             return FiniteStateMachine.from_select_sequence(
                 self.sequence.linear,
                 num_lines=self.sequence.rows * self.sequence.cols,
-                name=_sanitise(self.name),
+                name=sanitise_name(self.name),
             )
         if self.output_style == "two_hot":
             return FiniteStateMachine.from_two_hot_sequence(
@@ -61,12 +61,12 @@ class FsmAddressGenerator(AddressGeneratorDesign):
                 self.sequence.col_sequence,
                 self.sequence.rows,
                 self.sequence.cols,
-                name=_sanitise(self.name),
+                name=sanitise_name(self.name),
             )
         return FiniteStateMachine.from_binary_sequence(
             self.sequence.linear,
             address_width=max(1, (self.sequence.rows * self.sequence.cols - 1).bit_length()),
-            name=_sanitise(self.name),
+            name=sanitise_name(self.name),
         )
 
     def lint_context(self) -> Dict[str, object]:
@@ -78,7 +78,7 @@ class FsmAddressGenerator(AddressGeneratorDesign):
         """The FSM synthesis result (elaborates on first use)."""
         if self._synthesis_result is None:
             self._synthesis_result = synthesize_fsm(
-                self.build_fsm(), encoding=self.encoding, name=_sanitise(self.name)
+                self.build_fsm(), encoding=self.encoding, name=sanitise_name(self.name)
             )
         return self._synthesis_result
 
@@ -87,7 +87,7 @@ class FsmAddressGenerator(AddressGeneratorDesign):
         # Re-synthesise each time so callers always receive an unmodified
         # netlist (the cached fsm_synthesis keeps its own copy for stats).
         result = synthesize_fsm(
-            self.build_fsm(), encoding=self.encoding, name=_sanitise(self.name)
+            self.build_fsm(), encoding=self.encoding, name=sanitise_name(self.name)
         )
         if self._synthesis_result is None:
             self._synthesis_result = result
@@ -127,10 +127,3 @@ class FsmAddressGenerator(AddressGeneratorDesign):
         width = max(1, (self.sequence.rows * cols - 1).bit_length())
         address_bus = Bus([netlist.outputs[f"addr_{k}"] for k in range(width)])
         return sim.peek_bus(address_bus)
-
-
-def _sanitise(name: str) -> str:
-    cleaned = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-    if not cleaned or not (cleaned[0].isalpha() or cleaned[0] == "_"):
-        cleaned = f"n_{cleaned}"
-    return cleaned

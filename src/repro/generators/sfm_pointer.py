@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from repro.generators.base import AddressGeneratorDesign
 from repro.hdl.components.shift_register import build_token_shift_register
-from repro.hdl.netlist import Bus, Netlist, NetlistError
+from repro.hdl.netlist import Bus, Netlist, NetlistError, sanitise_name
 from repro.hdl.simulator import Simulator
 from repro.workloads.sequences import AddressSequence
 
@@ -40,7 +40,7 @@ class SfmPointerGenerator(AddressGeneratorDesign):
         self.depth = sequence.length
 
     def elaborate(self) -> Netlist:
-        netlist = Netlist(_sanitise(self.name))
+        netlist = Netlist(sanitise_name(self.name))
         clk = netlist.add_input("clk")
         next_read = netlist.add_input("next")
         next_write = netlist.add_input("next_write")
@@ -82,10 +82,3 @@ class SfmPointerGenerator(AddressGeneratorDesign):
             addresses.append(index)
             sim.step()
         return addresses
-
-
-def _sanitise(name: str) -> str:
-    cleaned = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-    if not cleaned or not (cleaned[0].isalpha() or cleaned[0] == "_"):
-        cleaned = f"n_{cleaned}"
-    return cleaned

@@ -12,7 +12,7 @@ from typing import List, Optional
 
 from repro.core.addm_generator import SragAddressGenerator
 from repro.generators.base import AddressGeneratorDesign
-from repro.hdl.netlist import Netlist
+from repro.hdl.netlist import Netlist, sanitise_name
 from repro.workloads.sequences import AddressSequence
 
 __all__ = ["SragDesign"]
@@ -28,7 +28,7 @@ class SragDesign(AddressGeneratorDesign):
         # Mapping happens eagerly so that unmappable sequences fail fast with
         # a MappingError, mirroring how the SRAdGen tool behaves.
         self._generator = SragAddressGenerator.from_sequence(
-            sequence, name=_sanitise(self.name)
+            sequence, name=sanitise_name(self.name)
         )
 
     @property
@@ -40,17 +40,10 @@ class SragDesign(AddressGeneratorDesign):
         # Each elaboration re-runs the (cheap) structural construction so the
         # returned netlist is never one that synthesis has already buffered.
         return SragAddressGenerator.from_sequence(
-            self.sequence, name=_sanitise(self.name)
+            self.sequence, name=sanitise_name(self.name)
         ).netlist
 
     def simulate(self, cycles: Optional[int] = None) -> List[int]:
         return SragAddressGenerator.from_sequence(
-            self.sequence, name=_sanitise(self.name)
+            self.sequence, name=sanitise_name(self.name)
         ).simulate_structural(cycles)
-
-
-def _sanitise(name: str) -> str:
-    cleaned = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-    if not cleaned or not (cleaned[0].isalpha() or cleaned[0] == "_"):
-        cleaned = f"n_{cleaned}"
-    return cleaned

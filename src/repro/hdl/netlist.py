@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -35,9 +34,25 @@ from typing import (
 
 from repro.hdl.primitives import PRIMITIVES, CellSpec
 
-__all__ = ["Net", "Bus", "Cell", "Netlist", "NetlistError", "PortDirection"]
+__all__ = [
+    "Net",
+    "Bus",
+    "Cell",
+    "Netlist",
+    "NetlistError",
+    "PortDirection",
+    "sanitise_name",
+]
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+
+def sanitise_name(name: str) -> str:
+    """Make a workload or design name safe for use as a netlist identifier."""
+    cleaned = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
+    if not cleaned or not (cleaned[0].isalpha() or cleaned[0] == "_"):
+        cleaned = f"n_{cleaned}"
+    return cleaned
 
 
 class NetlistError(Exception):
@@ -325,15 +340,6 @@ class Netlist:
         if cell_type not in PRIMITIVES:
             raise NetlistError(f"unknown cell type {cell_type!r}")
         spec = PRIMITIVES[cell_type]
-        if cell_type == "DFF_EN_SET" and "RST" in pins and "SET" not in pins:
-            # One-release compat shim: the set-to-1 control pin was
-            # historically misnamed RST.  Remap and warn; remove next release.
-            warnings.warn(
-                "DFF_EN_SET pin 'RST' was renamed to 'SET'; connect SET instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            pins["SET"] = pins.pop("RST")
         if name is None:
             name = self._unique_name(
                 f"u{next(self._name_counter)}_{cell_type.lower()}", self._cells

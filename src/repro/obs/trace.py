@@ -289,8 +289,8 @@ def collect_phase_totals(
     """Total wall seconds per span name over a whole span forest.
 
     With ``prefixes``, only span names starting with one of them are kept
-    (the bench harness asks for ``("job.", "flow.")`` to get the per-phase
-    attribution without the campaign plumbing spans).
+    (``("job.", "flow.")`` gives the per-phase attribution without the
+    campaign plumbing spans).
     """
     totals: Dict[str, float] = {}
 

@@ -28,8 +28,7 @@ site                        seam
 **Free when disarmed.**  With no plan installed every call is one module
 global load and a ``None`` compare -- the ``NULL_SPAN`` discipline from
 :mod:`repro.obs.trace` -- so the sites stay compiled into production paths
-permanently; the floor is pinned by test and by the ``resilience_overhead``
-bench scenario.
+permanently; the floor is pinned by test.
 
 **Deterministic when armed.**  A :class:`FaultPlan` maps sites to
 :class:`FaultRule` triggers: a fixed hit schedule (``on_hits``), every Nth

@@ -18,8 +18,7 @@ with nothing beyond the stdlib:
   path uses.
 
 Start a server with ``sradgen --serve`` and point any number of
-``sradgen --campaign ... --connect HOST:PORT`` invocations (or the
-``tools/bench.py`` load generator) at it.
+``sradgen --campaign ... --connect HOST:PORT`` invocations at it.
 """
 
 from repro.service.client import ServiceClient, run_campaign_remote

@@ -3,10 +3,10 @@
 :class:`ServiceClient` is the asyncio client (one connection, one request at
 a time -- the protocol is request/stream/next-request per connection; open
 more clients for concurrency).  :func:`run_campaign_remote` is the
-synchronous convenience the CLI's ``--connect`` path and the bench load
-generator use: it runs a whole :class:`~repro.engine.jobs.Campaign` against
-a remote server and reassembles a :class:`~repro.engine.runner.CampaignResult`
-with exactly the semantics of a local
+synchronous convenience the CLI's ``--connect`` path uses: it runs a whole
+:class:`~repro.engine.jobs.Campaign` against a remote server and
+reassembles a :class:`~repro.engine.runner.CampaignResult` with exactly the
+semantics of a local
 :meth:`CampaignRunner.run <repro.engine.runner.CampaignRunner.run>` --
 records in campaign order, duplicates resolved to one evaluation,
 ``cached`` flags preserved.

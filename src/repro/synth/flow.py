@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.flow import FlowSpec, resolve_spec
+from repro.flow import DEFAULT_SPEC, FlowSpec
 from repro.hdl.netlist import Netlist
 from repro.obs import phase, tracing_enabled
 from repro.synth.area import area_report
@@ -26,10 +26,7 @@ __all__ = ["run_synthesis_flow"]
 def run_synthesis_flow(
     netlist: Netlist,
     *,
-    spec: Optional[FlowSpec] = None,
-    library=None,
-    max_fanout: Optional[int] = None,
-    opt_level: Optional[int] = None,
+    spec: FlowSpec = DEFAULT_SPEC,
     name: Optional[str] = None,
     metadata: Optional[Dict[str, object]] = None,
     lint_context: Optional[Dict[str, object]] = None,
@@ -51,8 +48,6 @@ def run_synthesis_flow(
         raw generated netlist, exactly as before optimization existed; 1
         runs the full :mod:`repro.synth.opt` pipeline before buffering and
         timing, the way a real synthesis tool always would).
-    library, max_fanout, opt_level:
-        Deprecated loose-keyword forms of the corresponding spec fields.
     name:
         Report name; defaults to the netlist name.
     metadata:
@@ -62,13 +57,6 @@ def run_synthesis_flow(
         (generators pass ``{"fsm": <FiniteStateMachine>}`` so reachability
         can be checked).  Ignored when linting is off.
     """
-    spec = resolve_spec(
-        spec,
-        caller="run_synthesis_flow",
-        library=library,
-        max_fanout=max_fanout,
-        opt_level=opt_level,
-    )
     cell_library = spec.resolve_library()
     # Per-stage profiling rides the tracing switch: every stage always runs
     # under a (free when disabled) span, and the wall-clock breakdown is

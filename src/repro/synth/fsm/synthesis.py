@@ -78,7 +78,7 @@ def next_state_tables(
     One table per state bit: the on-set holds the codes of the states whose
     successor asserts that bit, and every unused code is a don't-care.  This
     is the exact workload :func:`synthesize_fsm` hands to the minimiser, and
-    the single definition the regression tests and ``tools/bench.py`` use.
+    the single definition the regression tests use.
     """
     enc = encoding_by_name(encoding)
     width = enc.width(fsm.num_states)

@@ -262,7 +262,7 @@ def test_one_failing_batch_does_not_abort_the_campaign(tmp_path, capsys):
     campaign = _tiny_campaign()
     doomed = campaign.jobs[1]
     runner = CampaignRunner(ResultCache(str(tmp_path)), workers=4, chunk_size=2)
-    runner._pool = _FakePool(
+    runner.scheduler._pool = _FakePool(
         fail=lambda job: RuntimeError("worker exploded")
         if job.key == doomed.key
         else None
@@ -289,7 +289,7 @@ def test_chunked_dispatch_batches_jobs(tmp_path):
     campaign = _tiny_campaign()
     runner = CampaignRunner(ResultCache(str(tmp_path)), workers=2, chunk_size=2)
     pool = _FakePool()
-    runner._pool = pool
+    runner.scheduler._pool = pool
     result = runner.run(campaign)
     assert [len(batch) for batch in pool.submissions] == [2, 1]
     assert all(r.status in ("ok", "skipped") for r in result.records)
@@ -298,26 +298,26 @@ def test_chunked_dispatch_batches_jobs(tmp_path):
 def test_chunk_size_validation_and_default_heuristic():
     with pytest.raises(ValueError):
         CampaignRunner(ResultCache(None), chunk_size=0)
-    runner = CampaignRunner(ResultCache(None), workers=4)
+    scheduler = CampaignRunner(ResultCache(None), workers=4).scheduler
     jobs = list(range(32))  # _chunked only slices, any payload works
-    batches = runner._chunked(jobs)  # 32 jobs / (4 workers * 4) -> size 2
+    batches = scheduler._chunked(jobs)  # 32 jobs / (4 workers * 4) -> size 2
     assert [len(b) for b in batches] == [2] * 16
     assert [job for batch in batches for job in batch] == jobs
     assert [len(b) for b in CampaignRunner(
         ResultCache(None), workers=4, chunk_size=5
-    )._chunked(jobs)] == [5, 5, 5, 5, 5, 5, 2]
+    ).scheduler._chunked(jobs)] == [5, 5, 5, 5, 5, 5, 2]
 
 
 def test_pool_persists_across_runs_and_closes():
     campaign = _tiny_campaign()
     with CampaignRunner(ResultCache(None), workers=2) as runner:
         runner.run(campaign)
-        pool_after_first = runner._pool
+        pool_after_first = runner.scheduler._pool
         runner.run(campaign, force=True)
-        assert runner._pool is pool_after_first
+        assert runner.scheduler._pool is pool_after_first
         if pool_after_first is None:
             pytest.skip("process pools unavailable in this environment")
-    assert runner._pool is None  # context exit shut the pool down
+    assert runner.scheduler._pool is None  # context exit shut the pool down
     runner.close()  # idempotent
 
 

@@ -8,9 +8,9 @@ Three contracts matter here:
   for a legacy job and a fully-loaded job, so no future ``FlowSpec`` edit can
   silently invalidate every on-disk campaign cache.  The same applies to the
   ``EvalRecord`` dictionary form.
-* **Compatibility shims** -- every pre-``FlowSpec`` loose-keyword signature
-  keeps working, warns exactly once per call, and produces results identical
-  to the equivalent ``spec=`` call.
+* **One configuration path** -- ``spec=`` is the only way in: the removed
+  pre-``FlowSpec`` loose keywords and positional-library forms raise
+  ``TypeError`` on every entry point.
 """
 
 import dataclasses
@@ -208,141 +208,97 @@ def test_golden_record_serialisation():
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims: every legacy signature warns once, behaves identically
+# Removed pre-FlowSpec forms: loose keywords and positional libraries
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def srag_netlist():
-    return SragDesign(incremental_sequence(32)).elaborate()
+_GRID = dict(workloads=("fifo",), geometries=((4, 4),), styles=(("SRAG", "two-hot"),))
 
 
-def _figures(result):
-    return (result.area_cells, result.delay_ns, result.buffers_inserted)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_synthesis_flow(SragDesign(incremental_sequence(16)).netlist, opt_level=1),
+        lambda: SragDesign(incremental_sequence(16)).synthesize(max_fanout=4),
+        lambda: generate(read_sequence(4, 4, 2, 2), synthesize=True, opt_level=1),
+        lambda: explore(fifo_pattern(4, 4), max_fsm_states=4),
+        lambda: EvalJob("fifo", 4, 4, "SRAG", "two-hot", library="std018_lp"),
+        lambda: Campaign.from_grid("g", power_cycles=32, **_GRID),
+        lambda: SragDesign(incremental_sequence(16)).synthesize("std018"),
+        lambda: EvalJob("fifo", 4, 4, "SRAG", "two-hot", "std018"),
+    ],
+    ids=[
+        "run_synthesis_flow-keyword",
+        "synthesize-keyword",
+        "generate-keyword",
+        "explore-keyword",
+        "EvalJob-keyword",
+        "from_grid-keyword",
+        "synthesize-positional-library",
+        "EvalJob-positional-library",
+    ],
+)
+def test_removed_forms_raise_type_error(call):
+    with pytest.raises(TypeError):
+        call()
 
 
-def test_run_synthesis_flow_legacy_keywords(srag_netlist):
-    with pytest.warns(DeprecationWarning, match="run_synthesis_flow") as caught:
-        legacy = run_synthesis_flow(
-            srag_netlist, library=get_library("std018_lp"), max_fanout=4, opt_level=1
-        )
-    assert len(caught) == 1
-    fresh = run_synthesis_flow(
-        srag_netlist,
-        spec=FlowSpec(library="std018_lp", max_fanout=4, opt_level=1),
-    )
-    assert _figures(legacy) == _figures(fresh)
-
-
-def test_synthesize_positional_library_warns_and_matches(srag_netlist):
+def test_synthesize_positional_library_warns_and_matches():
+    """A library goes in through the spec; the spec form matches either way."""
     design = SragDesign(incremental_sequence(32))
-    with pytest.warns(DeprecationWarning, match="SragDesign.synthesize") as caught:
-        legacy = design.synthesize(get_library("std018_lp"))
-    assert len(caught) == 1
-    assert _figures(legacy) == _figures(
-        design.synthesize(spec=FlowSpec(library="std018_lp"))
+    with pytest.raises(TypeError, match="spec must be a FlowSpec"):
+        design.synthesize(get_library("std018_lp"))
+    by_object = design.synthesize(FlowSpec(library=get_library("std018_lp")))
+    by_name = design.synthesize(spec=FlowSpec(library="std018_lp"))
+    assert (by_object.area_cells, by_object.delay_ns, by_object.buffers_inserted) == (
+        by_name.area_cells, by_name.delay_ns, by_name.buffers_inserted,
     )
 
 
 def test_synthesize_library_is_keyword_only_now():
     design = SragDesign(incremental_sequence(16))
-    with pytest.raises(TypeError, match="positional"):
+    with pytest.raises(TypeError):
+        design.synthesize(library=STD018)
+    with pytest.raises(TypeError):
         design.synthesize(STD018, STD018)
-    with pytest.raises(TypeError, match="both"):
-        design.synthesize(STD018, library=STD018)
-
-
-def test_synthesize_legacy_keywords_warn_once(srag_netlist):
-    design = SragDesign(incremental_sequence(32))
-    with pytest.warns(DeprecationWarning) as caught:
-        legacy = design.synthesize(max_fanout=4, opt_level=1)
-    assert len(caught) == 1  # one warning per call, not per keyword
-    assert _figures(legacy) == _figures(
-        design.synthesize(spec=FlowSpec(max_fanout=4, opt_level=1))
-    )
-
-
-def test_generate_legacy_keywords(capsys):
-    sequence = read_sequence(4, 4, 2, 2)
-    with pytest.warns(DeprecationWarning, match="generate") as caught:
-        legacy = generate(sequence, synthesize=True, opt_level=1)
-    assert len(caught) == 1
-    fresh = generate(sequence, synthesize=True, spec=FlowSpec(opt_level=1))
-    assert _figures(legacy.synthesis) == _figures(fresh.synthesis)
-
-
-def test_explore_legacy_keywords():
-    pattern = fifo_pattern(4, 4)
-    with pytest.warns(DeprecationWarning, match="explore") as caught:
-        legacy = explore(pattern, max_fsm_states=4, opt_level=1)
-    assert len(caught) == 1
-    fresh = explore(pattern, spec=FlowSpec(max_fsm_states=4, opt_level=1))
-    as_dict = lambda r: {
-        (p.style, p.variant): (p.delay_ns, p.area_cells) for p in r.points
-    }
-    assert as_dict(legacy) == as_dict(fresh)
-    assert all(p.style != "FSM" for p in legacy.points)
+    with pytest.raises(TypeError, match="spec must be a FlowSpec"):
+        design.synthesize(STD018)
 
 
 def test_eval_job_legacy_keywords():
-    with pytest.warns(DeprecationWarning, match="EvalJob") as caught:
-        legacy = EvalJob("fifo", 4, 4, "SRAG", "two-hot",
-                         library="std018_lp", power_cycles=64, opt_level=1)
-    assert len(caught) == 1
-    fresh = EvalJob("fifo", 4, 4, "SRAG", "two-hot",
-                    FlowSpec(library="std018_lp", power_cycles=64, opt_level=1))
-    assert legacy == fresh and legacy.key == fresh.key
-    # Reading the convenience attributes is not deprecated.
-    assert (legacy.library, legacy.power_cycles, legacy.opt_level) == (
-        "std018_lp", 64, 1,
-    )
-    assert legacy.max_fanout == 8 and legacy.max_fsm_states == 512
-
-
-def test_from_grid_legacy_keywords():
-    grid = dict(workloads=("fifo",), geometries=((4, 4),),
-                styles=(("SRAG", "two-hot"),))
-    with pytest.warns(DeprecationWarning, match="Campaign.from_grid") as caught:
-        legacy = Campaign.from_grid("g", power_cycles=32, opt_level=1, **grid)
-    assert len(caught) == 1
-    fresh = Campaign.from_grid(
-        "g", spec=FlowSpec(power_cycles=32, opt_level=1), **grid
-    )
-    assert [job.key for job in legacy] == [job.key for job in fresh]
+    with pytest.raises(TypeError):
+        EvalJob("fifo", 4, 4, "SRAG", "two-hot",
+                library="std018_lp", power_cycles=64, opt_level=1)
+    job = EvalJob("fifo", 4, 4, "SRAG", "two-hot",
+                  FlowSpec(library="std018_lp", power_cycles=64, opt_level=1))
+    assert (job.library, job.power_cycles, job.opt_level) == ("std018_lp", 64, 1)
+    assert job.max_fanout == 8 and job.max_fsm_states == 512
 
 
 def test_legacy_keywords_layer_on_top_of_an_explicit_spec():
-    """dataclasses.replace-style call sites keep working: spec + override."""
+    """Overrides layer onto a spec through FlowSpec.with_overrides, not EvalJob."""
     spec = FlowSpec(library="std018_lp", opt_level=1)
-    with pytest.warns(DeprecationWarning):
-        job = EvalJob("fifo", 4, 4, "SRAG", "two-hot", spec, power_cycles=16)
-    assert job.spec == spec.with_overrides(power_cycles=16)
+    with pytest.raises(TypeError):
+        EvalJob("fifo", 4, 4, "SRAG", "two-hot", spec, power_cycles=16)
+    job = EvalJob("fifo", 4, 4, "SRAG", "two-hot", spec.with_overrides(power_cycles=16))
+    assert (job.library, job.opt_level, job.power_cycles) == ("std018_lp", 1, 16)
 
 
 def test_eval_job_pickles_without_warning(recwarn):
-    job = EvalJob("fifo", 4, 4, "SRAG", "two-hot", FlowSpec(opt_level=1))
+    job = EvalJob("fifo", 4, 4, "SRAG", "two-hot",
+                  FlowSpec(library="std018_lp", power_cycles=64, opt_level=1))
     clone = pickle.loads(pickle.dumps(job))
     assert clone == job and clone.key == job.key
-    assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
+    assert not recwarn.list
+    # The spec's knobs read through as job attributes.
+    assert (clone.library, clone.max_fanout, clone.max_fsm_states,
+            clone.power_cycles, clone.opt_level) == ("std018_lp", 8, 512, 64, 1)
 
 
-def test_eval_job_legacy_positional_library_still_works():
-    """The pre-FlowSpec dataclass had library as its 6th positional field."""
-    with pytest.warns(DeprecationWarning, match="EvalJob") as caught:
-        legacy = EvalJob("fifo", 4, 4, "SRAG", "two-hot", "std018_lp")
-    assert len(caught) == 1
-    assert legacy == EvalJob(
-        "fifo", 4, 4, "SRAG", "two-hot", FlowSpec(library="std018_lp")
-    )
-    with pytest.raises(TypeError, match="both"):
-        EvalJob("fifo", 4, 4, "SRAG", "two-hot", "std018_lp", library="std018")
-
-
-def test_synthesize_accepts_a_positional_spec(recwarn):
+def test_synthesize_accepts_a_positional_spec():
     design = SragDesign(incremental_sequence(32))
     positional = design.synthesize(FlowSpec(max_fanout=4))
     keyword = design.synthesize(spec=FlowSpec(max_fanout=4))
-    assert _figures(positional) == _figures(keyword)
-    assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
+    assert (positional.area_cells, positional.delay_ns) == (keyword.area_cells, keyword.delay_ns)
     with pytest.raises(TypeError, match="spec"):
         design.synthesize(FlowSpec(), spec=FlowSpec())
 

@@ -285,24 +285,18 @@ def test_replace_net_noop_does_not_notify():
 
 
 # ---------------------------------------------------------------------------
-# DFF_EN_SET pin-rename compatibility shim (RST -> SET, one release)
+# DFF_EN_SET pin names: the set-to-1 control pin is SET (RST is not accepted)
 # ---------------------------------------------------------------------------
 
-def test_dff_en_set_legacy_rst_pin_is_remapped_with_warning():
-    nl = Netlist("shim")
+def test_dff_en_set_rejects_legacy_rst_pin():
+    nl = Netlist("legacy")
     clk = nl.add_input("clk")
     d = nl.add_input("d")
     en = nl.add_input("en")
     rst = nl.add_input("rst")
     q = nl.new_net("q")
-    with pytest.warns(DeprecationWarning, match="renamed to 'SET'"):
-        cell = nl.add_cell(
-            "DFF_EN_SET", name="u1", D=d, CLK=clk, EN=en, RST=rst, Q=q
-        )
-    assert "SET" in cell.pins and "RST" not in cell.pins
-    assert cell.pins["SET"].name == rst.name
-    nl.add_output("q", q)
-    nl.validate()
+    with pytest.raises(NetlistError, match="SET"):
+        nl.add_cell("DFF_EN_SET", name="u1", D=d, CLK=clk, EN=en, RST=rst, Q=q)
 
 
 def test_dff_en_set_modern_set_pin_does_not_warn(recwarn):

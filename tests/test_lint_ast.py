@@ -1,6 +1,5 @@
 """AST linter: each rule fires on a broken fixture, suppression works, and
-the CLI front ends (sradlint + the check_imports shim) honour their
-output/exit contracts."""
+the sradlint CLI front end honours its output/exit contracts."""
 
 import json
 import subprocess
@@ -18,7 +17,6 @@ from repro.lint.ast_rules import (
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRADLINT = REPO_ROOT / "tools" / "sradlint.py"
-CHECK_IMPORTS = REPO_ROOT / "tools" / "check_imports.py"
 
 #: Virtual paths that put fixtures in (or out of) library-code scope.
 LIB = "src/repro/service/fixture.py"
@@ -112,7 +110,7 @@ def test_print_call_fires_in_library_code_only():
     findings, _ = lint_source(source, path="src/repro/synth/foo.py")
     assert "ast.print-call" in _rules(findings)
     # The CLI front end and non-library trees may print freely.
-    for path in ("src/repro/cli.py", "tools/bench.py", "tests/test_x.py"):
+    for path in ("src/repro/cli.py", "tools/sradlint.py", "tests/test_x.py"):
         findings, _ = lint_source(source, path=path)
         assert "ast.print-call" not in _rules(findings), path
 
@@ -380,40 +378,44 @@ def test_sradlint_list_rules_and_rule_filter(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# tools/check_imports.py shim contract (CI depends on this exact format)
+# Dead-import check: ``sradlint --rule ast.dead-import`` replaces the old
+# standalone check_imports script, under the same output/exit contracts
 # ---------------------------------------------------------------------------
 
 def test_check_imports_shim_output_and_exit_status(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import os\n\nVALUE = 1\n")
-    proc = _run(CHECK_IMPORTS, str(bad))
+    proc = _run(SRADLINT, "--rule", "ast.dead-import", str(bad))
     assert proc.returncode == 1
     assert proc.stdout.splitlines() == [
-        f"{bad}:1: unused import: import os (as os)"
+        f"{bad}:1: error [ast.dead-import] unused import: import os (as os)"
     ]
-    assert proc.stderr.strip() == "check_imports: 1 files, 1 finding(s)"
+    assert "1 finding(s) (1 error(s), 0 warning(s))" in proc.stderr
 
 
 def test_check_imports_shim_clean_exit(tmp_path):
     good = tmp_path / "good.py"
     good.write_text("import os\n\nSEP = os.sep\n")
-    proc = _run(CHECK_IMPORTS, str(good))
+    proc = _run(SRADLINT, "--rule", "ast.dead-import", str(good))
     assert proc.returncode == 0
     assert proc.stdout == ""
-    assert proc.stderr.strip() == "check_imports: 1 files, 0 finding(s)"
+    assert "0 finding(s) (0 error(s), 0 warning(s))" in proc.stderr
 
 
 def test_check_imports_shim_honours_suppression(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import os  # sradlint: disable=ast.dead-import\n")
-    proc = _run(CHECK_IMPORTS, str(bad))
+    proc = _run(SRADLINT, "--rule", "ast.dead-import", str(bad))
     assert proc.returncode == 0
-    assert proc.stderr.strip() == "check_imports: 1 files, 0 finding(s)"
+    assert "0 finding(s)" in proc.stderr and "1 suppressed" in proc.stderr
 
 
 def test_repo_tree_is_clean_under_both_linters():
-    """The satellite invariant: the tree itself has no violations."""
+    """The tree itself has no violations, and no dead import anywhere."""
     proc = _run(SRADLINT, "src", "tools")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    proc = _run(CHECK_IMPORTS, "src", "tools")
+    proc = _run(
+        SRADLINT, "--rule", "ast.dead-import",
+        "src", "tests", "benchmarks", "examples", "tools",
+    )
     assert proc.returncode == 0, proc.stdout + proc.stderr

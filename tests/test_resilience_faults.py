@@ -241,8 +241,7 @@ def test_env_var_arms_a_fresh_process(tmp_path):
 def test_disabled_fault_point_overhead_floor():
     """Disarmed sites must stay free: one global load and a None compare.
 
-    Same floor discipline (and bound) as the NULL_SPAN test in test_obs.py;
-    the resilience_overhead bench scenario pins the same number.
+    Same floor discipline (and bound) as the NULL_SPAN test in test_obs.py.
     """
     clear_plan()
     n = 200_000

@@ -186,7 +186,7 @@ class _FakePool:
 def test_del_without_close_emits_resource_warning():
     runner = CampaignRunner(ResultCache(None), workers=4)
     pool = _FakePool()
-    runner._pool = pool
+    runner.scheduler._pool = pool
     with pytest.warns(ResourceWarning, match="unclosed CampaignRunner"):
         runner.__del__()
     assert pool.shutdowns  # the pool was still released
@@ -194,7 +194,7 @@ def test_del_without_close_emits_resource_warning():
 
 def test_del_after_close_is_quiet(recwarn):
     runner = CampaignRunner(ResultCache(None), workers=4)
-    runner._pool = _FakePool()
+    runner.scheduler._pool = _FakePool()
     runner.close()
     runner.close()  # idempotent
     runner.__del__()
@@ -205,7 +205,7 @@ def test_del_after_close_is_quiet(recwarn):
 
 def test_context_exit_is_quiet(recwarn):
     with CampaignRunner(ResultCache(None), workers=4) as runner:
-        runner._pool = _FakePool()
+        runner.scheduler._pool = _FakePool()
     runner.__del__()
     assert not any(
         isinstance(warning.message, ResourceWarning) for warning in recwarn.list
