@@ -16,7 +16,7 @@ from repro.core.mapper import map_address_sequence
 from repro.core.mapping_params import SragMapping
 from repro.core.srag import SragFunctionalModel, SragPorts, build_srag
 from repro.hdl.netlist import Netlist, sanitise_name
-from repro.hdl.simulator import Simulator
+from repro.hdl.simulator import AddressEncoding, sample_addresses
 from repro.workloads.sequences import AddressSequence
 
 __all__ = ["SragAddressGenerator"]
@@ -109,43 +109,23 @@ class SragAddressGenerator:
         """Linear addresses produced by the behavioural models."""
         steps = cycles if cycles is not None else self.sequence.length
         row_model, col_model = self.functional_models()
-        addresses = []
-        for _ in range(steps):
-            addresses.append(row_model.current_address * self.cols + col_model.current_address)
-            row_model.step()
-            col_model.step()
-        return addresses
-
-    def simulate_structural(self, cycles: Optional[int] = None) -> List[int]:
-        """Linear addresses produced by gate-level simulation of the netlist.
-
-        The netlist must not have been modified by buffering/synthesis passes
-        between elaboration and simulation for the select-line names to be
-        meaningful -- run this before :func:`repro.synth.flow.run_synthesis_flow`
-        or on a fresh elaboration.
-        """
-        steps = cycles if cycles is not None else self.sequence.length
-        sim = Simulator(self.netlist)
-        sim.reset()
-        sim.poke("next", 1)
-        addresses = []
-        for _ in range(steps):
-            sim.settle()
-            row = sim.peek_onehot(self.row_ports.select_lines)
-            col = sim.peek_onehot(self.col_ports.select_lines)
-            if row is None or col is None:
-                raise RuntimeError("select lines are not one-hot during simulation")
-            addresses.append(row * self.cols + col)
-            sim.step()
-        return addresses
+        return [
+            row * self.cols + col
+            for row, col in zip(row_model.run(steps), col_model.run(steps))
+        ]
 
     def verify(self, cycles: Optional[int] = None, *, structural: bool = False) -> bool:
-        """Check that the generator reproduces its target sequence."""
+        """Check that the generator reproduces its target sequence.
+
+        By default the behavioural models are stepped.  ``structural=True``
+        simulates the netlist at gate level instead, reading the two-hot
+        ``rs_*``/``cs_*`` select lines through
+        :func:`repro.hdl.simulator.sample_addresses`.
+        """
         steps = cycles if cycles is not None else self.sequence.length
-        produced = (
-            self.simulate_structural(steps) if structural else self.simulate_functional(steps)
-        )
-        expected = [
-            self.sequence.linear[i % self.sequence.length] for i in range(steps)
-        ]
-        return produced == expected
+        if structural:
+            encoding = AddressEncoding.two_hot(self.rows, self.cols)
+            produced = sample_addresses(self.netlist, encoding, steps)
+        else:
+            produced = self.simulate_functional(steps)
+        return self.sequence.matches(produced)

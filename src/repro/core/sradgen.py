@@ -93,8 +93,10 @@ def generate(
         step: cell library, buffering threshold, logic-optimization effort.
         Defaults to an all-defaults spec.
     verify:
-        Check, by gate-level simulation, that the elaborated netlist actually
-        regenerates the input sequence before emitting anything.
+        Before emitting anything, simulate the elaborated netlist at gate
+        level (:meth:`SragAddressGenerator.verify` with ``structural=True``)
+        and check that its two-hot select lines regenerate the input
+        sequence.
     name:
         Optional netlist/entity name.
 

@@ -24,7 +24,7 @@ from repro.hdl.components.adder import build_ripple_adder
 from repro.hdl.components.counter import build_binary_counter
 from repro.hdl.components.decoder import build_decoder
 from repro.hdl.netlist import Bus, Net, Netlist, NetlistError, sanitise_name
-from repro.hdl.simulator import Simulator
+from repro.hdl.simulator import AddressEncoding
 from repro.synth.logic.minimize import minimize
 from repro.synth.logic.synthesize import sop_to_netlist
 from repro.synth.logic.truth_table import TruthTable
@@ -54,6 +54,7 @@ class ArithmeticAddressGenerator(AddressGeneratorDesign):
         super().__init__(sequence, name=name or f"arith_{sequence.name}")
         self.include_decoders = include_decoders
         self.address_width = max(1, (size - 1).bit_length())
+        self.address_encoding = AddressEncoding((("addr", self.address_width),), onehot=False)
         self._strides = self._compute_strides()
 
     def _compute_strides(self) -> List[int]:
@@ -151,20 +152,3 @@ class ArithmeticAddressGenerator(AddressGeneratorDesign):
                 )
             )
         return Bus(bits, name="stride")
-
-    # -------------------------------------------------------------- simulate
-    def simulate(self, cycles: Optional[int] = None) -> List[int]:
-        steps = cycles if cycles is not None else self.sequence.length
-        netlist = self.netlist
-        sim = Simulator(netlist)
-        sim.reset()
-        sim.poke("next", 1)
-        address_bus = Bus(
-            [netlist.outputs[f"addr_{i}"] for i in range(self.address_width)]
-        )
-        addresses: List[int] = []
-        for _ in range(steps):
-            sim.settle()
-            addresses.append(sim.peek_bus(address_bus))
-            sim.step()
-        return addresses

@@ -4,7 +4,10 @@ Every architecture the library can build -- the SRAG, the counter-based
 CntAG, the arithmetic-based generator, the symbolic-FSM generator and the
 SFM pointer pair -- is wrapped in an :class:`AddressGeneratorDesign` so the
 experiment harnesses and the design-space explorer can treat them uniformly:
-elaborate, verify by simulation, synthesise, and compare area/delay.
+elaborate, verify by simulation, synthesise, and compare area/delay.  A
+design states only how its output ports encode the address; the one
+gate-level sampling loop (:func:`repro.hdl.simulator.sample_addresses`)
+does the simulating for every architecture.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Dict, List, Optional
 
 from repro.flow import DEFAULT_SPEC, FlowSpec
 from repro.hdl.netlist import Netlist
+from repro.hdl.simulator import AddressEncoding, sample_addresses
 from repro.obs import phase, tracing_enabled
 from repro.synth.flow import run_synthesis_flow
 from repro.synth.report import SynthesisResult
@@ -25,14 +29,17 @@ __all__ = ["AddressGeneratorDesign"]
 class AddressGeneratorDesign(abc.ABC):
     """Abstract base for all address-generator architectures.
 
-    Subclasses implement :meth:`elaborate` (build a fresh netlist) and
-    :meth:`simulate` (produce the linear address sequence the hardware
-    generates).  The base class provides caching, synthesis and verification
-    on top of those two primitives.
+    Subclasses implement :meth:`elaborate` (build a fresh netlist) and set
+    :attr:`address_encoding` (how that netlist's output ports spell the
+    linear address).  The base class provides caching, gate-level
+    simulation, verification and synthesis on top of those two.
     """
 
     #: Short architecture label used in reports (e.g. ``"SRAG"``, ``"CntAG"``).
     style: str = "generic"
+
+    #: Output ports carrying the address; set by each subclass's constructor.
+    address_encoding: AddressEncoding
 
     def __init__(self, sequence: AddressSequence, name: Optional[str] = None):
         self.sequence = sequence
@@ -43,10 +50,6 @@ class AddressGeneratorDesign(abc.ABC):
     @abc.abstractmethod
     def elaborate(self) -> Netlist:
         """Build and return a fresh structural netlist for this design."""
-
-    @abc.abstractmethod
-    def simulate(self, cycles: Optional[int] = None) -> List[int]:
-        """Linear addresses the design produces over ``cycles`` cycles."""
 
     # ------------------------------------------------------------ conveniences
     @property
@@ -60,14 +63,17 @@ class AddressGeneratorDesign(abc.ABC):
         """Drop the cached netlist so the next access re-elaborates."""
         self._netlist = None
 
+    def simulate(self, cycles: Optional[int] = None) -> List[int]:
+        """Linear addresses the netlist emits over ``cycles`` cycles.
+
+        Defaults to one pass over the target sequence.
+        """
+        steps = cycles if cycles is not None else self.sequence.length
+        return sample_addresses(self.netlist, self.address_encoding, steps)
+
     def verify(self, cycles: Optional[int] = None) -> bool:
         """Check the simulated addresses against the target sequence."""
-        steps = cycles if cycles is not None else self.sequence.length
-        produced = self.simulate(steps)
-        expected = [
-            self.sequence.linear[i % self.sequence.length] for i in range(steps)
-        ]
-        return produced == expected
+        return self.sequence.matches(self.simulate(cycles))
 
     def lint_context(self) -> Dict[str, object]:
         """Extra inputs for the design-rule checker (``spec.lint``).

@@ -31,7 +31,7 @@ from repro.hdl.components.counter import BinaryCounter, build_binary_counter
 from repro.hdl.components.decoder import build_decoder
 from repro.hdl.components.gates import build_and_tree
 from repro.hdl.netlist import Bus, Net, Netlist, NetlistError, sanitise_name
-from repro.hdl.simulator import Simulator
+from repro.hdl.simulator import AddressEncoding
 from repro.synth.cell_library import CellLibrary, STD018
 from repro.synth.report import SynthesisResult
 from repro.synth.flow import run_synthesis_flow
@@ -80,6 +80,9 @@ class CounterBasedAddressGenerator(AddressGeneratorDesign):
         super().__init__(sequence, name=label)
         self.row_width = _address_width(pattern.rows)
         self.col_width = _address_width(pattern.cols)
+        self.address_encoding = AddressEncoding(
+            (("ra", self.row_width), ("ca", self.col_width)), onehot=False, cols=pattern.cols
+        )
 
     # -------------------------------------------------------------- elaborate
     def elaborate(self) -> Netlist:
@@ -248,24 +251,6 @@ class CounterBasedAddressGenerator(AddressGeneratorDesign):
         while len(bits) < width:
             bits.append(netlist.const(0))
         return Bus(bits, name=bus.name)
-
-    # -------------------------------------------------------------- simulate
-    def simulate(self, cycles: Optional[int] = None) -> List[int]:
-        steps = cycles if cycles is not None else self.sequence.length
-        netlist = self.netlist
-        sim = Simulator(netlist)
-        sim.reset()
-        sim.poke("next", 1)
-        row_bus = Bus([netlist.outputs[f"ra_{i}"] for i in range(self.row_width)])
-        col_bus = Bus([netlist.outputs[f"ca_{i}"] for i in range(self.col_width)])
-        addresses: List[int] = []
-        for _ in range(steps):
-            sim.settle()
-            row = sim.peek_bus(row_bus)
-            col = sim.peek_bus(col_bus)
-            addresses.append(row * self.pattern.cols + col)
-            sim.step()
-        return addresses
 
     # ------------------------------------------------------------- components
     def counter_section_report(self, library: CellLibrary = STD018) -> SynthesisResult:

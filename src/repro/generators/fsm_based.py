@@ -9,11 +9,11 @@ ADDM) or binary addresses (for a conventional RAM).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.generators.base import AddressGeneratorDesign
-from repro.hdl.netlist import Bus, Netlist, sanitise_name
-from repro.hdl.simulator import Simulator
+from repro.hdl.netlist import Netlist, sanitise_name
+from repro.hdl.simulator import AddressEncoding
 from repro.synth.fsm import FiniteStateMachine, FsmSynthesisResult, synthesize_fsm
 from repro.workloads.sequences import AddressSequence
 
@@ -45,6 +45,13 @@ class FsmAddressGenerator(AddressGeneratorDesign):
         self.encoding = encoding
         self.output_style = output_style
         self._synthesis_result: Optional[FsmSynthesisResult] = None
+        size = sequence.rows * sequence.cols
+        self.address_width = max(1, (size - 1).bit_length())
+        self.address_encoding = {
+            "select_lines": AddressEncoding((("sel", size),), onehot=True),
+            "two_hot": AddressEncoding.two_hot(sequence.rows, sequence.cols),
+            "binary": AddressEncoding((("addr", self.address_width),), onehot=False),
+        }[output_style]
 
     # ------------------------------------------------------------------- FSM
     def build_fsm(self) -> FiniteStateMachine:
@@ -65,7 +72,7 @@ class FsmAddressGenerator(AddressGeneratorDesign):
             )
         return FiniteStateMachine.from_binary_sequence(
             self.sequence.linear,
-            address_width=max(1, (self.sequence.rows * self.sequence.cols - 1).bit_length()),
+            address_width=self.address_width,
             name=sanitise_name(self.name),
         )
 
@@ -92,38 +99,3 @@ class FsmAddressGenerator(AddressGeneratorDesign):
         if self._synthesis_result is None:
             self._synthesis_result = result
         return result.netlist
-
-    def simulate(self, cycles: Optional[int] = None) -> List[int]:
-        steps = cycles if cycles is not None else self.sequence.length
-        netlist = self.netlist
-        sim = Simulator(netlist)
-        sim.reset()
-        sim.poke("next", 1)
-        addresses: List[int] = []
-        for _ in range(steps):
-            sim.settle()
-            addresses.append(self._decode_outputs(sim, netlist))
-            sim.step()
-        return addresses
-
-    def _decode_outputs(self, sim: Simulator, netlist: Netlist) -> int:
-        cols = self.sequence.cols
-        if self.output_style == "select_lines":
-            lines = Bus(
-                [netlist.outputs[f"sel_{k}"] for k in range(self.sequence.rows * cols)]
-            )
-            index = sim.peek_onehot(lines)
-            if index is None:
-                raise RuntimeError("no select line asserted")
-            return index
-        if self.output_style == "two_hot":
-            row_lines = Bus([netlist.outputs[f"rs_{k}"] for k in range(self.sequence.rows)])
-            col_lines = Bus([netlist.outputs[f"cs_{k}"] for k in range(cols)])
-            row = sim.peek_onehot(row_lines)
-            col = sim.peek_onehot(col_lines)
-            if row is None or col is None:
-                raise RuntimeError("select lines are not two-hot")
-            return row * cols + col
-        width = max(1, (self.sequence.rows * cols - 1).bit_length())
-        address_bus = Bus([netlist.outputs[f"addr_{k}"] for k in range(width)])
-        return sim.peek_bus(address_bus)

@@ -14,12 +14,12 @@ lists as the motivation for the SRAG.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.generators.base import AddressGeneratorDesign
 from repro.hdl.components.shift_register import build_token_shift_register
-from repro.hdl.netlist import Bus, Netlist, NetlistError, sanitise_name
-from repro.hdl.simulator import Simulator
+from repro.hdl.netlist import Netlist, NetlistError, sanitise_name
+from repro.hdl.simulator import AddressEncoding
 from repro.workloads.sequences import AddressSequence
 
 __all__ = ["SfmPointerGenerator"]
@@ -38,6 +38,8 @@ class SfmPointerGenerator(AddressGeneratorDesign):
             )
         super().__init__(sequence, name=name or f"sfm_{sequence.name}")
         self.depth = sequence.length
+        # The address is the cell the head (read) pointer selects.
+        self.address_encoding = AddressEncoding((("head_sel", self.depth),), onehot=True)
 
     def elaborate(self) -> Netlist:
         netlist = Netlist(sanitise_name(self.name))
@@ -63,22 +65,3 @@ class SfmPointerGenerator(AddressGeneratorDesign):
             netlist.add_output_bus(f"{role}_sel", register.outputs)
             pointers.append(register)
         return netlist
-
-    def simulate(self, cycles: Optional[int] = None) -> List[int]:
-        """Cell indices selected by the head (read) pointer over time."""
-        steps = cycles if cycles is not None else self.sequence.length
-        netlist = self.netlist
-        sim = Simulator(netlist)
-        sim.reset()
-        sim.poke("next", 1)
-        sim.poke("next_write", 0)
-        head_lines = Bus([netlist.outputs[f"head_sel_{i}"] for i in range(self.depth)])
-        addresses: List[int] = []
-        for _ in range(steps):
-            sim.settle()
-            index = sim.peek_onehot(head_lines)
-            if index is None:
-                raise RuntimeError("head pointer lost its token")
-            addresses.append(index)
-            sim.step()
-        return addresses

@@ -8,11 +8,12 @@ against the baselines through one interface.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.addm_generator import SragAddressGenerator
 from repro.generators.base import AddressGeneratorDesign
 from repro.hdl.netlist import Netlist, sanitise_name
+from repro.hdl.simulator import AddressEncoding
 from repro.workloads.sequences import AddressSequence
 
 __all__ = ["SragDesign"]
@@ -30,6 +31,7 @@ class SragDesign(AddressGeneratorDesign):
         self._generator = SragAddressGenerator.from_sequence(
             sequence, name=sanitise_name(self.name)
         )
+        self.address_encoding = AddressEncoding.two_hot(sequence.rows, sequence.cols)
 
     @property
     def generator(self) -> SragAddressGenerator:
@@ -42,8 +44,3 @@ class SragDesign(AddressGeneratorDesign):
         return SragAddressGenerator.from_sequence(
             self.sequence, name=sanitise_name(self.name)
         ).netlist
-
-    def simulate(self, cycles: Optional[int] = None) -> List[int]:
-        return SragAddressGenerator.from_sequence(
-            self.sequence, name=sanitise_name(self.name)
-        ).simulate_structural(cycles)

@@ -26,11 +26,11 @@ every built-in workload.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.hdl.netlist import Net, Netlist
 from repro.hdl.primitives import compile_comb, compile_flop
-from repro.hdl.simulator import SimulationError
+from repro.hdl.simulator import SimulationError, Simulator
 from repro.obs import metrics
 
 __all__ = ["CompiledSimulator"]
@@ -160,17 +160,6 @@ class CompiledSimulator:
             value |= self._values[slot] << i
         return value
 
-    def peek_onehot(self, bus: Sequence[Net]) -> Optional[int]:
-        """Return the index of the single asserted bit of ``bus`` (or None)."""
-        asserted = [
-            i for i, net in enumerate(bus) if self._values[self._slot_of[net.name]]
-        ]
-        if not asserted:
-            return None
-        if len(asserted) > 1:
-            raise SimulationError(f"multiple select lines asserted: {asserted}")
-        return asserted[0]
-
     def flop_state(self, cell_name: str) -> int:
         """Return the current state of the named flip-flop cell."""
         if cell_name not in self._flop_index:
@@ -233,13 +222,6 @@ class CompiledSimulator:
         metrics.incr("sim.compiled.cycles", cycles)
         self._flush_events()
 
-    def reset(self, reset_port: str = "reset", cycles: int = 1) -> None:
-        """Pulse a synchronous reset input for ``cycles`` clock edges."""
-        self.poke(reset_port, 1)
-        self.step(cycles)
-        self.poke(reset_port, 0)
-        self.settle()
-
     # -------------------------------------------------------------- toggles
     def toggle_counts(self) -> Dict[str, int]:
         """Net-name to transition count accumulated by :meth:`run`."""
@@ -255,31 +237,11 @@ class CompiledSimulator:
         self._interval_base.clear()
 
     # ------------------------------------------------------------ conveniences
-    def run_sequence(
-        self,
-        output_bus: Sequence[Net],
-        cycles: int,
-        *,
-        next_port: Optional[str] = "next",
-        onehot: bool = False,
-    ) -> List[int]:
-        """Clock the design ``cycles`` times and sample ``output_bus`` each cycle.
-
-        Identical semantics to the reference simulator: the bus is sampled
-        *before* each clock edge.
-        """
-        if next_port is not None:
-            self.poke(next_port, 1)
-        samples: List[int] = []
-        for _ in range(cycles):
-            self._drain()
-            if onehot:
-                index = self.peek_onehot(output_bus)
-                samples.append(-1 if index is None else index)
-            else:
-                samples.append(self.peek_bus(output_bus))
-            self.step()
-        return samples
+    # These use the public API only, so the reference simulator's
+    # implementations serve unchanged.
+    peek_onehot = Simulator.peek_onehot
+    reset = Simulator.reset
+    run_sequence = Simulator.run_sequence
 
     # -------------------------------------------------------------- internals
     def _write_net(self, slot: int, value: int) -> None:

@@ -10,13 +10,14 @@ their area and delay are measured.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hdl.netlist import Cell, Net, Netlist
 from repro.hdl.primitives import combinational_eval, flop_next_state
 from repro.obs import metrics
 
-__all__ = ["Simulator", "SimulationError"]
+__all__ = ["AddressEncoding", "Simulator", "SimulationError", "sample_addresses"]
 
 
 class SimulationError(Exception):
@@ -101,12 +102,11 @@ class Simulator:
         :class:`SimulationError` when more than one bit is asserted — the
         condition the paper warns would corrupt an ADDM array.
         """
-        asserted = [i for i, net in enumerate(bus) if self._values[net.name]]
-        if not asserted:
-            return None
-        if len(asserted) > 1:
+        value = self.peek_bus(bus)
+        if value & (value - 1):
+            asserted = [i for i in range(len(bus)) if (value >> i) & 1]
             raise SimulationError(f"multiple select lines asserted: {asserted}")
-        return asserted[0]
+        return value.bit_length() - 1 if value else None
 
     def flop_state(self, cell_name: str) -> int:
         """Return the current state of the named flip-flop cell."""
@@ -196,3 +196,59 @@ class Simulator:
                 samples.append(self.peek_bus(output_bus))
             self.step()
         return samples
+
+
+# ------------------------------------------------------------ address sampling
+@dataclass(frozen=True)
+class AddressEncoding:
+    """How an address generator's output ports spell its linear address.
+
+    ``buses`` names one or two output buses as ``(prefix, width)``; the bits
+    of a bus are the ports ``<prefix>_0 .. <prefix>_<width - 1>``.  One bus
+    carries the address itself; two are a ``(row, column)`` pair read as
+    ``row * cols + col``.  With ``onehot`` each bus is a set of select lines
+    whose value is the index of its asserted line; otherwise each bus is an
+    unsigned binary number.
+    """
+
+    buses: Tuple[Tuple[str, int], ...]
+    onehot: bool
+    cols: int = 1
+
+    @classmethod
+    def two_hot(cls, rows: int, cols: int) -> "AddressEncoding":
+        """Row-select lines ``rs_*`` and column-select lines ``cs_*``."""
+        return cls((("rs", rows), ("cs", cols)), onehot=True, cols=cols)
+
+
+def sample_addresses(
+    netlist: Netlist, encoding: AddressEncoding, cycles: int
+) -> List[int]:
+    """Linear addresses a generator netlist emits over ``cycles`` cycles.
+
+    The netlist is reset, ``next`` is held high, and the address is sampled
+    before each clock edge, so sample ``k`` is the ``k``-th address of the
+    sequence.  Raises ``RuntimeError`` when a select-line bus has no asserted
+    line, and :class:`SimulationError` when it has more than one.
+    """
+    outputs = netlist.outputs
+    buses = [
+        (prefix, [outputs[f"{prefix}_{i}"] for i in range(width)])
+        for prefix, width in encoding.buses
+    ]
+    sim = Simulator(netlist)
+    sim.reset()
+    sim.poke("next", 1)
+    sim.settle()
+    read = sim.peek_onehot if encoding.onehot else sim.peek_bus
+    addresses: List[int] = []
+    for cycle in range(cycles):
+        address = 0
+        for prefix, bus in buses:
+            value = read(bus)
+            if value is None:
+                raise RuntimeError(f"no {prefix}_* line asserted at cycle {cycle}")
+            address = address * encoding.cols + value
+        addresses.append(address)
+        sim.step()
+    return addresses

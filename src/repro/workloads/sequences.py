@@ -172,6 +172,12 @@ class AddressSequence:
         """True when the sequence is ``0, 1, 2, ..., length-1`` (FIFO order)."""
         return self.linear == list(range(len(self.linear)))
 
+    def matches(self, produced: Sequence[int]) -> bool:
+        """True when ``produced`` is this sequence, repeated cyclically."""
+        return list(produced) == [
+            self.linear[i % self.length] for i in range(len(produced))
+        ]
+
     def repetition_counts(self) -> List[int]:
         """Run lengths of consecutive identical linear addresses."""
         return consecutive_repetitions(self.linear)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.mapping_params import MappingError
+from repro.engine.jobs import candidate_factories
 from repro.generators import (
     ArithmeticAddressGenerator,
     CounterBasedAddressGenerator,
@@ -9,9 +11,12 @@ from repro.generators import (
     SfmPointerGenerator,
     SragDesign,
 )
-from repro.hdl.netlist import NetlistError
+from repro.generators.base import AddressGeneratorDesign
+from repro.hdl.netlist import Netlist, NetlistError
+from repro.hdl.simulator import AddressEncoding, SimulationError
 from repro.workloads import dct, fifo, motion_estimation, zoom
 from repro.workloads.loopnest import AffineAccessPattern, AffineExpression, Loop
+from repro.workloads.registry import available_workloads, build_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -208,3 +213,66 @@ def test_srag_design_exposes_mappings():
     design = SragDesign(motion_estimation.read_sequence(4, 4, 2, 2))
     assert design.generator.row_mapping.div_count == 2
     assert design.generator.col_mapping.div_count == 1
+
+
+@pytest.mark.parametrize("size", [4, 8])
+@pytest.mark.parametrize("workload", available_workloads())
+def test_every_candidate_emits_its_workload_sequence(workload, size):
+    """Gate-level simulation of every applicable (style, variant) verifies."""
+    pattern = build_pattern(workload, size, size)
+    for style, variant, factory in candidate_factories(pattern):
+        try:
+            design = factory()
+        except (MappingError, NetlistError, ValueError):
+            continue
+        assert design.verify(), f"{style}[{variant}] on {workload} {size}x{size}"
+
+
+# ---------------------------------------------------------------------------
+# Sampling-loop error paths
+# ---------------------------------------------------------------------------
+
+class _ConstantLines(AddressGeneratorDesign):
+    """Select lines tied to constants: ``levels[prefix]`` per bus."""
+
+    style = "Const"
+
+    def __init__(self, encoding, levels):
+        super().__init__(fifo.fifo_sequence(2, 2))
+        self.address_encoding = encoding
+        self.levels = levels
+
+    def elaborate(self):
+        netlist = Netlist("const_lines")
+        for port in ("clk", "next", "reset"):
+            netlist.add_input(port)
+        for prefix, width in self.address_encoding.buses:
+            level = netlist.const(self.levels[prefix])
+            netlist.add_output_bus(prefix, [level] * width)
+        return netlist
+
+
+_ONE_HOT = AddressEncoding((("sel", 4),), onehot=True)
+_TWO_HOT = AddressEncoding.two_hot(2, 2)
+
+
+@pytest.mark.parametrize(
+    "encoding,levels",
+    [
+        (_ONE_HOT, {"sel": 0}),
+        (_TWO_HOT, {"rs": 0, "cs": 0}),
+        # One row line, always high: the row reads fine, the column never does.
+        (AddressEncoding.two_hot(1, 2), {"rs": 1, "cs": 0}),
+    ],
+)
+def test_sampling_raises_when_no_select_line_asserts(encoding, levels):
+    with pytest.raises(RuntimeError, match="_\\* line asserted at cycle 0"):
+        _ConstantLines(encoding, levels).verify()
+
+
+@pytest.mark.parametrize(
+    "encoding,levels", [(_ONE_HOT, {"sel": 1}), (_TWO_HOT, {"rs": 1, "cs": 1})]
+)
+def test_sampling_raises_when_several_select_lines_assert(encoding, levels):
+    with pytest.raises(SimulationError, match="multiple select lines"):
+        _ConstantLines(encoding, levels).verify()

@@ -167,6 +167,9 @@ def test_peek_onehot_and_flop_state_match_reference_api():
     sim.poke_bus(bits, 5)
     with pytest.raises(SimulationError):
         sim.peek_onehot(bits)
+    foreign = Netlist("other").add_input("foreign")
+    with pytest.raises(SimulationError):
+        sim.peek_onehot(Bus([foreign]))
     with pytest.raises(SimulationError):
         sim.flop_state("nope")
 

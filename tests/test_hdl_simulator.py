@@ -74,6 +74,9 @@ def test_peek_onehot_detects_violations():
     sim.poke_bus(bits, 5)
     with pytest.raises(SimulationError):
         sim.peek_onehot(bits)
+    foreign = Netlist("other").add_input("foreign")
+    with pytest.raises(SimulationError):
+        sim.peek_onehot(Bus([foreign]))
 
 
 def test_step_with_keyword_ports():
