@@ -1,10 +1,11 @@
 """Reference vs compiled simulation time for the power study hot path.
 
-``estimate_power`` simulates 256 cycles per design point, which made the
-dict-driven reference simulator the slowest loop in the repo once the
-``power`` campaign landed.  This benchmark measures the same measurement --
-energy per access of a 16x16 SRAG -- through both engines, checks they
-agree bit-for-bit, and asserts the compiled engine's >= 5x speedup.
+``estimate_power`` simulates 256 cycles per design point.  The reference
+simulator re-evaluates every cell through its truth-table model on each
+settle; the compiled engine is levelised and event-driven.  This benchmark
+measures the same measurement -- energy per access of a 16x16 SRAG --
+through both engines, checks they agree bit-for-bit, and asserts the
+compiled engine's >= 3x speedup.
 """
 
 import time
@@ -22,7 +23,9 @@ def _srag_netlist(size):
     return SragDesign(pattern.to_sequence()).netlist
 
 
-def _time(fn, repeats=3):
+def _time(fn, repeats=7):
+    # Best of seven: single reference runs vary by up to 40% on a shared
+    # machine, and with best of three the ratio fell as low as 3.3x.
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -63,6 +66,8 @@ def test_power_vs_compiled(benchmark, print_report):
     # Same measurement...
     assert compiled.toggle_counts == reference.toggle_counts
     assert compiled.switching_energy_fj == reference.switching_energy_fj
-    # ...much faster.  Measured ~12x on the development machine; 5x is the
-    # floor enforced here with headroom for noisy CI runners.
-    assert speedup >= 5.0
+    # ...much faster.  The reference now runs one settle per clock edge
+    # (pins bound once), which halved its time: measured ~4.8x on a 2-core
+    # box, Python 3.11.  3x is the floor enforced here with headroom for
+    # noisy CI runners.
+    assert speedup >= 3.0

@@ -1,11 +1,11 @@
 """Compiled netlist simulator: the reproduction's simulation fast path.
 
 The reference :class:`~repro.hdl.simulator.Simulator` re-evaluates every
-combinational cell twice per cycle through per-step pin-name dictionaries,
-which makes it the slowest loop in the repo once campaigns start measuring
-switching activity (256 cycles per design point).  :class:`CompiledSimulator`
-levelises the netlist **once** at construction into a flat evaluation
-program:
+combinational cell once per clock edge, each through its truth-table model
+on a pin-name dictionary, which makes it too slow for campaigns that
+measure switching activity (256 cycles per design point).
+:class:`CompiledSimulator` levelises the netlist **once** at construction
+into a flat evaluation program:
 
 * every net gets an integer slot in one flat value list,
 * every combinational cell becomes a pre-specialised closure (see

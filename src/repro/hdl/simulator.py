@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.hdl.netlist import Cell, Net, Netlist
-from repro.hdl.primitives import combinational_eval, flop_next_state
+from repro.hdl.netlist import Net, Netlist
 from repro.obs import metrics
 
 __all__ = ["AddressEncoding", "Simulator", "SimulationError", "sample_addresses"]
@@ -22,6 +21,11 @@ __all__ = ["AddressEncoding", "Simulator", "SimulationError", "sample_addresses"
 
 class SimulationError(Exception):
     """Raised for simulation-time errors (unknown ports, undriven nets)."""
+
+
+def _bind(nets: Dict[str, Net]) -> Tuple[Tuple[str, str], ...]:
+    """Freeze a pin-to-net mapping into ``(pin, net_name)`` pairs."""
+    return tuple((pin, net.name) for pin, net in nets.items())
 
 
 class Simulator:
@@ -40,15 +44,38 @@ class Simulator:
     * All nets start at 0 and all flip-flops start in state 0; use
       :meth:`poke` to drive inputs (for example a ``reset`` input) before the
       first clock edge.
+    * Pin-to-net bindings are resolved once at construction, since they
+      never change.  Every cell is still evaluated through its truth-table
+      model :attr:`~repro.hdl.primitives.CellSpec.eval_fn` on a pin-name
+      dict, and every settle re-evaluates the whole topological order, so
+      this simulator stays an oracle independent of the compiled engine.
+    * A settle is a pure function of the input values and the flop state,
+      so :meth:`step` skips the pre-edge settle when nothing was poked
+      since the last one: one settle per clock edge in steady state.
     """
 
     def __init__(self, netlist: Netlist):
         netlist.validate()
         self.netlist = netlist
-        self._order: List[Cell] = netlist.topological_combinational_order()
-        self._flops: List[Cell] = netlist.sequential_cells()
+        # (eval_fn, ((pin, net), ...), ((out_pin, net), ...)) in topological
+        # order; only connected pins are bound.
+        self._order = [
+            (cell.spec.eval_fn, _bind(cell.input_nets()), _bind(cell.output_nets()))
+            for cell in netlist.topological_combinational_order()
+        ]
+        # (name, eval_fn, ((pin, net), ...), q_net or None)
+        self._flops = [
+            (
+                cell.name,
+                cell.spec.eval_fn,
+                _bind(cell.input_nets()),
+                cell.pins["Q"].name if "Q" in cell.pins else None,
+            )
+            for cell in netlist.sequential_cells()
+        ]
         self._values: Dict[str, int] = {name: 0 for name in netlist.nets}
-        self._state: Dict[str, int] = {cell.name: 0 for cell in self._flops}
+        self._state: Dict[str, int] = {name: 0 for name, *_ in self._flops}
+        self._dirty = True
         self.cycle = 0
         self.settle()
 
@@ -59,6 +86,7 @@ class Simulator:
         if port not in inputs:
             raise SimulationError(f"unknown input port {port!r}")
         self._values[inputs[port].name] = 1 if value else 0
+        self._dirty = True
 
     def poke_bus(self, bus: Sequence[Net], value: int) -> None:
         """Drive a bus of input nets with the binary encoding of ``value``."""
@@ -68,6 +96,7 @@ class Simulator:
             if not net.is_input:
                 raise SimulationError(f"net {net.name!r} is not an input")
             self._values[net.name] = (value >> i) & 1
+            self._dirty = True
 
     def peek(self, port_or_net) -> int:
         """Read the current value of a top-level port name or a :class:`Net`."""
@@ -120,19 +149,16 @@ class Simulator:
         # One aggregate incr per settle (not per cell): the reference
         # simulator re-evaluates its whole topological order each settle.
         metrics.incr("sim.reference.settle_events", len(self._order))
-        for flop in self._flops:
-            q_net = flop.pins.get("Q")
+        values = self._values
+        state = self._state
+        for name, _, _, q_net in self._flops:
             if q_net is not None:
-                self._values[q_net.name] = self._state[flop.name]
-        for cell in self._order:
-            pin_values = {
-                pin: self._values[net.name] for pin, net in cell.input_nets().items()
-            }
-            outputs = combinational_eval(cell.cell_type, pin_values)
-            for pin, value in outputs.items():
-                net = cell.pins.get(pin)
-                if net is not None:
-                    self._values[net.name] = value
+                values[q_net] = state[name]
+        for eval_fn, inputs, outputs in self._order:
+            result = eval_fn({pin: values[net] for pin, net in inputs})
+            for pin, net in outputs:
+                values[net] = result[pin]
+        self._dirty = False
 
     def step(self, cycles: int = 1, **ports: int) -> None:
         """Advance the simulation by ``cycles`` rising clock edges.
@@ -146,18 +172,19 @@ class Simulator:
         for port, value in ports.items():
             previous[port] = self.peek(port)
             self.poke(port, value)
+        values = self._values
+        state = self._state
         for _ in range(cycles):
-            self.settle()
+            if self._dirty:
+                self.settle()
             next_state: Dict[str, int] = {}
-            for flop in self._flops:
-                pin_values = {
-                    pin: self._values[net.name]
-                    for pin, net in flop.input_nets().items()
-                }
-                pin_values["Q"] = self._state[flop.name]
-                next_state[flop.name] = flop_next_state(flop.cell_type, pin_values)
-            self._state.update(next_state)
+            for name, eval_fn, inputs, _ in self._flops:
+                pin_values = {pin: values[net] for pin, net in inputs}
+                pin_values["Q"] = state[name]
+                next_state[name] = eval_fn(pin_values)["Q"]
+            state.update(next_state)
             self.cycle += 1
+            self._dirty = True
         self.settle()
         for port, value in previous.items():
             self.poke(port, value)
@@ -186,9 +213,10 @@ class Simulator:
         """
         if next_port is not None:
             self.poke(next_port, 1)
+        # step() leaves the design settled, so one settle up front suffices.
+        self.settle()
         samples: List[int] = []
         for _ in range(cycles):
-            self.settle()
             if onehot:
                 index = self.peek_onehot(output_bus)
                 samples.append(-1 if index is None else index)

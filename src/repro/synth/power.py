@@ -108,7 +108,7 @@ class PowerReport:
 def _reference_toggles(
     netlist: Netlist, cycles: int, next_port: str, reset_port: str
 ) -> Dict[str, int]:
-    """Measure per-net toggle counts with the reference dict-driven simulator.
+    """Measure per-net toggle counts with the reference truth-table simulator.
 
     Kept as the oracle the compiled fast path is checked against (and for
     debugging); campaigns always go through the compiled engine.

@@ -5,6 +5,8 @@ identical to the reference two-phase simulator; these tests pin that down
 on hand-built netlists and on every built-in workload's generators.
 """
 
+import random
+
 import pytest
 
 from repro.engine.jobs import build_design
@@ -248,3 +250,88 @@ def test_run_sequence_matches_reference(style, variant):
     assert CompiledSimulator(netlist).run_sequence(bus, cycles) == Simulator(
         netlist
     ).run_sequence(bus, cycles)
+
+
+# ---------------------------------------------------------------------------
+# The reference simulator skips its pre-edge settle when nothing was poked
+# ---------------------------------------------------------------------------
+
+def _assert_observably_equal(ref, fast, netlist, context):
+    for name, net in netlist.outputs.items():
+        assert ref.peek(net) == fast.peek(net), (name, context)
+    for flop in netlist.sequential_cells():
+        assert ref.flop_state(flop.name) == fast.flop_state(flop.name), (
+            flop.name,
+            context,
+        )
+
+
+def _workload_netlist(style, variant):
+    return build_design(build_pattern("motion_est_read", 4, 4), style, variant).netlist
+
+
+@pytest.mark.parametrize("style,variant", _GENERATORS)
+def test_poke_then_step_without_settle_matches_compiled(style, variant):
+    """The two cases the reference's dirty flag exists for."""
+    netlist = _workload_netlist(style, variant)
+    controls = Bus([netlist.inputs["next"], netlist.inputs["reset"]])
+    ref, fast = Simulator(netlist), CompiledSimulator(netlist)
+    script = [
+        ("poke", "reset", 1),
+        ("step",),  # poke, then step() with no settle in between
+        ("poke", "reset", 0),
+        ("poke", "next", 1),
+        ("step",),
+        ("step", 2),
+        ("poke", "next", 0),
+        ("step", 0),  # poke, then step(0)
+        ("step",),
+        ("poke", "next", 1),
+        ("step", 0),
+        ("step", 3),
+    ]
+    # Toggle ``next`` through poke_bus, so some edge sees a stale carry.
+    for _ in range(8):
+        for value in (0b01, 0b00):  # next high (reset low), then next low
+            script += [("poke_bus", controls, value), ("step",)]
+    for i, (method, *args) in enumerate(script):
+        for sim in (ref, fast):
+            getattr(sim, method)(*args)
+        _assert_observably_equal(ref, fast, netlist, (i, method, args))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("style,variant", _GENERATORS)
+def test_random_interleaving_matches_compiled(style, variant, seed):
+    """Seeded random poke/settle/step/reset mixes, compared after every call."""
+    netlist = _workload_netlist(style, variant)
+    ports = sorted(netlist.inputs)
+    bus = Bus([netlist.inputs[port] for port in ports])
+    rng = random.Random(seed)
+
+    def level(port):
+        # Rare resets, so the counters get deep enough to carry.
+        return int(rng.random() < (0.05 if port == "reset" else 0.5))
+
+    ref, fast = Simulator(netlist), CompiledSimulator(netlist)
+    for i in range(500):
+        op = rng.choice(["poke", "poke_bus", "settle", "step", "step", "reset"])
+        if op == "poke":
+            port = rng.choice(ports)
+            args, kwargs = (port, level(port)), {}
+        elif op == "poke_bus":
+            value = sum(level(port) << bit for bit, port in enumerate(ports))
+            args, kwargs = (bus, value), {}
+        elif op == "step":
+            # Half the steps drive no ports, so earlier pokes reach the edge.
+            driven = []
+            if rng.random() < 0.5:
+                driven = rng.sample(ports, rng.randint(1, len(ports)))
+            args = (rng.choice([0, 1, 3]),)
+            kwargs = {port: level(port) for port in driven}
+        else:
+            args, kwargs = (), {}
+        for sim in (ref, fast):
+            getattr(sim, op)(*args, **kwargs)
+        _assert_observably_equal(ref, fast, netlist, (seed, i, op, args, kwargs))
+    assert ref.cycle == fast.cycle

@@ -172,3 +172,49 @@ def test_run_sequence_samples_before_edge():
     sim = Simulator(netlist)
     samples = sim.run_sequence(Bus([q]), 4)
     assert samples == [0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("cycles", [16, 64])
+def test_sample_addresses_settles_once_per_clock_edge(cycles):
+    """Guard against bringing back the pre-edge settle on the sampling path.
+
+    Start-up costs a fixed five settles (construction, the two around the
+    reset edge, after releasing reset, after raising ``next``); each sampled
+    cycle then costs exactly one settle of the whole topological order.
+    """
+    from repro.generators.srag_design import SragDesign
+    from repro.hdl.simulator import sample_addresses
+    from repro.obs import metrics
+    from repro.workloads.registry import build_pattern
+
+    design = SragDesign(build_pattern("motion_est_read", 4, 4).to_sequence())
+    netlist = design.netlist
+    cells = len(netlist.topological_combinational_order())
+    settles = metrics.counter("sim.reference.settle_events")
+    edges = metrics.counter("sim.reference.cycles")
+    sample_addresses(netlist, design.address_encoding, cycles)
+    assert metrics.counter("sim.reference.settle_events") - settles == (cycles + 5) * cells
+    # One reset edge plus one edge per sample, as before the settle was skipped.
+    assert metrics.counter("sim.reference.cycles") - edges == cycles + 1
+
+
+def test_step_settles_before_the_edge_only_after_a_poke():
+    from repro.obs import metrics
+
+    sim = Simulator(_toggle_flop())
+    cells = len(sim.netlist.topological_combinational_order())
+
+    def settles_during(call):
+        before = metrics.counter("sim.reference.settle_events")
+        call()
+        return (metrics.counter("sim.reference.settle_events") - before) // cells
+
+    assert settles_during(sim.step) == 1
+    assert settles_during(lambda: sim.step(3)) == 3
+    sim.poke("clk", 0)
+    assert settles_during(sim.step) == 2
+    sim.poke("clk", 0)
+    assert settles_during(lambda: sim.step(0)) == 1
+    assert settles_during(lambda: sim.step(clk=1)) == 2
+    # The restored port leaves the design dirty for the next edge.
+    assert settles_during(sim.step) == 2
