@@ -529,9 +529,10 @@ def _run_campaign(args: argparse.Namespace) -> int:
 def _report_campaign_lint(records: Sequence[EvalRecord]) -> int:
     """Print design-lint findings from a linted campaign; return error count.
 
-    Cached (and remote) records carry no findings -- lint is volatile
-    evaluation metadata, never serialised -- so only freshly evaluated
-    records contribute.
+    Cached records carry no findings -- lint is volatile evaluation
+    metadata, never serialised -- so only freshly evaluated records
+    contribute, local or remote (the service streams findings beside the
+    cached form).
     """
     lint_errors = 0
     for record in records:
@@ -556,8 +557,8 @@ def _report_campaign_lint(records: Sequence[EvalRecord]) -> int:
 def _report_campaign_verify(records: Sequence[EvalRecord]) -> int:
     """Print CEC verdicts from a verified campaign; return failure count.
 
-    Same volatility contract as lint: cached (and remote) records carry no
-    verdict, so only freshly evaluated records contribute.
+    Same volatility contract as lint: cached records carry no verdict, so
+    only freshly evaluated records contribute, local or remote.
     """
     failures = 0
     for record in records:

@@ -30,10 +30,8 @@ from repro.obs import (
     Tracer,
     get_tracer,
     metrics,
-    phase,
     set_tracer,
     span,
-    tracing_enabled,
 )
 from repro.resilience.faults import fault_point
 from repro.synth.power import estimate_power
@@ -67,19 +65,12 @@ class EvalRecord:
     jobs that do not opt in, so pre-optimization cache entries round-trip
     unchanged.
 
-    ``phase_timings`` is the opt-in flow-profiling breakdown: stage name to
-    wall seconds (``job.pattern``, ``job.mapping``, ``flow.timing``, ...),
-    populated only while tracing is enabled.  Like ``cached`` it is
-    *volatile* evaluation metadata, never part of the cached dictionary
-    form: timings differ run to run, so persisting them would break the
-    byte-identical cache/JSONL invariant PRs 2-5 established -- records
-    written with tracing on and off are indistinguishable on disk.
-
     ``lint_findings`` holds the design-rule findings (as plain dicts) when
-    the job ran with ``spec.lint`` set, and is volatile for the same reason:
-    lint is a diagnostic over the evaluation, not part of it, so records
-    written with linting on and off must be indistinguishable on disk (and a
-    cached record legitimately satisfies a linted request).
+    the job ran with ``spec.lint`` set.  Like ``cached`` it is *volatile*
+    evaluation metadata, never part of the cached dictionary form: lint is a
+    diagnostic over the evaluation, not part of it, so records written with
+    linting on and off must be indistinguishable on disk (and a cached
+    record legitimately satisfies a linted request).
 
     ``verify_result`` holds the formal-equivalence verdict (as a plain dict)
     when the job ran with ``spec.verify`` set; volatile under exactly the
@@ -106,7 +97,6 @@ class EvalRecord:
     note: str = ""
     duration_s: float = 0.0
     cached: bool = False
-    phase_timings: Dict[str, float] = field(default_factory=dict)
     lint_findings: List[dict] = field(default_factory=list)
     verify_result: Optional[dict] = None
 
@@ -124,20 +114,18 @@ class EvalRecord:
         )
 
     def to_dict(self) -> dict:
-        """Plain-dict form stored in the result cache (``cached`` and
-        ``phase_timings`` excluded).
+        """Plain-dict form stored in the result cache.
 
-        The power fields are omitted when the study did not run, and the
-        optimization fields when the job ran at the default ``opt_level=0``,
-        so cache entries for jobs predating either feature keep their exact
-        original format (and NaN never has to survive a JSON round-trip).
-        ``phase_timings`` is dropped unconditionally: profiling data is
-        volatile, and cache records must stay byte-identical whether or not
-        tracing was on when they were evaluated.
+        The volatile fields (``cached``, ``lint_findings``,
+        ``verify_result``) are dropped unconditionally, so cache records
+        stay byte-identical whether or not those diagnostics ran.  The power
+        fields are omitted when the study did not run, and the optimization
+        fields when the job ran at the default ``opt_level=0``, so cache
+        entries for jobs predating either feature keep their exact original
+        format (and NaN never has to survive a JSON round-trip).
         """
         data = asdict(self)
         data.pop("cached")
-        data.pop("phase_timings")
         data.pop("lint_findings")
         data.pop("verify_result")
         if not self.has_power:
@@ -237,14 +225,12 @@ def evaluate_job(job: EvalJob) -> EvalRecord:
     cannot take down a campaign (or a worker process).
 
     With tracing enabled the evaluation runs under an ``evaluate_job`` span
-    with one child span per phase (pattern build, mapping, synthesis stages,
-    power), and the same breakdown lands on ``EvalRecord.phase_timings``.
+    with one child span per phase (pattern build, mapping, synthesis with
+    its ``flow.*`` stages, power); that span tree is the per-stage
+    breakdown.
     """
     start = time.perf_counter()
     spec = job.spec
-    # Phase wall-clock attribution is opt-in (it rides the tracing switch);
-    # ``None`` keeps the disabled path allocation-free.
-    timings: Optional[Dict[str, float]] = {} if tracing_enabled() else None
     base = dict(
         workload=job.workload,
         rows=job.rows,
@@ -261,7 +247,7 @@ def evaluate_job(job: EvalJob) -> EvalRecord:
             # Inside the try: an injected exception classifies exactly like
             # a real one (deterministic -> skipped, transient -> error).
             fault_point("runner.evaluate")
-            with phase("job.pattern", timings):
+            with span("job.pattern"):
                 pattern = job.pattern()
             if job.style == "FSM" and pattern.trip_count > spec.max_fsm_states:
                 return EvalRecord(
@@ -271,23 +257,18 @@ def evaluate_job(job: EvalJob) -> EvalRecord:
                         f"max_fsm_states={spec.max_fsm_states}"
                     ),
                     duration_s=time.perf_counter() - start,
-                    phase_timings=dict(timings or {}),
                     **base,
                 )
-            with phase("job.mapping", timings):
+            with span("job.mapping"):
                 design = build_design(pattern, job.style, job.variant)
-            with phase("job.synthesize", timings):
+            with span("job.synthesize"):
                 result = design.synthesize(spec=spec)
-            if timings is not None:
-                # Fold the flow's per-stage breakdown (elaborate, opt,
-                # buffering, timing, ...) in next to the job-level phases.
-                timings.update(result.stage_timings)
             power: Dict[str, float] = {}
             if spec.power_cycles:
                 # Measure on the buffered working copy the area/delay figures
                 # came from, so inserted buffer trees pay their switching
                 # energy.
-                with phase("job.power", timings):
+                with span("job.power"):
                     report = estimate_power(
                         result.netlist,
                         library=spec.resolve_library(),
@@ -312,7 +293,6 @@ def evaluate_job(job: EvalJob) -> EvalRecord:
                 status=SKIPPED,
                 note=str(error),
                 duration_s=time.perf_counter() - start,
-                phase_timings=dict(timings or {}),
                 **base,
             )
         except Exception:  # pragma: no cover - defensive; surfaced in the record
@@ -320,7 +300,6 @@ def evaluate_job(job: EvalJob) -> EvalRecord:
                 status=ERROR,
                 note=traceback.format_exc(limit=3),
                 duration_s=time.perf_counter() - start,
-                phase_timings=dict(timings or {}),
                 **base,
             )
         return EvalRecord(
@@ -334,7 +313,6 @@ def evaluate_job(job: EvalJob) -> EvalRecord:
                 result.opt_report.cells_removed if result.opt_report else 0
             ),
             duration_s=time.perf_counter() - start,
-            phase_timings=dict(timings or {}),
             lint_findings=lint_findings,
             verify_result=verify_result,
             **power,

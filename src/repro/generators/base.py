@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 from repro.flow import DEFAULT_SPEC, FlowSpec
 from repro.hdl.netlist import Netlist
 from repro.hdl.simulator import AddressEncoding, sample_addresses
-from repro.obs import phase, tracing_enabled
+from repro.obs import span
 from repro.synth.flow import run_synthesis_flow
 from repro.synth.report import SynthesisResult
 from repro.workloads.sequences import AddressSequence
@@ -106,8 +106,7 @@ class AddressGeneratorDesign(abc.ABC):
         # including any FSM minimisation) is attributed as its own flow
         # stage; note the cached-netlist fast path makes repeat synthesis
         # report a near-zero elaborate time, which is itself informative.
-        timings = {} if tracing_enabled() else None
-        with phase("flow.elaborate", timings):
+        with span("flow.elaborate"):
             netlist = self.netlist
         info: Dict[str, object] = {
             "style": self.style,
@@ -117,13 +116,10 @@ class AddressGeneratorDesign(abc.ABC):
             "accesses": self.sequence.length,
         }
         info.update(metadata or {})
-        result = run_synthesis_flow(
+        return run_synthesis_flow(
             netlist,
             spec=spec,
             name=self.name,
             metadata=info,
             lint_context=self.lint_context() if spec.lint else None,
         )
-        if timings:
-            result.stage_timings.update(timings)
-        return result

@@ -40,7 +40,6 @@ __all__ = [
     "Cell",
     "Netlist",
     "NetlistError",
-    "PortDirection",
     "sanitise_name",
 ]
 
@@ -57,13 +56,6 @@ def sanitise_name(name: str) -> str:
 
 class NetlistError(Exception):
     """Raised for structural errors while building or validating a netlist."""
-
-
-class PortDirection:
-    """Enumeration of top-level port directions."""
-
-    INPUT = "input"
-    OUTPUT = "output"
 
 
 @dataclass(eq=False)

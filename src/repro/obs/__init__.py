@@ -23,10 +23,8 @@ from repro.obs.trace import (
     NULL_SPAN,
     Span,
     Tracer,
-    collect_phase_totals,
     enable_tracing,
     get_tracer,
-    phase,
     render_spans,
     set_tracer,
     span,
@@ -38,12 +36,10 @@ __all__ = [
     "NULL_SPAN",
     "Span",
     "Tracer",
-    "collect_phase_totals",
     "enable_tracing",
     "get_tracer",
     "log",
     "metrics",
-    "phase",
     "render_spans",
     "set_tracer",
     "span",

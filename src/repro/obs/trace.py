@@ -34,10 +34,8 @@ __all__ = [
     "NULL_SPAN",
     "Span",
     "Tracer",
-    "collect_phase_totals",
     "enable_tracing",
     "get_tracer",
-    "phase",
     "render_spans",
     "set_tracer",
     "span",
@@ -242,68 +240,9 @@ def span(name: str, detail: str = "") -> Union[Span, _NullSpan]:
     return fresh
 
 
-class _TimedPhase:
-    """A span that additionally folds its wall time into a timings dict."""
-
-    __slots__ = ("name", "timings", "_span", "_start")
-
-    def __init__(self, name: str, timings: Dict[str, float], detail: str):
-        self.name = name
-        self.timings = timings
-        self._span = span(name, detail)
-        self._start = 0.0
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self._span.__enter__()
-
-    def __exit__(self, *exc_info) -> bool:
-        elapsed = time.perf_counter() - self._start
-        self.timings[self.name] = self.timings.get(self.name, 0.0) + elapsed
-        return self._span.__exit__(*exc_info)
-
-
-def phase(
-    name: str,
-    timings: Optional[Dict[str, float]] = None,
-    detail: str = "",
-) -> Union[Span, _NullSpan, _TimedPhase]:
-    """A span that, given a ``timings`` dict, also records its wall time there.
-
-    The flow profiler passes a dict only when profiling is wanted (tracing
-    enabled); with ``timings=None`` this is exactly :func:`span`, including
-    the zero-allocation disabled path.
-    """
-    if timings is None:
-        return span(name, detail)
-    return _TimedPhase(name, timings, detail)
-
-
 # ---------------------------------------------------------------------------
-# Rendering and aggregation
+# Rendering
 # ---------------------------------------------------------------------------
-
-def collect_phase_totals(
-    roots: Sequence[Span], prefixes: Optional[Sequence[str]] = None
-) -> Dict[str, float]:
-    """Total wall seconds per span name over a whole span forest.
-
-    With ``prefixes``, only span names starting with one of them are kept
-    (``("job.", "flow.")`` gives the per-phase attribution without the
-    campaign plumbing spans).
-    """
-    totals: Dict[str, float] = {}
-
-    def walk(node: Span) -> None:
-        if prefixes is None or node.name.startswith(tuple(prefixes)):
-            totals[node.name] = totals.get(node.name, 0.0) + node.wall_s
-        for child in node.children:
-            walk(child)
-
-    for root in roots:
-        walk(root)
-    return totals
-
 
 def render_spans(roots: Sequence[Span], *, merge: bool = True) -> str:
     """Render a span forest as an indented text tree.

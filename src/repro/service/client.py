@@ -48,6 +48,18 @@ __all__ = ["ServiceClient", "ServiceUnavailable", "run_campaign_remote"]
 RecordCallback = Callable[[Dict[str, Any]], None]
 
 
+def _record_from_event(event: Dict[str, Any]) -> EvalRecord:
+    """The :class:`EvalRecord` a server ``record`` event describes.
+
+    The diagnostics the cached dictionary form drops (``lint_findings``,
+    ``verify_result``) are restored from beside it.
+    """
+    record = EvalRecord.from_dict(event["record"], cached=bool(event.get("cached")))
+    record.lint_findings = event.get("lint_findings", [])
+    record.verify_result = event.get("verify_result")
+    return record
+
+
 class ServiceClient:
     """One JSON-lines connection to a :class:`CampaignService`.
 
@@ -241,9 +253,7 @@ class ServiceClient:
         by_key: Dict[str, EvalRecord] = {}
 
         def collect(event: Dict[str, Any]) -> None:
-            record = EvalRecord.from_dict(
-                event["record"], cached=bool(event.get("cached"))
-            )
+            record = _record_from_event(event)
             by_key[record.key] = record
             if on_record is not None:
                 on_record(event)
@@ -338,13 +348,7 @@ def run_campaign_remote(
             if progress is not None:
 
                 def on_record(event: Dict[str, Any]) -> None:
-                    progress(
-                        EvalRecord.from_dict(
-                            event["record"], cached=bool(event.get("cached"))
-                        ),
-                        event["done"],
-                        event["total"],
-                    )
+                    progress(_record_from_event(event), event["done"], event["total"])
 
             return await client.run_campaign(
                 campaign, force=force, timeout=timeout, on_record=on_record

@@ -444,18 +444,21 @@ class CampaignService:
                 if kind == "record":
                     done += 1
                     fault_point("service.handler")
-                    await self._send(
-                        writer,
-                        write_lock,
-                        {
-                            **envelope,
-                            "event": "record",
-                            "done": done,
-                            "total": submission.expected,
-                            "cached": payload.cached,
-                            "record": payload.to_dict(),
-                        },
-                    )
+                    event = {
+                        **envelope,
+                        "event": "record",
+                        "done": done,
+                        "total": submission.expected,
+                        "cached": payload.cached,
+                        "record": payload.to_dict(),
+                    }
+                    # The diagnostics are volatile, so the cached form
+                    # drops them; they travel beside it.
+                    if payload.lint_findings:
+                        event["lint_findings"] = payload.lint_findings
+                    if payload.verify_result is not None:
+                        event["verify_result"] = payload.verify_result
+                    await self._send(writer, write_lock, event)
                 elif kind == "timeout":
                     submission.cancel()
                     metrics.incr("service.request_timeouts")

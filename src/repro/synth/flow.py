@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 from repro.flow import DEFAULT_SPEC, FlowSpec
 from repro.hdl.netlist import Netlist
-from repro.obs import phase, tracing_enabled
+from repro.obs import span
 from repro.synth.area import area_report
 from repro.synth.buffering import insert_buffer_trees
 from repro.synth.opt import optimize_netlist
@@ -58,26 +58,24 @@ def run_synthesis_flow(
         can be checked).  Ignored when linting is off.
     """
     cell_library = spec.resolve_library()
-    # Per-stage profiling rides the tracing switch: every stage always runs
-    # under a (free when disabled) span, and the wall-clock breakdown is
-    # collected only when tracing is on.
-    timings: Optional[Dict[str, float]] = {} if tracing_enabled() else None
-    with phase("flow.validate", timings):
+    # Every stage runs under a span (free when tracing is disabled); the
+    # span tree is the flow's per-stage profile.
+    with span("flow.validate"):
         netlist.validate()
         working_copy = netlist.clone()
     opt_report = None
     if spec.opt_level:
-        with phase("flow.opt", timings):
+        with span("flow.opt"):
             opt_report = optimize_netlist(working_copy, opt_level=spec.opt_level)
             # Cheap invariant check: optimization must hand buffering/timing
             # a structurally sound netlist or every figure downstream is
             # garbage.
             working_copy.validate()
-    with phase("flow.buffer", timings):
+    with span("flow.buffer"):
         buffers = insert_buffer_trees(working_copy, max_fanout=spec.max_fanout)
-    with phase("flow.timing", timings):
+    with span("flow.timing"):
         timing = timing_report(working_copy, cell_library)
-    with phase("flow.area", timings):
+    with span("flow.area"):
         area = area_report(working_copy, cell_library)
     # Lint is a pure diagnostic over the measured netlist: default-off, and
     # when off the cost is one falsy attribute test (floor-tested), so every
@@ -86,7 +84,7 @@ def run_synthesis_flow(
     if spec.lint:
         from repro.lint.design import lint_netlist, rules_for_level
 
-        with phase("flow.lint", timings):
+        with span("flow.lint"):
             lint_report = lint_netlist(
                 working_copy,
                 library=cell_library,
@@ -101,7 +99,7 @@ def run_synthesis_flow(
     if spec.verify:
         from repro.verify.cec import check_equivalence
 
-        with phase("flow.verify", timings):
+        with span("flow.verify"):
             verify_report = check_equivalence(netlist, working_copy)
     return SynthesisResult(
         name=name or netlist.name,
@@ -113,5 +111,4 @@ def run_synthesis_flow(
         lint_report=lint_report,
         verify_report=verify_report,
         metadata=dict(metadata or {}),
-        stage_timings=timings or {},
     )

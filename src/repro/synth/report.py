@@ -43,8 +43,8 @@ class SynthesisResult:
         at ``opt_level=0``).
     lint_report:
         Design-rule findings over ``netlist`` (``None`` unless the flow ran
-        with ``spec.lint`` set).  Like ``stage_timings``, purely diagnostic:
-        never serialised into cached records.
+        with ``spec.lint`` set).  Purely diagnostic: never serialised into
+        cached records.
     verify_report:
         Formal equivalence verdict of ``netlist`` against the pre-flow
         netlist (``None`` unless the flow ran with ``spec.verify`` set).
@@ -53,10 +53,6 @@ class SynthesisResult:
     metadata:
         Free-form extra data (sequence length, array shape, generator style,
         mapping parameters) recorded by the experiment harnesses.
-    stage_timings:
-        Flow-profiling breakdown: stage name (``flow.elaborate``,
-        ``flow.opt``, ``flow.timing``, ...) to wall seconds.  Populated only
-        while tracing is enabled (:mod:`repro.obs`); empty otherwise.
     """
 
     name: str
@@ -68,7 +64,6 @@ class SynthesisResult:
     lint_report: Optional[LintReport] = None
     verify_report: Optional[CecResult] = None
     metadata: Dict[str, object] = field(default_factory=dict)
-    stage_timings: Dict[str, float] = field(default_factory=dict)
 
     @property
     def delay_ns(self) -> float:

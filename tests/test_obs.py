@@ -15,16 +15,15 @@ import pytest
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import EvalJob
 from repro.engine.runner import _evaluate_batch, evaluate_job
+from repro.flow import FlowSpec
 from repro.obs import (
     NULL_SPAN,
     MetricsRegistry,
     Tracer,
-    collect_phase_totals,
     enable_tracing,
     get_tracer,
     log,
     metrics,
-    phase,
     render_spans,
     set_tracer,
     span,
@@ -150,34 +149,6 @@ def test_enable_tracing_toggles_in_place(disabled_tracer):
     assert [root.name for root in disabled_tracer.roots] == ["now.recorded"]
 
 
-def test_phase_collects_wall_time_only_when_asked(private_tracer):
-    timings = {}
-    with phase("flow.timing", timings):
-        pass
-    with phase("flow.timing", timings):
-        pass
-    with phase("flow.area"):  # span-only form
-        pass
-    assert set(timings) == {"flow.timing"}
-    assert timings["flow.timing"] >= 0.0
-    names = [root.name for root in private_tracer.roots]
-    assert names == ["flow.timing", "flow.timing", "flow.area"]
-
-
-def test_collect_phase_totals_filters_by_prefix(private_tracer):
-    with span("campaign.run"):
-        with span("flow.opt"):
-            pass
-        with span("flow.opt"):
-            pass
-        with span("job.mapping"):
-            pass
-    totals = collect_phase_totals(private_tracer.roots, prefixes=("flow.",))
-    assert set(totals) == {"flow.opt"}
-    everything = collect_phase_totals(private_tracer.roots)
-    assert set(everything) == {"campaign.run", "flow.opt", "job.mapping"}
-
-
 def test_render_spans_merges_same_name_siblings(private_tracer):
     with span("campaign.dispatch"):
         for _ in range(3):
@@ -260,18 +231,41 @@ JOB = EvalJob("fifo", 4, 4, "SRAG", "two-hot")
 # FSM synthesis exercises the QM minimiser, so this job always produces
 # qm.* counter increments -- the probe for cross-process metric deltas.
 FSM_JOB = EvalJob("fifo", 4, 4, "FSM", "binary")
+# Every optional phase on: logic optimization and the power study.
+O1_POWER_JOB = EvalJob(
+    "fifo", 4, 4, "SRAG", "two-hot", FlowSpec(opt_level=1, power_cycles=16)
+)
+JOB_PHASES = {"job.pattern", "job.mapping", "job.synthesize"}
+FLOW_STAGES = {
+    "flow.elaborate", "flow.validate", "flow.buffer", "flow.timing", "flow.area",
+}
 
 
-def test_phase_timings_populated_only_while_tracing(private_tracer):
-    record = evaluate_job(JOB)
-    assert record.status == "ok"
-    assert "flow.timing" in record.phase_timings
-    assert "job.synthesize" in record.phase_timings
-    assert all(v >= 0.0 for v in record.phase_timings.values())
+def _subtree_names(node):
+    """Every span name below ``node`` (a serialised span dict)."""
+    names = set()
+    for child in node.get("children", ()):
+        names.add(child["name"])
+        names |= _subtree_names(child)
+    return names
+
+
+def test_traced_evaluate_job_span_tree_names_every_phase(private_tracer):
+    record = evaluate_job(O1_POWER_JOB)
+    assert record.status == "ok" and record.has_power
+    assert [root.name for root in private_tracer.roots] == ["evaluate_job"]
+    root = private_tracer.roots[0]
+    assert root.detail == O1_POWER_JOB.label
+    assert [c.name for c in root.children] == [
+        "job.pattern", "job.mapping", "job.synthesize", "job.power",
+    ]
+    names = _subtree_names(root.to_dict())
+    assert JOB_PHASES | FLOW_STAGES | {"job.power", "flow.opt"} <= names
+    assert all(node.wall_s >= 0.0 for node in root.children)
 
     set_tracer(Tracer(enabled=False))
-    cold = evaluate_job(JOB)
-    assert cold.phase_timings == {}
+    assert evaluate_job(O1_POWER_JOB).status == "ok"
+    assert get_tracer().roots == []
 
 
 def test_eval_record_dict_is_byte_identical_with_tracing_on_and_off(
@@ -282,14 +276,12 @@ def test_eval_record_dict_is_byte_identical_with_tracing_on_and_off(
     enable_tracing()
     traced = evaluate_job(JOB)
     enable_tracing(False)
-    assert traced.phase_timings and not plain.phase_timings
     # duration_s is wall clock and legitimately differs; normalise it.
     plain = dataclasses.replace(plain, duration_s=0.0)
     traced = dataclasses.replace(traced, duration_s=0.0)
     assert json.dumps(plain.to_dict(), sort_keys=True) == json.dumps(
         traced.to_dict(), sort_keys=True
     )
-    assert "phase_timings" not in plain.to_dict()
 
 
 def test_worker_batch_ships_spans_and_counter_deltas_back(private_tracer):
@@ -301,7 +293,8 @@ def test_worker_batch_ships_spans_and_counter_deltas_back(private_tracer):
     # ...and the spans come back as plain data, ready for adoption.
     assert [s["name"] for s in span_dicts] == ["evaluate_job"]
     child_names = {c["name"] for c in span_dicts[0].get("children", ())}
-    assert "job.synthesize" in child_names
+    assert JOB_PHASES <= child_names
+    assert FLOW_STAGES <= _subtree_names(span_dicts[0])
     assert counter_delta.get("qm.calls", 0) > 0
 
     with span("campaign.dispatch"):

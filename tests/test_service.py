@@ -5,6 +5,7 @@ import contextlib
 import math
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.engine import runner as runner_module
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import Campaign, EvalJob
 from repro.engine.runner import CampaignRunner, EvalRecord
+from repro.flow import FlowSpec
 from repro.service.client import ServiceClient, run_campaign_remote
 from repro.service.protocol import (
     MAX_LINE_BYTES,
@@ -143,6 +145,30 @@ def test_remote_progress_callback_counts_records():
     assert len(seen) == 2
     assert sorted(done for _, done, _ in seen) == [1, 2]
     assert all(total == 2 for _, _, total in seen)
+
+
+def test_remote_records_carry_lint_and_verify_diagnostics(monkeypatch):
+    """Fresh remote records keep the diagnostics the cached form drops."""
+    real = runner_module.evaluate_job
+
+    def with_finding(job):
+        # The designs lint clean, so add one finding to show findings
+        # travel as well as verdicts.
+        record = real(job)
+        record.lint_findings.append({"rule": "test.marker", "location": job.key})
+        return record
+
+    monkeypatch.setattr(runner_module, "evaluate_job", with_finding)
+    spec = FlowSpec(lint=1, verify=1)
+    campaign = Campaign("diagnosed", [replace(job, spec=spec) for job in SMALL.jobs])
+    with service_running(cache=ResultCache(None), workers=0) as addr:
+        remote = run_campaign_remote(*addr, campaign)
+    assert remote.hits == 0
+    for job, record in zip(campaign.jobs, remote.records):
+        local = with_finding(job)
+        assert record.verify_result is not None
+        assert record.verify_result == local.verify_result
+        assert record.lint_findings == local.lint_findings
 
 
 @pytest.fixture
