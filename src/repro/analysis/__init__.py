@@ -8,7 +8,7 @@
   by the benchmark harnesses.
 """
 
-from repro.analysis.explorer import DesignPoint, ExplorationResult, explore, pareto_front
+from repro.analysis.explorer import ExplorationResult, explore
 from repro.analysis.reporting import format_figure, format_series, format_table
 from repro.analysis.tradeoff import (
     GeneratorMetrics,
@@ -20,10 +20,8 @@ from repro.analysis.tradeoff import (
 )
 
 __all__ = [
-    "DesignPoint",
     "ExplorationResult",
     "explore",
-    "pareto_front",
     "format_figure",
     "format_series",
     "format_table",

@@ -7,105 +7,71 @@ the interactive, single-workload face of that explorer: given an access
 pattern it evaluates every architecture that can implement it, collects
 their area/delay points and reports the Pareto frontier.
 
-Candidate enumeration is delegated to :func:`repro.engine.jobs.candidate_factories`
-so the explorer and the batch campaign engine (:mod:`repro.engine`) always
-agree on the design space; for grid-scale exploration with caching and
-parallelism use ``sradgen --campaign`` or :class:`repro.engine.CampaignRunner`
-directly.
+Candidates come from :func:`repro.engine.jobs.candidate_factories` and each
+one is evaluated by :func:`repro.engine.runner.evaluate_point`, so the
+explorer and the batch campaign engine (:mod:`repro.engine`) agree on the
+design space, the figures and the skip rules; for grid-scale exploration
+with caching and parallelism use ``sradgen --campaign`` or
+:class:`repro.engine.CampaignRunner` directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro.core.mapping_params import MappingError
 from repro.engine.jobs import candidate_factories
 from repro.engine.pareto import pareto_min
+from repro.engine.runner import OK, SKIPPED, EvalRecord, evaluate_point
 from repro.flow import DEFAULT_SPEC, FlowSpec
-from repro.generators.base import AddressGeneratorDesign
-from repro.hdl.netlist import NetlistError
 from repro.workloads.loopnest import AffineAccessPattern
 
-__all__ = ["DesignPoint", "ExplorationResult", "explore", "pareto_front"]
-
-
-@dataclass
-class DesignPoint:
-    """One evaluated architecture."""
-
-    style: str
-    variant: str
-    delay_ns: float
-    area_cells: float
-    flip_flops: int
-    applicable: bool = True
-    note: str = ""
-
-    @property
-    def label(self) -> str:
-        """Display label combining style and variant."""
-        return f"{self.style}[{self.variant}]" if self.variant else self.style
+__all__ = ["ExplorationResult", "explore"]
 
 
 @dataclass
 class ExplorationResult:
-    """All design points evaluated for one workload."""
+    """All design points evaluated for one workload.
+
+    ``points`` holds the ``ok`` records; ``skipped`` holds the rest
+    (inapplicable architectures and, should one occur, ``error`` records).
+    """
 
     workload: str
-    points: List[DesignPoint] = field(default_factory=list)
-    skipped: List[DesignPoint] = field(default_factory=list)
+    points: List[EvalRecord] = field(default_factory=list)
+    skipped: List[EvalRecord] = field(default_factory=list)
 
-    def pareto(self) -> List[DesignPoint]:
+    def pareto(self) -> List[EvalRecord]:
         """Pareto-optimal points (minimising both delay and area)."""
-        return pareto_front(self.points)
+        return pareto_min(self.points, key=lambda r: (r.delay_ns, r.area_cells))
 
-    def best_delay(self) -> Optional[DesignPoint]:
+    def best_delay(self) -> Optional[EvalRecord]:
         """The fastest applicable design."""
-        return min(self.points, key=lambda p: p.delay_ns) if self.points else None
+        return min(self.points, key=lambda r: r.delay_ns) if self.points else None
 
-    def best_area(self) -> Optional[DesignPoint]:
+    def best_area(self) -> Optional[EvalRecord]:
         """The smallest applicable design."""
-        return min(self.points, key=lambda p: p.area_cells) if self.points else None
+        return min(self.points, key=lambda r: r.area_cells) if self.points else None
 
     def describe(self) -> str:
         """Multi-line summary of the exploration."""
         lines = [f"design space for {self.workload}:"]
-        pareto = set(id(p) for p in self.pareto())
-        for point in sorted(self.points, key=lambda p: p.delay_ns):
-            marker = "*" if id(point) in pareto else " "
+        pareto = set(id(r) for r in self.pareto())
+        for record in sorted(self.points, key=lambda r: r.delay_ns):
+            marker = "*" if id(record) in pareto else " "
             lines.append(
-                f" {marker} {point.label:<22} delay {point.delay_ns:6.2f} ns   "
-                f"area {point.area_cells:10.0f} cu   FFs {point.flip_flops}"
+                f" {marker} {_label(record):<22} delay {record.delay_ns:6.2f} ns   "
+                f"area {record.area_cells:10.0f} cu   FFs {record.flip_flops}"
             )
-        for point in self.skipped:
-            lines.append(f"   {point.label:<22} not applicable: {point.note}")
+        for record in self.skipped:
+            reason = "not applicable" if record.status == SKIPPED else record.status
+            lines.append(f"   {_label(record):<22} {reason}: {record.note}")
         lines.append("(* = Pareto-optimal)")
         return "\n".join(lines)
 
 
-def pareto_front(points: Sequence[DesignPoint]) -> List[DesignPoint]:
-    """Points not dominated in both delay and area by any other point.
-
-    Uses the engine's sort-based O(n log n) sweep (campaigns produce
-    thousands of points; the old all-pairs check was quadratic).
-    """
-    return pareto_min(list(points), key=lambda p: (p.delay_ns, p.area_cells))
-
-
-def _evaluate(
-    design: AddressGeneratorDesign,
-    variant: str,
-    spec: FlowSpec,
-) -> DesignPoint:
-    result = design.synthesize(spec=spec)
-    return DesignPoint(
-        style=design.style,
-        variant=variant,
-        delay_ns=result.delay_ns,
-        area_cells=result.area_cells,
-        flip_flops=result.area.flip_flop_count,
-    )
+def _label(record: EvalRecord) -> str:
+    return f"{record.style}[{record.variant}]"
 
 
 def explore(
@@ -117,48 +83,33 @@ def explore(
 
     Architectures that cannot implement the pattern (SRAG restrictions, SFM's
     FIFO-only limitation, non-power-of-two arrays for the arithmetic style)
-    are recorded in ``skipped`` with the reason, rather than raising.  The
-    same applies when the failure only surfaces while elaborating or
-    synthesising the candidate, not just while constructing it -- mirroring
-    :func:`repro.engine.runner.evaluate_job`, so one impossible architecture
-    cannot take down a whole exploration.
+    are recorded in ``skipped`` with the reason, rather than raising, whether
+    the failure surfaces while constructing, elaborating or synthesising the
+    candidate: :func:`repro.engine.runner.evaluate_point` classifies every
+    point, exactly as it does for campaign jobs.
 
     Parameters
     ----------
     spec:
         Flow configuration (:class:`repro.flow.FlowSpec`) applied at every
         design point; defaults to an all-defaults spec.  ``spec.fsm_encodings``
-        selects the symbolic-FSM candidates, ``spec.max_fsm_states`` skips
-        them for sequences longer than that bound (keeping exploration time
-        bounded; the blow-up itself is measured by the synthesis-effort
-        benchmark instead), and ``spec.opt_level`` sets the
-        logic-optimization effort (0 = raw netlists, the historical
-        behaviour).
+        selects the symbolic-FSM candidates, ``spec.max_fsm_states`` leaves
+        them out for sequences longer than that bound (keeping exploration
+        time bounded; the blow-up itself is measured by the synthesis-effort
+        benchmark instead), ``spec.opt_level`` sets the logic-optimization
+        effort, and ``spec.lint``/``spec.verify`` attach their diagnostics to
+        each record.
     """
-    sequence = pattern.to_sequence()
-    result = ExplorationResult(workload=sequence.name)
-
+    result = ExplorationResult(workload=pattern.name)
     candidates = candidate_factories(
         pattern,
         fsm_encodings=spec.fsm_encodings,
         max_fsm_states=spec.max_fsm_states,
     )
-    for style, variant, factory in candidates:
-        try:
-            design = factory()
-            point = _evaluate(design, variant, spec)
-        except (MappingError, NetlistError, ValueError) as error:
-            result.skipped.append(
-                DesignPoint(
-                    style=style,
-                    variant=variant,
-                    delay_ns=float("nan"),
-                    area_cells=float("nan"),
-                    flip_flops=0,
-                    applicable=False,
-                    note=str(error),
-                )
-            )
-            continue
-        result.points.append(point)
+    for style, variant, _ in candidates:
+        record = evaluate_point(
+            lambda: pattern, style, variant, spec,
+            workload=pattern.name, rows=pattern.rows, cols=pattern.cols,
+        )
+        (result.points if record.status == OK else result.skipped).append(record)
     return result

@@ -193,8 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
             "run the design-rule checker (repro.lint.design) on every "
             "synthesised netlist and exit 1 on error-severity findings.  "
             "Repeat (--lint --lint) to add the SAT-backed semantic rules.  "
-            "With --campaign, applies to every job (cache keys are "
-            "unaffected); with --input/--workload it implies --report."
+            "With --campaign or --explore, applies to every evaluated point "
+            "(cache keys are unaffected); otherwise with --input/--workload "
+            "it implies --report."
         ),
     )
     parser.add_argument(
@@ -206,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "formally verify (SAT-based CEC, repro.verify) that every "
             "synthesised netlist is equivalent to its pre-flow netlist; "
-            "exit 2 on proven inequivalence.  With --campaign, applies to "
-            "every job (cache keys are unaffected); with --input/--workload "
-            "it implies --report."
+            "exit 2 on proven inequivalence.  With --campaign or --explore, "
+            "applies to every evaluated point (cache keys are unaffected); "
+            "otherwise with --input/--workload it implies --report."
         ),
     )
     engine = parser.add_argument_group("campaign options")
@@ -513,21 +514,25 @@ def _run_campaign(args: argparse.Namespace) -> int:
             result = runner.run(campaign, force=args.force)
     print()
     print(result.describe())
-    errors = sum(1 for record in result.records if record.status == "error")
-    lint_errors = 0
-    if args.lint:
-        lint_errors = _report_campaign_lint(result.records)
-    verify_failures = 0
-    if args.verify:
-        verify_failures = _report_campaign_verify(result.records)
-    # Proven inequivalence outranks everything: exit 2 > 1 > 0.
+    return _report_records(args, result.records)
+
+
+def _report_records(args: argparse.Namespace, records: Sequence[EvalRecord]) -> int:
+    """Print the lint/verify diagnostics of evaluated records; return the exit code.
+
+    Shared by ``--campaign`` and ``--explore``.  Proven inequivalence
+    outranks everything: exit 2 > 1 (error records or lint errors) > 0.
+    """
+    errors = sum(1 for record in records if record.status == "error")
+    lint_errors = _report_lint(records) if args.lint else 0
+    verify_failures = _report_verify(records) if args.verify else 0
     if verify_failures:
         return 2
     return 1 if errors or lint_errors else 0
 
 
-def _report_campaign_lint(records: Sequence[EvalRecord]) -> int:
-    """Print design-lint findings from a linted campaign; return error count.
+def _report_lint(records: Sequence[EvalRecord]) -> int:
+    """Print design-lint findings from linted records; return error count.
 
     Cached records carry no findings -- lint is volatile evaluation
     metadata, never serialised -- so only freshly evaluated records
@@ -554,8 +559,8 @@ def _report_campaign_lint(records: Sequence[EvalRecord]) -> int:
     return lint_errors
 
 
-def _report_campaign_verify(records: Sequence[EvalRecord]) -> int:
-    """Print CEC verdicts from a verified campaign; return failure count.
+def _report_verify(records: Sequence[EvalRecord]) -> int:
+    """Print CEC verdicts from verified records; return failure count.
 
     Same volatility contract as lint: cached records carry no verdict, so
     only freshly evaluated records contribute, local or remote.
@@ -709,9 +714,9 @@ def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.explore:
         if not args.workload:
             parser.error("--explore requires --workload (it needs the loop nest)")
-        pattern = build_pattern(args.workload, args.rows, args.cols)
-        print(explore(pattern, spec=spec).describe())
-        return 0
+        result = explore(build_pattern(args.workload, args.rows, args.cols), spec=spec)
+        print(result.describe())
+        return _report_records(args, result.points + result.skipped)
 
     try:
         result = generate(

@@ -16,7 +16,6 @@ from repro.core.mapper import map_address_sequence
 from repro.core.mapping_params import SragMapping
 from repro.core.srag import SragFunctionalModel, SragPorts, build_srag
 from repro.hdl.netlist import Netlist, sanitise_name
-from repro.hdl.simulator import AddressEncoding, sample_addresses
 from repro.workloads.sequences import AddressSequence
 
 __all__ = ["SragAddressGenerator"]
@@ -61,17 +60,7 @@ class SragAddressGenerator:
         """
         row_mapping, col_mapping = map_address_sequence(sequence)
         netlist = Netlist(name or sanitise_name(f"srag_{sequence.name}"))
-        clk = netlist.add_input("clk")
-        next_signal = netlist.add_input("next")
-        reset = netlist.add_input("reset")
-        row_ports = build_srag(
-            netlist, row_mapping, clk, next_signal, reset, prefix="row"
-        )
-        col_ports = build_srag(
-            netlist, col_mapping, clk, next_signal, reset, prefix="col"
-        )
-        netlist.add_output_bus("rs", row_ports.select_lines)
-        netlist.add_output_bus("cs", col_ports.select_lines)
+        row_ports, col_ports = _build_two_hot(netlist, row_mapping, col_mapping)
         return cls(
             sequence=sequence,
             row_mapping=row_mapping,
@@ -80,6 +69,16 @@ class SragAddressGenerator:
             row_ports=row_ports,
             col_ports=col_ports,
         )
+
+    def elaborate(self) -> Netlist:
+        """A fresh copy of :attr:`netlist`, built from the stored mappings.
+
+        The mapping procedure does not run again; only the structure is
+        rebuilt.
+        """
+        netlist = Netlist(self.netlist.name)
+        _build_two_hot(netlist, self.row_mapping, self.col_mapping)
+        return netlist
 
     # ---------------------------------------------------------------- queries
     @property
@@ -114,18 +113,25 @@ class SragAddressGenerator:
             for row, col in zip(row_model.run(steps), col_model.run(steps))
         ]
 
-    def verify(self, cycles: Optional[int] = None, *, structural: bool = False) -> bool:
-        """Check that the generator reproduces its target sequence.
+    def verify(self, cycles: Optional[int] = None) -> bool:
+        """Check that the behavioural models reproduce the target sequence.
 
-        By default the behavioural models are stepped.  ``structural=True``
-        simulates the netlist at gate level instead, reading the two-hot
-        ``rs_*``/``cs_*`` select lines through
-        :func:`repro.hdl.simulator.sample_addresses`.
+        Gate-level checking of the netlist is
+        :meth:`repro.generators.srag_design.SragDesign.verify`.
         """
         steps = cycles if cycles is not None else self.sequence.length
-        if structural:
-            encoding = AddressEncoding.two_hot(self.rows, self.cols)
-            produced = sample_addresses(self.netlist, encoding, steps)
-        else:
-            produced = self.simulate_functional(steps)
-        return self.sequence.matches(produced)
+        return self.sequence.matches(self.simulate_functional(steps))
+
+
+def _build_two_hot(
+    netlist: Netlist, row_mapping: SragMapping, col_mapping: SragMapping
+) -> Tuple[SragPorts, SragPorts]:
+    """Elaborate the row and column SRAGs into ``netlist``; return their ports."""
+    clk = netlist.add_input("clk")
+    next_signal = netlist.add_input("next")
+    reset = netlist.add_input("reset")
+    row_ports = build_srag(netlist, row_mapping, clk, next_signal, reset, prefix="row")
+    col_ports = build_srag(netlist, col_mapping, clk, next_signal, reset, prefix="col")
+    netlist.add_output_bus("rs", row_ports.select_lines)
+    netlist.add_output_bus("cs", col_ports.select_lines)
+    return row_ports, col_ports

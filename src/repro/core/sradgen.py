@@ -16,8 +16,8 @@ from typing import Optional
 from repro.core.addm_generator import SragAddressGenerator
 from repro.core.mapping_params import SragMapping
 from repro.flow import DEFAULT_SPEC, FlowSpec
+from repro.generators.srag_design import SragDesign
 from repro.hdl.emit import emit_verilog, emit_vhdl
-from repro.synth.flow import run_synthesis_flow
 from repro.synth.report import SynthesisResult
 from repro.workloads.sequences import AddressSequence
 
@@ -87,18 +87,18 @@ def generate(
         Which HDL back ends to run.
     synthesize:
         Also run the synthesis flow (optimization + buffering + timing +
-        area).
+        area) through :meth:`SragDesign.synthesize`.
     spec:
         Flow configuration (:class:`repro.flow.FlowSpec`) for the synthesis
         step: cell library, buffering threshold, logic-optimization effort.
         Defaults to an all-defaults spec.
     verify:
         Before emitting anything, simulate the elaborated netlist at gate
-        level (:meth:`SragAddressGenerator.verify` with ``structural=True``)
-        and check that its two-hot select lines regenerate the input
-        sequence.
+        level (:meth:`SragDesign.verify`) and check that its two-hot select
+        lines regenerate the input sequence.
     name:
-        Optional netlist/entity name.
+        Optional netlist/entity name (made a safe identifier); defaults to
+        ``srag_<sequence name>``.
 
     Raises
     ------
@@ -108,31 +108,17 @@ def generate(
         If verification fails (which would indicate a library bug rather
         than an unmappable sequence).
     """
-    generator = SragAddressGenerator.from_sequence(sequence, name=name)
-    if verify and not generator.verify(structural=True):
+    design = SragDesign(sequence, name=name)
+    if verify and not design.verify():
         raise RuntimeError(
             f"structural verification failed for sequence {sequence.name!r}"
         )
-    vhdl_text = emit_vhdl(generator.netlist) if emit_vhdl_text else None
-    verilog_text = emit_verilog(generator.netlist) if emit_verilog_text else None
-    synthesis = None
-    if synthesize:
-        synthesis = run_synthesis_flow(
-            generator.netlist,
-            spec=spec,
-            name=generator.netlist.name,
-            metadata={
-                "workload": sequence.name,
-                "rows": sequence.rows,
-                "cols": sequence.cols,
-                "accesses": sequence.length,
-            },
-        )
+    generator = design.generator
     return SRAdGenResult(
         generator=generator,
         row_mapping=generator.row_mapping,
         col_mapping=generator.col_mapping,
-        vhdl=vhdl_text,
-        verilog=verilog_text,
-        synthesis=synthesis,
+        vhdl=emit_vhdl(design.netlist) if emit_vhdl_text else None,
+        verilog=emit_verilog(design.netlist) if emit_verilog_text else None,
+        synthesis=design.synthesize(spec) if synthesize else None,
     )

@@ -8,7 +8,9 @@ one submission and merges the streamed records into a
 :class:`CampaignResult` whose records are in campaign order -- so serial,
 parallel and remote runs of the same campaign are bit-for-bit identical.
 This module also hosts the worker-side pieces the scheduler dispatches
-(:func:`evaluate_job`, :func:`_evaluate_batch`, :func:`_warm_worker`).
+(:func:`evaluate_job`, :func:`_evaluate_batch`, :func:`_warm_worker`) and
+:func:`evaluate_point`, the one evaluator behind campaign jobs and
+``--explore``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.core.mapping_params import MappingError
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import Campaign, EvalJob, build_design
 from repro.engine.pareto import pareto_min
-from repro.flow import opt_label_suffix
+from repro.flow import FlowSpec, opt_label_suffix
 from repro.hdl.netlist import NetlistError
 from repro.obs import (
     NULL_SPAN,
@@ -35,12 +37,19 @@ from repro.obs import (
 )
 from repro.resilience.faults import fault_point
 from repro.synth.power import estimate_power
+from repro.workloads.loopnest import AffineAccessPattern
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.engine.scheduler import Scheduler
     from repro.resilience.retry import RetryPolicy
 
-__all__ = ["CampaignResult", "CampaignRunner", "EvalRecord", "evaluate_job"]
+__all__ = [
+    "CampaignResult",
+    "CampaignRunner",
+    "EvalRecord",
+    "evaluate_job",
+    "evaluate_point",
+]
 
 #: Record status values.
 OK, SKIPPED, ERROR = "ok", "skipped", "error"
@@ -218,106 +227,106 @@ def _evaluate_batch(jobs: List[EvalJob], collect_spans: bool = False) -> BatchRe
 
 
 def evaluate_job(job: EvalJob) -> EvalRecord:
-    """Evaluate one job: build the pattern and design, synthesise, measure.
-
-    Never raises: inapplicable architectures come back as ``skipped`` records
-    and unexpected failures as ``error`` records, so one bad grid point
-    cannot take down a campaign (or a worker process).
+    """Evaluate one campaign job: :func:`evaluate_point` under the job's identity.
 
     With tracing enabled the evaluation runs under an ``evaluate_job`` span
     with one child span per phase (pattern build, mapping, synthesis with
     its ``flow.*`` stages, power); that span tree is the per-stage
     breakdown.
     """
-    start = time.perf_counter()
-    spec = job.spec
-    base = dict(
-        workload=job.workload,
-        rows=job.rows,
-        cols=job.cols,
-        style=job.style,
-        variant=job.variant,
-        library=spec.library,
-        key=job.key,
-        # Part of the base so skipped/error records keep the grid axis too.
-        opt_level=spec.opt_level,
-    )
     with span("evaluate_job", detail=job.label):
-        try:
-            # Inside the try: an injected exception classifies exactly like
-            # a real one (deterministic -> skipped, transient -> error).
-            fault_point("runner.evaluate")
-            with span("job.pattern"):
-                pattern = job.pattern()
-            if job.style == "FSM" and pattern.trip_count > spec.max_fsm_states:
-                return EvalRecord(
-                    status=SKIPPED,
-                    note=(
-                        f"sequence length {pattern.trip_count} exceeds "
-                        f"max_fsm_states={spec.max_fsm_states}"
-                    ),
-                    duration_s=time.perf_counter() - start,
-                    **base,
-                )
-            with span("job.mapping"):
-                design = build_design(pattern, job.style, job.variant)
-            with span("job.synthesize"):
-                result = design.synthesize(spec=spec)
-            power: Dict[str, float] = {}
-            if spec.power_cycles:
-                # Measure on the buffered working copy the area/delay figures
-                # came from, so inserted buffer trees pay their switching
-                # energy.
-                with span("job.power"):
-                    report = estimate_power(
-                        result.netlist,
-                        library=spec.resolve_library(),
-                        cycles=spec.power_cycles,
-                    )
-                power = {
-                    "energy_per_access_fj": report.energy_per_access_fj,
-                    "avg_power_uw": report.average_power_uw,
-                }
-            lint_findings = (
-                [finding.to_dict() for finding in result.lint_report.findings]
-                if result.lint_report is not None
-                else []
-            )
-            verify_result = (
-                result.verify_report.to_dict()
-                if result.verify_report is not None
-                else None
-            )
-        except (MappingError, NetlistError, ValueError) as error:
-            return EvalRecord(
-                status=SKIPPED,
-                note=str(error),
-                duration_s=time.perf_counter() - start,
-                **base,
-            )
-        except Exception:  # pragma: no cover - defensive; surfaced in the record
-            return EvalRecord(
-                status=ERROR,
-                note=traceback.format_exc(limit=3),
-                duration_s=time.perf_counter() - start,
-                **base,
-            )
-        return EvalRecord(
-            status=OK,
-            delay_ns=result.delay_ns,
-            area_cells=result.area_cells,
-            flip_flops=result.area.flip_flop_count,
-            total_cells=sum(result.area.cell_counts.values()),
-            buffers_inserted=result.buffers_inserted,
-            opt_cells_removed=(
-                result.opt_report.cells_removed if result.opt_report else 0
-            ),
-            duration_s=time.perf_counter() - start,
-            lint_findings=lint_findings,
-            verify_result=verify_result,
-            **power,
-            **base,
+        return evaluate_point(
+            job.pattern, job.style, job.variant, job.spec,
+            workload=job.workload, rows=job.rows, cols=job.cols, key=job.key,
         )
+
+
+def evaluate_point(
+    pattern: Callable[[], AffineAccessPattern],
+    style: str,
+    variant: str,
+    spec: FlowSpec,
+    *,
+    workload: str,
+    rows: int,
+    cols: int,
+    key: str = "",
+) -> EvalRecord:
+    """Evaluate one architecture for one access pattern; never raises.
+
+    This is the one place a design point is classified: inapplicable
+    architectures come back as ``skipped`` records and unexpected failures
+    as ``error`` records, so one bad point cannot take down a campaign, an
+    exploration or a worker process.  ``pattern`` builds the access pattern
+    inside that classification; ``workload``/``rows``/``cols``/``key`` are
+    the record's identity.  The power study (``spec.power_cycles``) and the
+    lint and verify diagnostics land on the record here too.
+    """
+    start = time.perf_counter()
+
+    def record(status: str, **fields: Any) -> EvalRecord:
+        return EvalRecord(
+            workload=workload, rows=rows, cols=cols, style=style, variant=variant,
+            library=spec.library, key=key, status=status,
+            # On every record so skipped/error records keep the grid axis too.
+            opt_level=spec.opt_level,
+            duration_s=time.perf_counter() - start,
+            **fields,
+        )
+
+    try:
+        # Inside the try: an injected exception classifies exactly like a
+        # real one (deterministic -> skipped, transient -> error).
+        fault_point("runner.evaluate")
+        with span("job.pattern"):
+            built = pattern()
+        if style == "FSM" and built.trip_count > spec.max_fsm_states:
+            raise ValueError(
+                f"sequence length {built.trip_count} exceeds "
+                f"max_fsm_states={spec.max_fsm_states}"
+            )
+        with span("job.mapping"):
+            design = build_design(built, style, variant)
+        with span("job.synthesize"):
+            result = design.synthesize(spec=spec)
+        power: Dict[str, float] = {}
+        if spec.power_cycles:
+            # Measure on the buffered working copy the area/delay figures
+            # came from, so inserted buffer trees pay their switching energy.
+            with span("job.power"):
+                report = estimate_power(
+                    result.netlist,
+                    library=spec.resolve_library(),
+                    cycles=spec.power_cycles,
+                )
+            power = {
+                "energy_per_access_fj": report.energy_per_access_fj,
+                "avg_power_uw": report.average_power_uw,
+            }
+    except (MappingError, NetlistError, ValueError) as error:
+        return record(SKIPPED, note=str(error))
+    except Exception:  # pragma: no cover - defensive; surfaced in the record
+        return record(ERROR, note=traceback.format_exc(limit=3))
+    return record(
+        OK,
+        delay_ns=result.delay_ns,
+        area_cells=result.area_cells,
+        flip_flops=result.area.flip_flop_count,
+        total_cells=sum(result.area.cell_counts.values()),
+        buffers_inserted=result.buffers_inserted,
+        opt_cells_removed=(
+            result.opt_report.cells_removed if result.opt_report else 0
+        ),
+        lint_findings=(
+            [finding.to_dict() for finding in result.lint_report.findings]
+            if result.lint_report is not None
+            else []
+        ),
+        verify_result=(
+            result.verify_report.to_dict() if result.verify_report is not None else None
+        ),
+        **power,
+    )
 
 
 GroupKey = Tuple[str, int, int, str]  # (workload, rows, cols, library)

@@ -2,14 +2,20 @@
 
 Every evaluation knob the synthesis/evaluation stack understands lives in
 exactly one place: a frozen, validated, serialisable :class:`FlowSpec`.  The
-public entry points -- :func:`repro.synth.flow.run_synthesis_flow`,
-:meth:`repro.generators.base.AddressGeneratorDesign.synthesize`,
-:func:`repro.core.sradgen.generate`, :func:`repro.analysis.explorer.explore`,
-:class:`repro.engine.jobs.EvalJob` and
-:meth:`repro.engine.jobs.Campaign.from_grid` -- all accept ``spec=FlowSpec(...)``
-and hand the same object down, so adding a future knob (a synthesis effort
-tier, a buffering strategy, a power-engine selector) is one field here
-instead of a six-file threading exercise.
+public entry points all accept ``spec=FlowSpec(...)`` and hand the same
+object down:
+
+* :func:`repro.synth.flow.run_synthesis_flow` -- the flow itself;
+* :meth:`repro.generators.base.AddressGeneratorDesign.synthesize` -- one
+  design through the flow (:func:`repro.core.sradgen.generate` uses it);
+* :func:`repro.engine.runner.evaluate_point` -- the one point evaluator,
+  behind both :class:`repro.engine.jobs.EvalJob` (and so
+  :meth:`repro.engine.jobs.Campaign.from_grid`) and
+  :func:`repro.analysis.explorer.explore`.
+
+Adding a future knob (a synthesis effort tier, a buffering strategy, a
+power-engine selector) is therefore one field here instead of a six-file
+threading exercise.
 
 Serialisation is canonical and *default-omitting*: fields that post-date the
 seed (``opt_level``, ``power_cycles``, ...) stay out of :meth:`FlowSpec.to_spec`
@@ -76,7 +82,8 @@ class FlowSpec:
         :mod:`repro.synth.opt` pipeline).
     power_cycles:
         Simulated cycles for the switching-activity power study; 0 disables
-        it.  Consumed by the campaign runner, ignored by plain synthesis.
+        it.  Consumed by :func:`repro.engine.runner.evaluate_point` (campaign
+        jobs and ``--explore``); plain synthesis ignores it.
     fsm_encodings:
         Symbolic-FSM state encodings enumerated per workload.  An
         *enumeration* knob: it widens or narrows the candidate list but does

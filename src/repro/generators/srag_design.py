@@ -25,12 +25,12 @@ class SragDesign(AddressGeneratorDesign):
     style = "SRAG"
 
     def __init__(self, sequence: AddressSequence, *, name: Optional[str] = None):
-        super().__init__(sequence, name=name or f"srag_{sequence.name}")
+        super().__init__(sequence, name=sanitise_name(name or f"srag_{sequence.name}"))
         # Mapping happens eagerly so that unmappable sequences fail fast with
-        # a MappingError, mirroring how the SRAdGen tool behaves.
-        self._generator = SragAddressGenerator.from_sequence(
-            sequence, name=sanitise_name(self.name)
-        )
+        # a MappingError, mirroring how the SRAdGen tool behaves.  It also
+        # elaborates the netlist once, which becomes the cached netlist.
+        self._generator = SragAddressGenerator.from_sequence(sequence, name=self.name)
+        self._netlist = self._generator.netlist
         self.address_encoding = AddressEncoding.two_hot(sequence.rows, sequence.cols)
 
     @property
@@ -39,8 +39,6 @@ class SragDesign(AddressGeneratorDesign):
         return self._generator
 
     def elaborate(self) -> Netlist:
-        # Each elaboration re-runs the (cheap) structural construction so the
-        # returned netlist is never one that synthesis has already buffered.
-        return SragAddressGenerator.from_sequence(
-            self.sequence, name=sanitise_name(self.name)
-        ).netlist
+        # Rebuilds the structure from the stored mappings; mapping runs once
+        # per design, in the constructor.
+        return self._generator.elaborate()

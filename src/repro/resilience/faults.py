@@ -17,7 +17,7 @@ site                        seam
 ``scheduler.submit``        top of :meth:`Scheduler.submit`
 ``scheduler.dispatch``      before each pool batch submission
 ``scheduler.worker``        worker-side, top of a pool batch evaluation
-``runner.evaluate``         inside :func:`~repro.engine.runner.evaluate_job`
+``runner.evaluate``         inside :func:`~repro.engine.runner.evaluate_point`
 ``service.read``            per request line read by the server
 ``service.write``           per response line written by the server
 ``service.handler``         per record the server's evaluation handler relays

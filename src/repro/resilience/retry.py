@@ -7,7 +7,7 @@ carry one.  Backoff is a pure function of the attempt number (exponential
 with a cap, **no jitter**): two runs of the same plan wait the same
 schedule, which is what keeps chaos tests reproducible.
 
-Classification extends the contract :func:`repro.engine.runner.evaluate_job`
+Classification extends the contract :func:`repro.engine.runner.evaluate_point`
 already lives by: mapping/netlist/value errors are *deterministic* (retrying
 cannot help; the record is SKIPPED and cacheable), everything else is
 *transient* (the record is ERROR, never cached, and a candidate for retry).
@@ -42,7 +42,7 @@ DETERMINISTIC = "deterministic"
 def classify_exception(error: BaseException) -> str:
     """Label ``error`` transient or deterministic for retry decisions.
 
-    Mirrors the :func:`~repro.engine.runner.evaluate_job` status contract:
+    Mirrors the :func:`~repro.engine.runner.evaluate_point` status contract:
     the exception types it converts to SKIPPED records are deterministic;
     everything else -- OS-level trouble, pool breakage, injected faults --
     is transient.

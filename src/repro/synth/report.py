@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.hdl.netlist import Netlist
-from repro.lint.core import LintReport
 from repro.synth.area import AreaReport
 from repro.synth.opt import OptReport
 from repro.synth.timing import TimingReport
-from repro.verify.cec import CecResult
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only; loaded when the flow lints/verifies
+    from repro.lint.core import LintReport
+    from repro.verify.cec import CecResult
 
 __all__ = ["SynthesisResult"]
 

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.analysis.explorer import DesignPoint, explore, pareto_front
+from repro.analysis.explorer import explore
 from repro.analysis.reporting import format_figure, format_series, format_table
 from repro.flow import FlowSpec
 from repro.analysis.tradeoff import (
@@ -62,25 +62,8 @@ def test_evaluate_and_compare_real_generators():
 
 
 # ---------------------------------------------------------------------------
-# Pareto front and exploration
+# Exploration
 # ---------------------------------------------------------------------------
-
-def _point(style, delay, area):
-    return DesignPoint(style=style, variant="", delay_ns=delay, area_cells=area, flip_flops=0)
-
-
-def test_pareto_front_filters_dominated_points():
-    a = _point("A", 1.0, 100.0)
-    b = _point("B", 2.0, 50.0)
-    c = _point("C", 2.5, 200.0)  # dominated by both A (delay) and... kept? no: dominated by B
-    front = pareto_front([a, b, c])
-    assert a in front and b in front and c not in front
-
-
-def test_pareto_front_keeps_unique_point():
-    a = _point("A", 1.0, 1.0)
-    assert pareto_front([a]) == [a]
-
 
 def test_explore_covers_multiple_architectures():
     result = explore(fifo.fifo_pattern(4, 4))
@@ -99,7 +82,7 @@ def test_explore_records_inapplicable_architectures():
     # The SFM cannot implement block access.
     assert "SFM" in skipped_styles
     for point in result.skipped:
-        assert not point.applicable
+        assert point.status == "skipped"
         assert point.note
 
 
@@ -115,33 +98,21 @@ def test_explore_records_failures_raised_during_evaluation(monkeypatch):
     """Regression: a failure inside synthesize() must be skipped, not raised.
 
     Candidate construction can succeed while elaboration/synthesis later
-    raises (the netlist is built lazily); the docstring promises those land
-    in ``skipped`` like construction failures do.
+    raises (the netlist is built lazily); such failures land in ``skipped``
+    like construction failures do.
     """
-    import repro.analysis.explorer as explorer_module
+    from repro.generators.srag_design import SragDesign
     from repro.hdl.netlist import NetlistError
 
-    class ExplodingDesign:
-        style = "BOOM"
+    def explode(self, spec):
+        raise NetlistError("elaboration exploded late")
 
-        def synthesize(self, **kwargs):
-            raise NetlistError("elaboration exploded late")
-
-    pattern = fifo.fifo_pattern(4, 4)
-    real_factories = explorer_module.candidate_factories
-
-    def with_exploder(*args, **kwargs):
-        return real_factories(*args, **kwargs) + [
-            ("BOOM", "late", lambda: ExplodingDesign())
-        ]
-
-    monkeypatch.setattr(explorer_module, "candidate_factories", with_exploder)
-    result = explore(pattern)
-    assert any(p.style == "BOOM" for p in result.skipped)
-    boom = next(p for p in result.skipped if p.style == "BOOM")
-    assert not boom.applicable and "exploded late" in boom.note
+    monkeypatch.setattr(SragDesign, "synthesize", explode)
+    result = explore(fifo.fifo_pattern(4, 4))
+    srag = next(p for p in result.skipped if p.style == "SRAG")
+    assert srag.status == "skipped" and "exploded late" in srag.note
     # The survivors are unaffected.
-    assert {p.style for p in result.points} >= {"SRAG", "CntAG"}
+    assert {p.style for p in result.points} >= {"CntAG", "FSM"}
 
 
 def test_explore_passes_opt_level_through_to_synthesis():

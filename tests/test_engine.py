@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.analysis.explorer import DesignPoint, pareto_front
 from repro.cli import main
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import Campaign, EvalJob, STYLE_VARIANTS, build_design
@@ -583,15 +582,10 @@ def test_pareto_sweep_keeps_nan_points():
     assert pareto_indices([(1.0, 1.0), (nan, 2.0), (2.0, 2.0)]) == [0, 1]
 
 
-def test_explorer_pareto_front_uses_sweep():
-    points = [
-        DesignPoint("A", "", 1.0, 100.0, 0),
-        DesignPoint("B", "", 2.0, 50.0, 0),
-        DesignPoint("C", "", 2.5, 200.0, 0),
-    ]
-    front = pareto_front(points)
-    assert front == points[:2]
-    assert pareto_min(points, key=lambda p: (p.delay_ns, p.area_cells)) == front
+def test_pareto_min_returns_the_items_on_the_front():
+    a, b, c = ("A", 1.0, 100.0), ("B", 2.0, 50.0), ("C", 2.5, 200.0)
+    assert pareto_min([a, b, c], key=lambda item: item[1:]) == [a, b]
+    assert pareto_min([a], key=lambda item: item[1:]) == [a]
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,24 @@ def test_netlist_cache_and_invalidate():
     assert design.netlist is not first
 
 
+def test_srag_design_maps_its_sequence_once(monkeypatch):
+    import repro.core.addm_generator as addm_generator
+
+    calls = []
+    real = addm_generator.map_address_sequence
+
+    def counting(sequence):
+        calls.append(sequence.name)
+        return real(sequence)
+
+    monkeypatch.setattr(addm_generator, "map_address_sequence", counting)
+    design = SragDesign(fifo.fifo_sequence(8, 8))
+    design.synthesize()
+    design.invalidate()
+    design.synthesize()
+    assert calls == ["fifo_8x8"]
+
+
 def test_srag_design_exposes_mappings():
     design = SragDesign(motion_estimation.read_sequence(4, 4, 2, 2))
     assert design.generator.row_mapping.div_count == 2

@@ -1,7 +1,12 @@
 """Tests for the SRAdGen flow facade and the sradgen command-line tool."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.core.mapping_params import MappingError
 from repro.core.sradgen import generate
@@ -110,6 +115,21 @@ def test_cli_explore(capsys):
     assert exit_code == 0
     assert "design space" in captured.out
     assert "SRAG" in captured.out
+
+
+def test_cli_explore_reports_an_unexpected_failure_and_exits_1(capsys, monkeypatch):
+    from repro.generators.srag_design import SragDesign
+
+    def crash(self, spec):
+        raise RuntimeError("synthesis crashed")
+
+    monkeypatch.setattr(SragDesign, "synthesize", crash)
+    exit_code = main(["--workload", "fifo", "--rows", "4", "--cols", "4", "--explore"])
+    out = capsys.readouterr().out
+    assert exit_code == 1
+    assert "SRAG[two-hot]          error: Traceback" in out
+    assert "RuntimeError: synthesis crashed" in out
+    assert "CntAG[decoders]" in out
 
 
 def test_cli_report_opt_level_shrinks_area(capsys):
@@ -231,3 +251,19 @@ def test_cli_power_campaign_end_to_end(tmp_path, capsys):
     assert main(["--campaign", "power", "--cache-dir", cache_dir, "--serial"]) == 0
     warm = capsys.readouterr().out
     assert "cache hits 36/36" in warm
+
+
+def test_cli_import_loads_neither_lint_nor_verify():
+    """Start-up stays lean: the design checker and the SAT-based verifier
+    load only when a run asks for ``--lint``/``--verify``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    script = (
+        "import sys, repro.cli; "
+        "print(' '.join(sorted(m for m in sys.modules "
+        "if m.startswith(('repro.lint', 'repro.verify')))))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert loaded == []

@@ -176,3 +176,35 @@ def test_cli_verify_and_lint_combined_campaign(capsys):
     assert code == 0
     assert "lint: 0 error-severity finding(s)" in captured.out
     assert "verify: 0 proven-inequivalent record(s)" in captured.out
+
+
+# ---------------------------------------------------------------------------
+# --explore reports the diagnostics its records carry
+# ---------------------------------------------------------------------------
+
+EXPLORE_FIFO = ["--workload", "fifo", "--rows", "4", "--cols", "4", "--explore"]
+
+
+def test_cli_verify_and_lint_on_explore_path(capsys):
+    code = main(EXPLORE_FIFO + ["--verify", "--lint"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "design space for fifo_4x4" in captured.out
+    assert "lint: 0 error-severity finding(s) over 8 freshly" in captured.out
+    assert "verify: 0 proven-inequivalent record(s) over 8 freshly" in captured.out
+
+
+def test_cli_explore_exits_2_on_proven_inequivalence(capsys, monkeypatch):
+    import repro.verify.cec
+    from repro.verify.cec import CecResult
+
+    monkeypatch.setattr(
+        repro.verify.cec,
+        "check_equivalence",
+        lambda golden, revised: CecResult(equivalent=False, proven=True, method="stub"),
+    )
+    code = main(EXPLORE_FIFO + ["--verify"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "verify: 8 proven-inequivalent record(s)" in captured.out
+    assert "NOT equivalent (stub)" in captured.err
