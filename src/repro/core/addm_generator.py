@@ -60,7 +60,13 @@ class SragAddressGenerator:
         """
         row_mapping, col_mapping = map_address_sequence(sequence)
         netlist = Netlist(name or sanitise_name(f"srag_{sequence.name}"))
-        row_ports, col_ports = _build_two_hot(netlist, row_mapping, col_mapping)
+        clk = netlist.add_input("clk")
+        next_signal = netlist.add_input("next")
+        reset = netlist.add_input("reset")
+        row_ports = build_srag(netlist, row_mapping, clk, next_signal, reset, prefix="row")
+        col_ports = build_srag(netlist, col_mapping, clk, next_signal, reset, prefix="col")
+        netlist.add_output_bus("rs", row_ports.select_lines)
+        netlist.add_output_bus("cs", col_ports.select_lines)
         return cls(
             sequence=sequence,
             row_mapping=row_mapping,
@@ -69,16 +75,6 @@ class SragAddressGenerator:
             row_ports=row_ports,
             col_ports=col_ports,
         )
-
-    def elaborate(self) -> Netlist:
-        """A fresh copy of :attr:`netlist`, built from the stored mappings.
-
-        The mapping procedure does not run again; only the structure is
-        rebuilt.
-        """
-        netlist = Netlist(self.netlist.name)
-        _build_two_hot(netlist, self.row_mapping, self.col_mapping)
-        return netlist
 
     # ---------------------------------------------------------------- queries
     @property
@@ -122,16 +118,3 @@ class SragAddressGenerator:
         steps = cycles if cycles is not None else self.sequence.length
         return self.sequence.matches(self.simulate_functional(steps))
 
-
-def _build_two_hot(
-    netlist: Netlist, row_mapping: SragMapping, col_mapping: SragMapping
-) -> Tuple[SragPorts, SragPorts]:
-    """Elaborate the row and column SRAGs into ``netlist``; return their ports."""
-    clk = netlist.add_input("clk")
-    next_signal = netlist.add_input("next")
-    reset = netlist.add_input("reset")
-    row_ports = build_srag(netlist, row_mapping, clk, next_signal, reset, prefix="row")
-    col_ports = build_srag(netlist, col_mapping, clk, next_signal, reset, prefix="col")
-    netlist.add_output_bus("rs", row_ports.select_lines)
-    netlist.add_output_bus("cs", col_ports.select_lines)
-    return row_ports, col_ports

@@ -37,9 +37,10 @@ class SRAdGenResult:
     vhdl, verilog:
         Generated HDL text (``None`` unless requested).
     synthesis:
-        Area/delay report (``None`` unless requested).  Synthesis works on a
-        clone of the netlist, so the emitted HDL and the generator's netlist
-        are unaffected by buffer insertion.
+        Area/delay report (``None`` unless requested).  Synthesis rewrites
+        the design's copy of the generator's netlist, so the emitted HDL and
+        the generator's netlist are unaffected by optimization and buffer
+        insertion.
     """
 
     generator: SragAddressGenerator
@@ -118,7 +119,7 @@ def generate(
         generator=generator,
         row_mapping=generator.row_mapping,
         col_mapping=generator.col_mapping,
-        vhdl=emit_vhdl(design.netlist) if emit_vhdl_text else None,
-        verilog=emit_verilog(design.netlist) if emit_verilog_text else None,
+        vhdl=emit_vhdl(generator.netlist) if emit_vhdl_text else None,
+        verilog=emit_verilog(generator.netlist) if emit_verilog_text else None,
         synthesis=design.synthesize(spec) if synthesize else None,
     )

@@ -19,7 +19,7 @@ from repro.flow import DEFAULT_SPEC, FlowSpec
 from repro.hdl.netlist import Netlist
 from repro.hdl.simulator import AddressEncoding, sample_addresses
 from repro.obs import span
-from repro.synth.flow import run_synthesis_flow
+from repro.synth.flow import _synthesize
 from repro.synth.report import SynthesisResult
 from repro.workloads.sequences import AddressSequence
 
@@ -93,9 +93,10 @@ class AddressGeneratorDesign(abc.ABC):
         """Run the synthesis flow on the design's netlist.
 
         The flow is configured by ``spec`` (:class:`repro.flow.FlowSpec`;
-        defaults to an all-defaults spec).  It optimizes and buffers a
-        private clone of the netlist, so repeated synthesis runs (under
-        different specs, say) all start from the same raw design.
+        defaults to an all-defaults spec).  The design hands its netlist to
+        the flow, which rewrites it (the result's ``netlist``), and drops its
+        cache, so the next access or synthesis run re-elaborates the raw
+        design.  Only ``spec.verify`` clones it, as the golden model for CEC.
         """
         if not isinstance(spec, FlowSpec):
             raise TypeError(
@@ -104,10 +105,11 @@ class AddressGeneratorDesign(abc.ABC):
             )
         # Elaboration ("logic synthesis": building the structural netlist,
         # including any FSM minimisation) is attributed as its own flow
-        # stage; note the cached-netlist fast path makes repeat synthesis
-        # report a near-zero elaborate time, which is itself informative.
+        # stage; a netlist cached by an earlier simulate() or verify() makes
+        # it near-zero.
         with span("flow.elaborate"):
             netlist = self.netlist
+        self.invalidate()
         info: Dict[str, object] = {
             "style": self.style,
             "workload": self.sequence.name,
@@ -116,9 +118,10 @@ class AddressGeneratorDesign(abc.ABC):
             "accesses": self.sequence.length,
         }
         info.update(metadata or {})
-        return run_synthesis_flow(
+        return _synthesize(
             netlist,
             spec=spec,
+            golden=netlist.clone() if spec.verify else None,
             name=self.name,
             metadata=info,
             lint_context=self.lint_context() if spec.lint else None,

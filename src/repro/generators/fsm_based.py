@@ -92,7 +92,8 @@ class FsmAddressGenerator(AddressGeneratorDesign):
     # -------------------------------------------------------------- interface
     def elaborate(self) -> Netlist:
         # Re-synthesise each time so callers always receive an unmodified
-        # netlist (the cached fsm_synthesis keeps its own copy for stats).
+        # netlist.  The first result is kept for its stats; its netlist is
+        # the one synthesize() hands to the flow.
         result = synthesize_fsm(
             self.build_fsm(), encoding=self.encoding, name=sanitise_name(self.name)
         )

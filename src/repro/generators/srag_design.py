@@ -20,17 +20,20 @@ __all__ = ["SragDesign"]
 
 
 class SragDesign(AddressGeneratorDesign):
-    """The paper's two-hot SRAG as an :class:`AddressGeneratorDesign`."""
+    """The paper's two-hot SRAG as an :class:`AddressGeneratorDesign`.
+
+    The generator keeps the netlist its mapping elaborated; the design's
+    netlist is a copy of it.  Synthesis rewrites the design's copy, so
+    :attr:`generator` stays pre-flow and the sequence is mapped once.
+    """
 
     style = "SRAG"
 
     def __init__(self, sequence: AddressSequence, *, name: Optional[str] = None):
         super().__init__(sequence, name=sanitise_name(name or f"srag_{sequence.name}"))
         # Mapping happens eagerly so that unmappable sequences fail fast with
-        # a MappingError, mirroring how the SRAdGen tool behaves.  It also
-        # elaborates the netlist once, which becomes the cached netlist.
+        # a MappingError, mirroring how the SRAdGen tool behaves.
         self._generator = SragAddressGenerator.from_sequence(sequence, name=self.name)
-        self._netlist = self._generator.netlist
         self.address_encoding = AddressEncoding.two_hot(sequence.rows, sequence.cols)
 
     @property
@@ -39,6 +42,4 @@ class SragDesign(AddressGeneratorDesign):
         return self._generator
 
     def elaborate(self) -> Netlist:
-        # Rebuilds the structure from the stored mappings; mapping runs once
-        # per design, in the constructor.
-        return self._generator.elaborate()
+        return self._generator.netlist.clone()

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -44,6 +45,11 @@ __all__ = [
 ]
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+# Every declared pin of each primitive, for add_cell's connection check.
+_DECLARED_PINS: Dict[str, FrozenSet[str]] = {
+    name: frozenset(spec.inputs + spec.outputs) for name, spec in PRIMITIVES.items()
+}
 
 
 def sanitise_name(name: str) -> str:
@@ -329,7 +335,8 @@ class Netlist:
             Pin-name to :class:`Net` connections.  All declared pins of the
             cell type must be connected.
         """
-        if cell_type not in PRIMITIVES:
+        declared = _DECLARED_PINS.get(cell_type)
+        if declared is None:
             raise NetlistError(f"unknown cell type {cell_type!r}")
         spec = PRIMITIVES[cell_type]
         if name is None:
@@ -338,17 +345,10 @@ class Netlist:
             )
         if name in self._cells:
             raise NetlistError(f"duplicate cell instance name {name!r}")
-        declared = set(spec.inputs) | set(spec.outputs)
-        missing = declared - set(pins)
-        if missing:
-            raise NetlistError(
-                f"cell {name!r} ({cell_type}): unconnected pins {sorted(missing)}"
-            )
-        extra = set(pins) - declared
-        if extra:
-            raise NetlistError(
-                f"cell {name!r} ({cell_type}): unknown pins {sorted(extra)}"
-            )
+        if pins.keys() != declared:
+            missing, extra = sorted(declared - pins.keys()), sorted(pins.keys() - declared)
+            problem = f"unconnected pins {missing}" if missing else f"unknown pins {extra}"
+            raise NetlistError(f"cell {name!r} ({cell_type}): {problem}")
         cell = Cell(name=name, cell_type=cell_type, pins=dict(pins))
         for pin_name, net in pins.items():
             if pin_name in spec.outputs:
@@ -494,28 +494,40 @@ class Netlist:
     def clone(self) -> "Netlist":
         """Deep copy of the netlist (cells, nets and ports all re-created).
 
-        Transformations that rewrite structure (buffer insertion, the
-        synthesis flow) operate on a clone so the original netlist stays
-        pristine and can be re-synthesised, re-simulated or emitted again.
-
-        The copy is rebuilt structurally rather than via ``copy.deepcopy``:
-        the driver/load links between nets and cells form chains as deep as
-        the longest shift register, which overflows the recursion limit for
-        large arrays.
+        :func:`~repro.synth.flow.run_synthesis_flow` rewrites a clone, which
+        leaves its caller's netlist untouched.  The copy builds ``Net``/``Cell`` objects directly rather than via
+        ``copy.deepcopy``: the driver/load links between nets and cells form
+        chains as deep as the longest shift register, which overflows the
+        recursion limit for large arrays.  Each net's loads keep the
+        source's order (for a netlist built cell by cell, that is cell
+        order, then pin order), so every float sum over a net's loads, and
+        with it every delay, is the same on the copy.
         """
         other = Netlist(self.name)
+        nets = other._nets
         for name, net in self._nets.items():
-            other.net(name).is_input = net.is_input
+            nets[name] = Net(name=name, is_input=net.is_input)
         for name in self._inputs:
-            other._inputs[name] = other._nets[name]
-        for cell in self._cells.values():
-            other.add_cell(
-                cell.cell_type,
-                name=cell.name,
-                **{pin: other._nets[net.name] for pin, net in cell.pins.items()},
+            other._inputs[name] = nets[name]
+        cells = other._cells
+        for name, cell in self._cells.items():
+            copy = Cell(
+                name, cell.cell_type, {pin: nets[net.name] for pin, net in cell.pins.items()}
             )
+            outputs = copy.spec.outputs
+            for pin_name, net in copy.pins.items():
+                if pin_name in outputs:
+                    if net.has_driver:
+                        raise NetlistError(
+                            f"net {net.name!r} already driven; cannot also be "
+                            f"driven by {name}.{pin_name}"
+                        )
+                    net.driver = (copy, pin_name)
+            cells[name] = copy
+        for name, net in self._nets.items():
+            nets[name].loads = [(cells[cell.name], pin) for cell, pin in net.loads]
         for port_name, net in self._outputs.items():
-            other._outputs[port_name] = other._nets[net.name]
+            other._outputs[port_name] = nets[net.name]
         return other
 
     # ---------------------------------------------------------- introspection

@@ -10,7 +10,7 @@ reproduction are exactly the ones the paper's architectures stress --
 * the CntAG address-counter bits fan out to the row/column decoders, and the
   pre-decode lines inside those decoders fan out to all the output gates.
 
-Buffering is applied by :func:`repro.synth.flow.run_synthesis_flow` before
+Buffering is applied by the synthesis flow (:mod:`repro.synth.flow`) before
 timing and area analysis, so every reported figure already includes the
 buffer-tree cost, just as Design Compiler's numbers would.
 """
@@ -52,6 +52,9 @@ def _is_clock_load(load: Tuple[Cell, str]) -> bool:
 
 def _buffer_net(netlist: Netlist, net: Net, max_fanout: int) -> int:
     """Recursively buffer one net; returns the number of buffers inserted."""
+    if len(net.loads) <= max_fanout:
+        # Clock pins only add to the total, so the data loads fit too.
+        return 0
     data_loads = [load for load in net.loads if not _is_clock_load(load)]
     clock_loads = [load for load in net.loads if _is_clock_load(load)]
     if len(data_loads) <= max_fanout:

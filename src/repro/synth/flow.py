@@ -5,6 +5,11 @@ Design Compiler and read area/delay off the report": it validates the
 netlist, optionally runs logic optimization (``spec.opt_level``), inserts
 buffer trees on high-fanout nets, and runs static timing analysis and area
 accounting against the chosen standard-cell library.
+
+The flow rewrites the netlist it measures.  ``run_synthesis_flow`` runs on
+a clone, leaving its caller's netlist untouched; a design instead hands
+its own netlist to the flow and drops its cache
+(:meth:`repro.generators.base.AddressGeneratorDesign.synthesize`).
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ def run_synthesis_flow(
     ----------
     netlist:
         The design to evaluate.  Optimization and buffer insertion run on a
-        private clone (the synthesis tool's working copy), so the caller's
-        netlist is left untouched and can be re-synthesised -- under another
+        clone (the synthesis tool's working copy), so the caller's netlist
+        is left untouched and can be re-synthesised -- under another
         library or opt level, say -- without accumulating rewrites.
     spec:
         The flow configuration (:class:`repro.flow.FlowSpec`); defaults to
@@ -57,26 +62,42 @@ def run_synthesis_flow(
         (generators pass ``{"fsm": <FiniteStateMachine>}`` so reachability
         can be checked).  Ignored when linting is off.
     """
+    return _synthesize(
+        netlist.clone(), spec=spec, golden=netlist, name=name, metadata=metadata,
+        lint_context=lint_context,
+    )
+
+
+def _synthesize(
+    netlist: Netlist, *, spec: FlowSpec, golden: Optional[Netlist], name: Optional[str],
+    metadata: Optional[Dict[str, object]], lint_context: Optional[Dict[str, object]],
+) -> SynthesisResult:
+    """The flow body: validate ``netlist``, rewrite it in place and measure it.
+
+    The caller hands ``netlist`` over and uses it afterwards only through
+    the result.  ``golden`` is the pre-flow netlist that ``spec.verify``
+    proves the result equivalent to (read only under ``spec.verify``).  The
+    other arguments are :func:`run_synthesis_flow`'s.
+    """
     cell_library = spec.resolve_library()
     # Every stage runs under a span (free when tracing is disabled); the
     # span tree is the flow's per-stage profile.
     with span("flow.validate"):
         netlist.validate()
-        working_copy = netlist.clone()
     opt_report = None
     if spec.opt_level:
         with span("flow.opt"):
-            opt_report = optimize_netlist(working_copy, opt_level=spec.opt_level)
+            opt_report = optimize_netlist(netlist, opt_level=spec.opt_level)
             # Cheap invariant check: optimization must hand buffering/timing
             # a structurally sound netlist or every figure downstream is
             # garbage.
-            working_copy.validate()
+            netlist.validate()
     with span("flow.buffer"):
-        buffers = insert_buffer_trees(working_copy, max_fanout=spec.max_fanout)
+        buffers = insert_buffer_trees(netlist, max_fanout=spec.max_fanout)
     with span("flow.timing"):
-        timing = timing_report(working_copy, cell_library)
+        timing = timing_report(netlist, cell_library)
     with span("flow.area"):
-        area = area_report(working_copy, cell_library)
+        area = area_report(netlist, cell_library)
     # Lint is a pure diagnostic over the measured netlist: default-off, and
     # when off the cost is one falsy attribute test (floor-tested), so every
     # pre-existing flow is bit-identical in output *and* time.
@@ -86,7 +107,7 @@ def run_synthesis_flow(
 
         with span("flow.lint"):
             lint_report = lint_netlist(
-                working_copy,
+                netlist,
                 library=cell_library,
                 max_fanout=spec.max_fanout,
                 fsm=(lint_context or {}).get("fsm"),
@@ -94,19 +115,19 @@ def run_synthesis_flow(
             )
     # Verification shares the lint contract: a default-off diagnostic that
     # proves (SAT-based CEC) the measured netlist still implements the
-    # caller's netlist, without perturbing any measured figure.
+    # pre-flow netlist, without perturbing any measured figure.
     verify_report = None
     if spec.verify:
         from repro.verify.cec import check_equivalence
 
         with span("flow.verify"):
-            verify_report = check_equivalence(netlist, working_copy)
+            verify_report = check_equivalence(golden, netlist)
     return SynthesisResult(
         name=name or netlist.name,
         area=area,
         timing=timing,
         buffers_inserted=buffers,
-        netlist=working_copy,
+        netlist=netlist,
         opt_report=opt_report,
         lint_report=lint_report,
         verify_report=verify_report,

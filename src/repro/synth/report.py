@@ -36,8 +36,8 @@ class SynthesisResult:
     buffers_inserted:
         Number of buffers added by high-fanout buffering.
     netlist:
-        The synthesis tool's working copy -- the optimized and buffered
-        clone the area and timing numbers were measured on.  Downstream
+        The optimized and buffered netlist the area and timing numbers
+        were measured on (the synthesis tool's working copy).  Downstream
         analyses (the power study) must run on this netlist so all metrics
         in one result describe the same structure.
     opt_report:

@@ -8,7 +8,7 @@ from repro.cli import main
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import Campaign, EvalJob, STYLE_VARIANTS, build_design
 from repro.engine.pareto import pareto_indices, pareto_min
-from repro.engine.runner import CampaignRunner, EvalRecord, evaluate_job
+from repro.engine.runner import CampaignRunner, EvalRecord, evaluate_job, evaluate_point
 from repro.flow import FlowSpec
 from repro.engine.sweep import (
     available_campaigns,
@@ -660,6 +660,30 @@ def test_run_synthesis_flow_leaves_netlist_untouched():
     result = run_synthesis_flow(netlist)
     assert result.buffers_inserted > 0
     assert set(netlist.cells) == cells_before
+
+
+@pytest.mark.parametrize("verify", [0, 1])
+def test_evaluate_point_clones_only_what_the_flow_needs(monkeypatch, verify):
+    """SRAG copies its generator's netlist; ``verify`` adds the golden copy."""
+    from repro.hdl.netlist import Netlist
+
+    clones = []
+    real_clone = Netlist.clone
+
+    def counting_clone(self):
+        clones.append(self.name)
+        return real_clone(self)
+
+    monkeypatch.setattr(Netlist, "clone", counting_clone)
+    for style, variant in STYLE_VARIANTS:
+        clones.clear()
+        record = evaluate_point(
+            lambda: build_pattern("fifo", 4, 4), style, variant,
+            FlowSpec(verify=verify), workload="fifo", rows=4, cols=4,
+        )
+        assert record.status == "ok", record.note
+        expected = (1 if style == "SRAG" else 0) + verify
+        assert len(clones) == expected, f"{style}[{variant}]: {clones}"
 
 
 def test_netlist_clone_is_deep_and_equivalent():

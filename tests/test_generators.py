@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.mapping_params import MappingError
 from repro.engine.jobs import candidate_factories
+from repro.flow import FlowSpec
 from repro.generators import (
     ArithmeticAddressGenerator,
     CounterBasedAddressGenerator,
@@ -244,6 +245,31 @@ def test_every_candidate_emits_its_workload_sequence(workload, size):
         except (MappingError, NetlistError, ValueError):
             continue
         assert design.verify(), f"{style}[{variant}] on {workload} {size}x{size}"
+
+
+# ---------------------------------------------------------------------------
+# Netlist ownership: synthesis rewrites the design's netlist in place
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("opt_level", [0, 1])
+@pytest.mark.parametrize(
+    "factory",
+    [
+        pytest.param(factory, id=f"{style}-{variant}")
+        for style, variant, factory in candidate_factories(build_pattern("fifo", 8, 8))
+    ],
+)
+def test_synthesizing_one_design_twice_gives_equal_results(factory, opt_level):
+    design = factory()
+    spec = FlowSpec(opt_level=opt_level)
+    first = design.synthesize(spec)
+    second = design.synthesize(spec)
+    assert second.netlist is not first.netlist
+    assert design.netlist is not second.netlist
+    assert (second.area, second.timing, second.buffers_inserted) == (
+        first.area, first.timing, first.buffers_inserted,
+    )
+    assert second.netlist.stats() == first.netlist.stats()
 
 
 # ---------------------------------------------------------------------------

@@ -311,3 +311,86 @@ def test_dff_en_set_modern_set_pin_does_not_warn(recwarn):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         nl.add_cell("DFF_EN_SET", name="u1", D=d, CLK=clk, EN=en, SET=s, Q=q)
+
+
+def test_add_cell_rejects_unknown_types_and_mismatched_pins():
+    netlist = Netlist("t")
+    a, y = netlist.add_input("a"), netlist.net("y")
+    with pytest.raises(NetlistError, match="unknown cell type"):
+        netlist.add_cell("NAND9", A=a, Y=y)
+    with pytest.raises(NetlistError, match=r"unconnected pins \['B'\]"):
+        netlist.add_cell("AND2", A=a, Y=y)
+    # A missing pin is reported before an unknown one.
+    with pytest.raises(NetlistError, match=r"unconnected pins \['B'\]"):
+        netlist.add_cell("AND2", A=a, C=a, Y=y)
+    with pytest.raises(NetlistError, match=r"unknown pins \['C'\]"):
+        netlist.add_cell("INV", A=a, C=a, Y=y)
+    assert not netlist.cells and not y.has_driver
+
+
+# ---------------------------------------------------------------------------
+# Structural clone
+# ---------------------------------------------------------------------------
+
+def _structure(netlist):
+    """Everything a clone must reproduce, by name and in order."""
+    return (
+        [
+            (
+                name,
+                net.is_input,
+                net.driver and (net.driver[0].name, net.driver[1]),
+                [(cell.name, pin) for cell, pin in net.loads],
+            )
+            for name, net in netlist.nets.items()
+        ],
+        [
+            (name, cell.cell_type, [(pin, net.name) for pin, net in cell.pins.items()])
+            for name, cell in netlist.cells.items()
+        ],
+        [(port, net.name) for port, net in netlist.inputs.items()],
+        [(port, net.name) for port, net in netlist.outputs.items()],
+    )
+
+
+def _fifo_8x8_candidates():
+    """Every style's factory; fifo is the one workload every style applies to."""
+    from repro.engine.jobs import candidate_factories
+    from repro.workloads.registry import build_pattern
+
+    return [
+        pytest.param(factory, id=f"{style}-{variant}")
+        for style, variant, factory in candidate_factories(build_pattern("fifo", 8, 8))
+    ]
+
+
+@pytest.mark.parametrize("stage", ["raw", "O0", "O1"])
+@pytest.mark.parametrize("factory", _fifo_8x8_candidates())
+def test_clone_reproduces_the_netlist_exactly(factory, stage):
+    """Raw elaborated netlists, and post-flow ones (buffered; O1 rewritten)."""
+    from repro.flow import FlowSpec
+    from repro.synth.area import area_report
+    from repro.synth.timing import timing_report
+
+    design = factory()
+    if stage == "raw":
+        netlist = design.netlist
+    else:
+        netlist = design.synthesize(FlowSpec(opt_level=int(stage[1]))).netlist
+    clone = netlist.clone()
+    assert _structure(clone) == _structure(netlist)
+    originals = {id(obj) for obj in (*netlist.nets.values(), *netlist.cells.values())}
+    assert not originals & {id(obj) for obj in (*clone.nets.values(), *clone.cells.values())}
+    assert timing_report(clone) == timing_report(netlist)
+    assert area_report(clone) == area_report(netlist)
+
+
+def test_clone_rejects_a_double_driven_net():
+    netlist = Netlist("t")
+    a = netlist.add_input("a")
+    y = netlist.net("y")
+    netlist.add_cell("INV", name="first", A=a, Y=y)
+    y.driver = None  # detached by hand, so a second driver can be connected
+    netlist.add_cell("BUF", name="second", A=a, Y=y)
+    with pytest.raises(NetlistError, match=r"'y' already driven.*second\.Y"):
+        netlist.clone()

@@ -45,6 +45,19 @@ def test_generate_with_verilog_and_synthesis():
     assert result.synthesis.summary() in result.describe()
 
 
+def test_generate_with_synthesis_leaves_the_generator_netlist_pre_flow():
+    from repro.hdl.emit import emit_vhdl
+
+    sequence = motion_estimation.read_sequence(8, 8, 2, 2)
+    plain = generate(sequence)
+    result = generate(sequence, synthesize=True)
+    assert result.synthesis.buffers_inserted > 0
+    netlist = result.generator.netlist
+    assert result.synthesis.netlist is not netlist
+    assert len(netlist.cells) == len(plain.generator.netlist.cells)
+    assert emit_vhdl(netlist) == result.vhdl == plain.vhdl
+
+
 def test_generate_rejects_unmappable_sequence():
     with pytest.raises(MappingError):
         generate(patterns.serpentine_sequence(4, 4))

@@ -77,3 +77,33 @@ def test_invalid_max_fanout_rejected():
     netlist = _wide_fanout_design(4)
     with pytest.raises(ValueError):
         insert_buffer_trees(netlist, max_fanout=1)
+
+
+def _hub_with_clock_loads(data_loads, clock_loads):
+    """Input ``hub`` feeding ``data_loads`` inverters and ``clock_loads`` flop clocks."""
+    netlist = Netlist("mixed")
+    hub = netlist.add_input("hub")
+    for i in range(data_loads):
+        out = netlist.new_net(f"o{i}")
+        netlist.add_cell("INV", A=hub, Y=out)
+        netlist.add_output(f"y_{i}", out)
+    for i in range(clock_loads):
+        q = netlist.new_net(f"q{i}")
+        netlist.add_cell("DFF", D=netlist.const(0), CLK=hub, Q=q)
+        netlist.add_output(f"q_{i}", q)
+    return netlist, hub
+
+
+def test_clock_loads_do_not_count_towards_the_fanout_limit():
+    # More loads than the limit in total, but only max_fanout data loads.
+    netlist, hub = _hub_with_clock_loads(8, 5)
+    assert len(hub.loads) > 8
+    assert insert_buffer_trees(netlist, max_fanout=8) == 0
+
+
+def test_one_data_load_over_the_limit_is_buffered():
+    netlist, hub = _hub_with_clock_loads(9, 5)
+    assert insert_buffer_trees(netlist, max_fanout=8) > 0
+    clock_pins = [pin for cell, pin in hub.loads if cell.spec.sequential]
+    assert clock_pins == ["CLK"] * 5
+    assert len(hub.loads) - len(clock_pins) <= 8
