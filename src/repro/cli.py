@@ -272,15 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience = parser.add_argument_group("resilience options")
     resilience.add_argument(
-        "--fault-plan",
-        metavar="FILE",
-        help=(
-            "arm the deterministic fault-injection plan in FILE (JSON; see "
-            "repro.resilience.faults) for this process and its pool workers "
-            "(equivalent to SRADGEN_FAULTS=FILE)"
-        ),
-    )
-    resilience.add_argument(
         "--retry-max",
         type=int,
         metavar="N",
@@ -595,8 +586,7 @@ def _serve(args: argparse.Namespace) -> int:
     from repro.service.server import CampaignService
 
     service = CampaignService(
-        cache_dir=args.cache_dir,
-        cache_backend=args.cache_backend or "sharded",
+        cache=ResultCache(args.cache_dir, backend=args.cache_backend or "sharded"),
         workers=0 if args.serial else args.workers,
         retry_policy=_retry_policy(args),
         rebuild_budget=args.rebuild_budget,
@@ -664,12 +654,6 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
     args = parser.parse_args(argv)
     if args.trace:
         enable_tracing()
-    if args.fault_plan:
-        from repro.resilience.faults import FAULTS_ENV_VAR, FaultPlan, install_plan
-
-        install_plan(FaultPlan.load(args.fault_plan))
-        # Pool workers arm the same plan through the inherited environment.
-        os.environ[FAULTS_ENV_VAR] = args.fault_plan
     try:
         with span("sradgen", detail=_mode(args)):
             return _execute(args, parser)

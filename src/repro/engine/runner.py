@@ -422,11 +422,6 @@ class CampaignRunner:
         Optional callback invoked as ``progress(record, done, total)`` as
         each record becomes available (cached records first, then fresh ones
         in completion order).
-    chunk_size:
-        Jobs per worker submission.  ``None`` (the default) picks a size
-        that spreads the pending jobs over roughly four batches per worker,
-        amortising per-submit pickling without starving the pool of
-        parallelism; ``1`` restores one-future-per-job dispatch.
     retry_policy:
         Optional :class:`~repro.resilience.retry.RetryPolicy` forwarded to
         the private scheduler: transient (``error``) records are re-run
@@ -439,9 +434,9 @@ class CampaignRunner:
         against instead of constructing a private one -- this is how
         several runners (or the campaign service) share one pool, one cache
         and one in-flight dedup table.  Mutually exclusive with ``cache`` /
-        ``workers`` / ``chunk_size`` / ``retry_policy`` /
-        ``rebuild_budget``, which configure the private scheduler.  A
-        shared scheduler is *not* closed by the runner.
+        ``workers`` / ``retry_policy`` / ``rebuild_budget``, which
+        configure the private scheduler.  A shared scheduler is *not*
+        closed by the runner.
 
     One worker pool is kept alive across the runner's lifetime, so a
     sequence of ``run()`` calls (a campaign sweep, an explorer session)
@@ -458,7 +453,6 @@ class CampaignRunner:
         *,
         workers: Optional[int] = None,
         progress: Optional[Callable[[EvalRecord, int, int], None]] = None,
-        chunk_size: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
         rebuild_budget: Optional[int] = None,
         scheduler: Optional["Scheduler"] = None,
@@ -467,14 +461,13 @@ class CampaignRunner:
             if (
                 cache is not None
                 or workers is not None
-                or chunk_size is not None
                 or retry_policy is not None
                 or rebuild_budget is not None
             ):
                 raise ValueError(
                     "scheduler= is mutually exclusive with cache=/workers=/"
-                    "chunk_size=/retry_policy=/rebuild_budget=; configure "
-                    "the shared Scheduler instead"
+                    "retry_policy=/rebuild_budget=; configure the shared "
+                    "Scheduler instead"
                 )
             self._scheduler = scheduler
             self._owns_scheduler = False
@@ -486,7 +479,6 @@ class CampaignRunner:
             self._scheduler = Scheduler(
                 cache,
                 workers=workers,
-                chunk_size=chunk_size,
                 retry_policy=retry_policy,
                 rebuild_budget=2 if rebuild_budget is None else rebuild_budget,
             )
@@ -507,10 +499,6 @@ class CampaignRunner:
     @property
     def workers(self) -> int:
         return self._scheduler.workers
-
-    @property
-    def chunk_size(self) -> Optional[int]:
-        return self._scheduler.chunk_size
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:

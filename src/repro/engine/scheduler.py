@@ -191,10 +191,6 @@ class Scheduler:
     workers:
         Worker process count.  ``None`` picks ``min(cpu_count, 8)``;
         ``0``/``1`` evaluates serially in the consuming thread.
-    chunk_size:
-        Jobs per worker submission.  ``None`` (the default) spreads each
-        submission's owned jobs over roughly four batches per worker;
-        ``1`` restores one-future-per-job dispatch.
     retry_policy:
         When set, jobs whose records come back transient (``error``) are
         re-evaluated after the policy's deterministic backoff, up to its
@@ -216,7 +212,6 @@ class Scheduler:
         cache: Optional[ResultCache] = None,
         *,
         workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
         rebuild_budget: int = 2,
     ):
@@ -224,9 +219,6 @@ class Scheduler:
         if workers is None:
             workers = min(os.cpu_count() or 1, 8)
         self.workers = max(0, workers)
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.chunk_size = chunk_size
         self.retry_policy = retry_policy
         if rebuild_budget < 0:
             raise ValueError(f"rebuild_budget must be >= 0, got {rebuild_budget}")
@@ -341,14 +333,13 @@ class Scheduler:
         self._discard_pool()
 
     def _chunked(self, jobs: List[EvalJob]) -> List[List[EvalJob]]:
-        """Split pending jobs into per-submission batches."""
-        if self.chunk_size is not None:
-            size = self.chunk_size
-        else:
-            # ~4 batches per worker: large enough to amortise pickling and
-            # future bookkeeping, small enough to keep every worker busy
-            # even when job durations are skewed.
-            size = max(1, len(jobs) // (4 * max(1, self.workers)))
+        """Split pending jobs into per-submission batches.
+
+        ~4 batches per worker: large enough to amortise pickling and
+        future bookkeeping, small enough to keep every worker busy even
+        when job durations are skewed.
+        """
+        size = max(1, len(jobs) // (4 * max(1, self.workers)))
         return [jobs[i:i + size] for i in range(0, len(jobs), size)]
 
     # -------------------------------------------------------------- submit

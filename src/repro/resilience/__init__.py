@@ -9,8 +9,8 @@ other works:
   connect/stream).  Disabled sites follow the ``NULL_SPAN`` pattern from
   :mod:`repro.obs`: one module-global check, zero allocation, a pinned
   overhead floor.  A :class:`~repro.resilience.faults.FaultPlan` (JSON,
-  force-enabled via ``SRADGEN_FAULTS=plan.json`` or ``sradgen
-  --fault-plan``) arms chosen sites with deterministic triggers -- fire on
+  force-enabled via ``SRADGEN_FAULTS=plan.json``, which pool workers
+  inherit) arms chosen sites with deterministic triggers -- fire on
   the Nth hit, on a seeded coin flip, or on a fixed schedule -- and actions:
   raise, delay, torn (partial) write, or hard ``os._exit``.
 * :mod:`repro.resilience.retry` -- the **recovery policies** the rest of

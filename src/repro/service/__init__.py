@@ -5,20 +5,21 @@ process pool for the duration of one invocation.  This package provides it
 with nothing beyond the stdlib:
 
 * :mod:`repro.service.protocol` -- the JSON-lines wire format: one JSON
-  object per line, campaign/explore requests keyed by the same canonical
+  object per line, ``jobs`` requests keyed by the same canonical
   :class:`~repro.flow.FlowSpec` dictionaries that make cache keys, records
   streamed back as they complete;
 * :mod:`repro.service.server` -- :class:`CampaignService`, an ``asyncio``
   streams server that submits every request to one shared
   :class:`~repro.engine.scheduler.Scheduler` (so concurrent clients dedup
   against each other and share the warmed pool) over a concurrent-writer
-  :class:`~repro.engine.cache.ResultCache`;
+  :class:`~repro.engine.cache.ResultCache` handed to it by the caller;
 * :mod:`repro.service.client` -- :class:`ServiceClient` (asyncio) plus the
   synchronous :func:`run_campaign_remote` helper the CLI's ``--connect``
   path uses.
 
 Start a server with ``sradgen --serve`` and point any number of
-``sradgen --campaign ... --connect HOST:PORT`` invocations at it.
+``sradgen --campaign ... --connect HOST:PORT`` invocations at it; each
+client expands its campaign (flag overrides included) and ships the jobs.
 """
 
 from repro.service.client import ServiceClient, run_campaign_remote

@@ -233,9 +233,9 @@ class ServiceClient:
     ) -> CampaignResult:
         """Run a local :class:`Campaign` object remotely.
 
-        The grid is shipped job-by-job (the explore path), so anything a
-        local runner could evaluate works remotely -- no need for the
-        campaign to be registered server-side.
+        The grid is shipped job-by-job in one ``jobs`` request, so
+        anything a local runner could evaluate works remotely -- no need
+        for the campaign to be registered server-side.
 
         With a ``retry_policy`` on the client, a dropped connection is
         healed in place: reconnect (with backoff), then re-submit only the

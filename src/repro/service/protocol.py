@@ -12,20 +12,18 @@ Requests
 ``{"op": "metrics"}``
     Snapshot of the server's ``repro.obs`` counters (dedup hits, cache
     hits/misses, batches dispatched, ...).
-``{"op": "campaign", "campaign": NAME, "spec": {...}, "force": false}``
-    Run a *named* campaign (``sradgen --list-campaigns``), optionally
-    overriding :class:`~repro.flow.FlowSpec` knobs for every job with the
-    canonical spec-dictionary form (``{"opt_level": 1}``).
-``{"op": "jobs", "jobs": [JOB, ...]}``
-    Run an explicit grid: each ``JOB`` is :func:`job_to_wire` output --
-    the job identity plus its canonical spec dictionary.  This is the
-    explore path: clients ship arbitrary design points, not just
-    registered campaigns.
+``{"op": "jobs", "jobs": [JOB, ...], "force": false, "timeout": S}``
+    Evaluate a grid: each ``JOB`` is :func:`job_to_wire` output -- the job
+    identity plus its canonical spec dictionary.  Clients expand named
+    campaigns and apply :class:`~repro.flow.FlowSpec` overrides before
+    they ship the jobs, so one request shape serves registered campaigns
+    and arbitrary design points alike.  ``timeout`` (seconds) bounds the
+    evaluation; the server's default applies when it is absent.
 ``{"op": "shutdown"}``
     Ask the server to drain in-flight requests and exit.
 
-Evaluation responses (``campaign`` / ``jobs``)
-----------------------------------------------
+Evaluation responses (``jobs``)
+-------------------------------
 One ``{"event": "accepted", "jobs": N, "unique": U, "cached": C,
 "pending": P, "deduped": D}`` line, then one
 ``{"event": "record", "done": i, "total": U, "cached": bool,
@@ -71,7 +69,7 @@ __all__ = [
 ]
 
 #: Bump on incompatible wire changes; ``ping`` reports it.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Hard per-line bound (requests *and* responses).  A whole smoke campaign
 #: serialises to a few KiB; 1 MiB leaves two orders of magnitude of headroom

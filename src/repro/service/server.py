@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import dataclasses
-import signal
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
@@ -34,7 +32,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import EvalJob
 from repro.engine.scheduler import Scheduler, SchedulerTimeout
-from repro.engine.sweep import build_campaign
 from repro.obs import log, metrics, span
 from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy
@@ -49,28 +46,29 @@ from repro.service.protocol import (
 
 __all__ = ["CampaignService"]
 
+#: Evaluation deadline of a request that sets no ``timeout`` of its own.
+REQUEST_TIMEOUT_S = 600.0
+
+#: How long shutdown waits for in-flight requests before cancelling them.
+DRAIN_TIMEOUT_S = 10.0
+
 
 class CampaignService:
     """A long-running evaluation server over one shared scheduler.
 
     Parameters
     ----------
-    cache / cache_dir / cache_backend:
-        Either an existing :class:`ResultCache`, or a directory (plus
-        backend name) to open one in.  The default backend is ``sharded``:
-        the service is exactly the concurrent-writer scenario the
-        sharded-segment backend exists for (another process -- a CLI run, a
-        compaction -- may be appending to the same directory).
-    workers / chunk_size / retry_policy / rebuild_budget:
+    cache:
+        The :class:`ResultCache` every request reads and populates;
+        defaults to a fresh in-memory cache.  ``sradgen --serve`` opens a
+        ``sharded`` one: the service is exactly the concurrent-writer
+        scenario the sharded-segment backend exists for (another process
+        -- a CLI run, a compaction -- may be appending to the same
+        directory).
+    workers / retry_policy / rebuild_budget:
         Forwarded to the private :class:`Scheduler` (``retry_policy`` /
         ``rebuild_budget`` are the self-healing knobs from
         :mod:`repro.resilience`).
-    request_timeout:
-        Default per-request evaluation deadline in seconds (a request may
-        lower it with its own ``timeout`` field).
-    drain_timeout:
-        How long :meth:`shutdown` waits for in-flight requests before
-        closing their connections.
     heartbeat_interval:
         Seconds of per-request silence before the server emits a
         ``heartbeat`` event.  Heartbeats keep long evaluations from looking
@@ -78,44 +76,27 @@ class CampaignService:
         vanished mid-evaluation is detected at the next beat and its
         submission is cancelled instead of pumping into the void.  ``0``
         disables them.
-    scheduler:
-        Share an existing scheduler instead of constructing one (its cache
-        and pool then outlive the service).
+
+    A request's evaluation deadline is its own ``timeout`` field, else
+    :data:`REQUEST_TIMEOUT_S`; shutdown waits :data:`DRAIN_TIMEOUT_S` for
+    in-flight requests before closing their connections.
     """
 
     def __init__(
         self,
         *,
         cache: Optional[ResultCache] = None,
-        cache_dir: Optional[str] = None,
-        cache_backend: str = "sharded",
         workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
         rebuild_budget: Optional[int] = None,
-        request_timeout: float = 600.0,
-        drain_timeout: float = 10.0,
         heartbeat_interval: float = 5.0,
-        scheduler: Optional[Scheduler] = None,
     ):
-        if scheduler is not None:
-            if cache is not None or cache_dir is not None:
-                raise ValueError("scheduler= is mutually exclusive with cache=/cache_dir=")
-            self._scheduler = scheduler
-            self._owns_scheduler = False
-        else:
-            if cache is None:
-                cache = ResultCache(cache_dir, backend=cache_backend)
-            self._scheduler = Scheduler(
-                cache,
-                workers=workers,
-                chunk_size=chunk_size,
-                retry_policy=retry_policy,
-                rebuild_budget=2 if rebuild_budget is None else rebuild_budget,
-            )
-            self._owns_scheduler = True
-        self.request_timeout = request_timeout
-        self.drain_timeout = drain_timeout
+        self._scheduler = Scheduler(
+            cache,
+            workers=workers,
+            retry_policy=retry_policy,
+            rebuild_budget=2 if rebuild_budget is None else rebuild_budget,
+        )
         self.heartbeat_interval = heartbeat_interval
         self._server: Optional[asyncio.AbstractServer] = None
         self._requests: "set[asyncio.Task]" = set()
@@ -123,10 +104,6 @@ class CampaignService:
         self._shutdown_event: Optional[asyncio.Event] = None
 
     # ------------------------------------------------------------ lifecycle
-    @property
-    def scheduler(self) -> Scheduler:
-        return self._scheduler
-
     @property
     def address(self) -> Tuple[str, int]:
         """The bound ``(host, port)`` -- port is concrete even if 0 was asked."""
@@ -151,28 +128,11 @@ class CampaignService:
         return bound
 
     async def serve_forever(self) -> None:
-        """Serve until :meth:`shutdown` (or a ``shutdown`` request) fires."""
+        """Serve until :meth:`request_shutdown` (or a ``shutdown`` request) fires."""
         if self._server is None or self._shutdown_event is None:
             raise RuntimeError("service is not started")
         await self._shutdown_event.wait()
         await self._drain()
-
-    async def run(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        """Start, install SIGINT/SIGTERM handlers, serve until shutdown."""
-        await self.start(host, port)
-        loop = asyncio.get_running_loop()
-        installed: List[signal.Signals] = []
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, self.request_shutdown)
-                installed.append(sig)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover  # sradlint: disable=ast.silent-except -- non-main thread / no signal support; serve anyway
-                pass
-        try:
-            await self.serve_forever()
-        finally:
-            for sig in installed:
-                loop.remove_signal_handler(sig)
 
     def request_shutdown(self) -> None:
         """Flip the shutdown event (safe to call from a signal handler)."""
@@ -190,10 +150,10 @@ class CampaignService:
                 "draining in-flight requests",
                 component="service",
                 requests=len(pending),
-                timeout_s=self.drain_timeout,
+                timeout_s=DRAIN_TIMEOUT_S,
             )
             done, still_pending = await asyncio.wait(
-                pending, timeout=self.drain_timeout
+                pending, timeout=DRAIN_TIMEOUT_S
             )
             for task in still_pending:
                 task.cancel()
@@ -206,13 +166,8 @@ class CampaignService:
             task.cancel()
         if connections:
             await asyncio.gather(*connections, return_exceptions=True)
-        if self._owns_scheduler:
-            self._scheduler.close()
+        self._scheduler.close()
         log.info("campaign service stopped", component="service")
-
-    async def shutdown(self) -> None:
-        """Programmatic graceful shutdown (drains, then returns)."""
-        self.request_shutdown()
 
     # ------------------------------------------------------------- protocol
     async def _handle_client(
@@ -286,7 +241,7 @@ class CampaignService:
             elif op == "shutdown":
                 await self._send(writer, write_lock, {**envelope, "ok": True, "op": "shutdown"})
                 self.request_shutdown()
-            elif op in ("campaign", "jobs"):
+            elif op == "jobs":
                 task = asyncio.ensure_future(
                     self._run_evaluation(request, envelope, writer, write_lock)
                 )
@@ -331,30 +286,6 @@ class CampaignService:
     # ----------------------------------------------------------- evaluation
     def _jobs_from_request(self, request: Dict[str, Any]) -> Tuple[List[EvalJob], str]:
         """Materialise the request's job list; raises ServiceError when bad."""
-        if request.get("op") == "campaign":
-            name = request.get("campaign")
-            if not isinstance(name, str):
-                raise ServiceError("'campaign' must name a registered campaign")
-            try:
-                campaign = build_campaign(name)
-            except KeyError as error:
-                raise ServiceError(f"unknown campaign: {error}") from None
-            overrides = request.get("spec") or {}
-            if not isinstance(overrides, dict):
-                raise ServiceError("'spec' must be a JSON object of FlowSpec overrides")
-            if overrides:
-                try:
-                    jobs = [
-                        dataclasses.replace(
-                            job, spec=job.spec.with_overrides(**overrides)
-                        )
-                        for job in campaign.jobs
-                    ]
-                except TypeError as error:
-                    raise ServiceError(f"bad spec override: {error}") from None
-            else:
-                jobs = list(campaign.jobs)
-            return jobs, name
         wire_jobs = request.get("jobs")
         if not isinstance(wire_jobs, list) or not wire_jobs:
             raise ServiceError("'jobs' must be a non-empty list")
@@ -370,7 +301,7 @@ class CampaignService:
         start = time.perf_counter()
         try:
             jobs, label = self._jobs_from_request(request)
-            timeout = float(request.get("timeout") or self.request_timeout)
+            timeout = float(request.get("timeout") or REQUEST_TIMEOUT_S)
             force = bool(request.get("force", False))
         except ServiceError as error:
             await self._send(

@@ -269,9 +269,13 @@ def _select_cover(
     ``covers()`` rescans.  The selected cover is element-for-element
     identical to :func:`_select_cover_reference` (the pre-bitset
     implementation, kept for the regression tests): minterms are visited in
-    the same order and the greedy tie-breaking is unchanged.
+    the same (ascending) order and the greedy tie-breaking is unchanged.
+    Visiting ``sorted(on_set)`` rather than the set's iteration order makes
+    the cover a function of the on-set alone: equal frozensets built in
+    different orders can iterate differently, and the memoised cover must
+    not depend on which of them was minimised first.
     """
-    minterms = list(set(on_set))
+    minterms = sorted(on_set)
     bit_of = {m: i for i, m in enumerate(minterms)}
     masks = _coverage_masks(primes, minterms, bit_of)
 
@@ -369,14 +373,14 @@ def _select_cover_reference(
     on_set: FrozenSet[int],
     stats: MinimizationStats,
 ) -> List[Implicant]:
-    """Pre-bitset cover selection, kept verbatim as the test oracle.
+    """Pre-bitset cover selection, kept as the test oracle.
 
     The bitset :func:`_select_cover` must return an element-for-element
     identical cover; the regression and property tests (and the speedup
     floor benchmark) compare against this implementation.
     """
     remaining = set(on_set)
-    coverage: Dict[int, List[Implicant]] = {m: [] for m in remaining}
+    coverage: Dict[int, List[Implicant]] = {m: [] for m in sorted(remaining)}
     for prime in primes:
         for m in remaining:
             if prime.covers(m):

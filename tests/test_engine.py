@@ -258,15 +258,19 @@ def test_one_failing_batch_does_not_abort_the_campaign(tmp_path, capsys):
     so the runner re-evaluates that batch in-process: healthy jobs still
     produce (and cache) real records instead of misclassified failures.
     """
-    campaign = _tiny_campaign()
+    # 16 jobs over 2 workers: the heuristic dispatches batches of 2.
+    campaign = build_campaign("smoke")
     doomed = campaign.jobs[1]
-    runner = CampaignRunner(ResultCache(str(tmp_path)), workers=4, chunk_size=2)
-    runner.scheduler._pool = _FakePool(
+    runner = CampaignRunner(ResultCache(str(tmp_path)), workers=2)
+    pool = _FakePool(
         fail=lambda job: RuntimeError("worker exploded")
         if job.key == doomed.key
         else None
     )
+    runner.scheduler._pool = pool
     result = runner.run(campaign)
+    [failed_batch] = [b for b in pool.submissions if doomed in b]
+    assert len(failed_batch) >= 2
     assert len(result.records) == len(campaign.jobs)
     # The diagnostic is structured logging on stderr, never stdout (stdout
     # is reserved for the report a caller might be piping somewhere).
@@ -285,26 +289,30 @@ def test_one_failing_batch_does_not_abort_the_campaign(tmp_path, capsys):
 
 
 def test_chunked_dispatch_batches_jobs(tmp_path):
-    campaign = _tiny_campaign()
-    runner = CampaignRunner(ResultCache(str(tmp_path)), workers=2, chunk_size=2)
+    campaign = build_campaign("smoke")
+    runner = CampaignRunner(ResultCache(str(tmp_path)), workers=2)
     pool = _FakePool()
     runner.scheduler._pool = pool
     result = runner.run(campaign)
-    assert [len(batch) for batch in pool.submissions] == [2, 1]
+    # 16 jobs / (2 workers * 4) -> batches of 2, in campaign order.
+    assert [len(batch) for batch in pool.submissions] == [2] * 8
+    assert [job for batch in pool.submissions for job in batch] == list(campaign.jobs)
     assert all(r.status in ("ok", "skipped") for r in result.records)
 
 
-def test_chunk_size_validation_and_default_heuristic():
-    with pytest.raises(ValueError):
-        CampaignRunner(ResultCache(None), chunk_size=0)
-    scheduler = CampaignRunner(ResultCache(None), workers=4).scheduler
+def test_chunking_heuristic_batch_shapes():
+    def shapes(workers, jobs):
+        scheduler = CampaignRunner(ResultCache(None), workers=workers).scheduler
+        batches = scheduler._chunked(jobs)
+        assert [job for batch in batches for job in batch] == jobs
+        return [len(b) for b in batches]
+
     jobs = list(range(32))  # _chunked only slices, any payload works
-    batches = scheduler._chunked(jobs)  # 32 jobs / (4 workers * 4) -> size 2
-    assert [len(b) for b in batches] == [2] * 16
-    assert [job for batch in batches for job in batch] == jobs
-    assert [len(b) for b in CampaignRunner(
-        ResultCache(None), workers=4, chunk_size=5
-    ).scheduler._chunked(jobs)] == [5, 5, 5, 5, 5, 5, 2]
+    assert shapes(4, jobs) == [2] * 16  # 32 jobs / (4 workers * 4) -> size 2
+    assert shapes(2, list(range(42))) == [5] * 8 + [2]  # 42 // 8 -> size 5
+    # Fewer jobs than 4 batches per worker: one job per future.
+    assert shapes(2, jobs[:2]) == [1, 1]
+    assert shapes(4, jobs[:15]) == [1] * 15
 
 
 def test_pool_persists_across_runs_and_closes():

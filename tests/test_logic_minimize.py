@@ -13,6 +13,7 @@ from repro.synth.logic.minimize import (
     MinimizationStats,
     _cube_inside,
     _greedy_merge,
+    _minimize_cached,
     _minimize_reference,
     _prime_implicants,
     _select_cover,
@@ -170,6 +171,26 @@ def test_bitset_cover_matches_reference_property(num_inputs, data):
     ref_cover, ref_stats = _minimize_reference(table)
     assert cover == ref_cover
     assert stats == ref_stats
+
+
+def test_cover_does_not_depend_on_on_set_build_order():
+    """Equal truth tables get one cover, however their sets were built.
+
+    Built ascending and descending, these equal frozensets iterate in
+    different orders.  The memoised cover of whichever table is minimised
+    first is served for both, so the cover must not follow that order.
+    """
+    on_set, dc_set = [7, 8, 13, 15], [0, 10]
+    ascending = TruthTable.from_minterms(4, on_set, dc_set)
+    descending = TruthTable.from_minterms(4, on_set[::-1], dc_set[::-1])
+    assert ascending == descending
+    _minimize_cached.cache_clear()
+    cover_up, _ = minimize(ascending)
+    _minimize_cached.cache_clear()
+    cover_down, _ = minimize(descending)
+    assert cover_up == cover_down
+    assert cover_up == _minimize_reference(ascending)[0]
+    assert cover_down == _minimize_reference(descending)[0]
 
 
 def _fsm_tables(length, encoding="binary"):

@@ -195,9 +195,7 @@ def _install_pools(scheduler, pools):
 def test_broken_pool_is_rebuilt_and_jobs_requeued(flaky_eval):
     rebuilds = metrics.counter("scheduler.pool_rebuilds")
     requeued = metrics.counter("scheduler.jobs_requeued")
-    scheduler = Scheduler(
-        ResultCache(None), workers=2, chunk_size=1, rebuild_budget=2
-    )
+    scheduler = Scheduler(ResultCache(None), workers=2, rebuild_budget=2)
     handed = _install_pools(scheduler, [_InlinePool(fail=1), _InlinePool()])
     records = list(scheduler.submit(JOBS[:2]).results(timeout=10.0))
     assert sorted(r.key for r in records) == sorted(j.key for j in JOBS[:2])
@@ -211,9 +209,7 @@ def test_broken_pool_is_rebuilt_and_jobs_requeued(flaky_eval):
 
 
 def test_rebuild_budget_exhaustion_degrades_to_serial(flaky_eval):
-    scheduler = Scheduler(
-        ResultCache(None), workers=2, chunk_size=1, rebuild_budget=0
-    )
+    scheduler = Scheduler(ResultCache(None), workers=2, rebuild_budget=0)
     _install_pools(scheduler, [_InlinePool(fail=99)])
     records = list(scheduler.submit(JOBS[:2]).results(timeout=10.0))
     assert all(r.status == "ok" for r in records)
@@ -227,9 +223,7 @@ def test_rebuild_budget_exhaustion_degrades_to_serial(flaky_eval):
 
 def test_requeue_skips_jobs_whose_records_already_landed(flaky_eval):
     """A batch whose records all landed is not re-enqueued on rebuild."""
-    scheduler = Scheduler(
-        ResultCache(None), workers=2, chunk_size=1, rebuild_budget=2
-    )
+    scheduler = Scheduler(ResultCache(None), workers=2, rebuild_budget=2)
     _install_pools(scheduler, [_InlinePool(), _InlinePool()])
     records = list(scheduler.submit(JOBS[:2]).results(timeout=10.0))
     assert all(r.status == "ok" for r in records)
@@ -258,7 +252,7 @@ def test_worker_crash_chaos_completes_without_duplicates():
     install_plan(FaultPlan([FaultRule(site="scheduler.worker", action="exit")]))
     rebuilds = metrics.counter("scheduler.pool_rebuilds")
     cache = ResultCache(None)
-    with Scheduler(cache, workers=2, chunk_size=1, rebuild_budget=1) as scheduler:
+    with Scheduler(cache, workers=2, rebuild_budget=1) as scheduler:
         records = list(scheduler.submit(JOBS).results(timeout=120.0))
     clear_plan()
     assert sorted(r.key for r in records) == sorted(j.key for j in JOBS)

@@ -136,11 +136,6 @@ def test_cancel_resolves_joined_submissions_with_error_records(counted_eval):
     assert [r.status for r in retry.results(timeout=10.0)] == ["ok"]
 
 
-def test_chunk_size_validation():
-    with pytest.raises(ValueError, match="chunk_size"):
-        Scheduler(ResultCache(None), chunk_size=0)
-
-
 # ----------------------------------------------------------------- sharing
 def test_runners_share_scheduler_cache_and_dedup(counted_eval):
     scheduler = Scheduler(ResultCache(None), workers=0)

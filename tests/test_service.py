@@ -13,6 +13,7 @@ from repro.engine import runner as runner_module
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import Campaign, EvalJob
 from repro.engine.runner import CampaignRunner, EvalRecord
+from repro.engine.sweep import build_campaign
 from repro.flow import FlowSpec
 from repro.service.client import ServiceClient, run_campaign_remote
 from repro.service.protocol import (
@@ -197,27 +198,26 @@ def counted_eval(monkeypatch):
     return calls
 
 
-def test_named_campaign_op_with_spec_override(counted_eval):
+def test_remote_campaign_with_spec_override_matches_local_serial_run():
+    """Flow overrides ride the wire in each job's spec, as ``--connect``
+    ships them: the server evaluates exactly the overridden keys."""
+    smoke = build_campaign("smoke")
+    campaign = replace(
+        smoke,
+        jobs=[
+            replace(job, spec=job.spec.with_overrides(opt_level=1))
+            for job in smoke.jobs
+        ],
+    )
+    assert not {job.key for job in campaign.jobs} & {job.key for job in smoke.jobs}
+    local = CampaignRunner(ResultCache(None), workers=0).run(campaign)
     with service_running(cache=ResultCache(None), workers=0) as addr:
-
-        async def run(client):
-            await client._send(
-                {"op": "campaign", "campaign": "smoke", "spec": {"opt_level": 1}}
-            )
-            events = []
-            while True:
-                event = await client._recv()
-                events.append(event)
-                if event.get("event") in ("end", "error"):
-                    return events
-
-        events = _client_run(addr, run)
-    accepted, tail = events[0], events[-1]
-    assert accepted["event"] == "accepted"
-    assert accepted["label"] == "smoke" and accepted["jobs"] == 16
-    assert tail["event"] == "end" and tail["ok"]
-    assert tail["records"] == accepted["unique"]
-    assert len(counted_eval) == accepted["unique"]
+        remote = run_campaign_remote(*addr, campaign)
+    assert remote.hits == 0
+    assert [r.key for r in remote.records] == [job.key for job in campaign.jobs]
+    assert {r.key: _normalized(r) for r in remote.records} == {
+        r.key: _normalized(r) for r in local.records
+    }
 
 
 def test_bad_requests_keep_the_connection_usable():
@@ -232,8 +232,8 @@ def test_bad_requests_keep_the_connection_usable():
             client._writer.write(b"{nonsense\n")
             await client._writer.drain()
             errors.append(await client._recv())
-            # Unknown campaign name.
-            await client._send({"op": "campaign", "campaign": "no-such"})
+            # The named-campaign op of protocol 1 is gone.
+            await client._send({"op": "campaign", "campaign": "smoke"})
             errors.append(await client._recv())
             # Bad spec field on the jobs path.
             await client._send(
@@ -251,9 +251,9 @@ def test_bad_requests_keep_the_connection_usable():
     assert all(event["event"] == "error" for event in errors)
     assert "unknown op" in errors[0]["error"]
     assert "malformed" in errors[1]["error"]
-    assert "unknown campaign" in errors[2]["error"]
+    assert "unknown op: 'campaign'" in errors[2]["error"]
     assert "bad job spec" in errors[3]["error"]
-    assert pong["ok"] and pong["protocol"] == 1
+    assert pong["ok"] and pong["protocol"] == 2
 
 
 def test_request_ids_are_echoed_on_every_event(counted_eval):
@@ -362,11 +362,3 @@ def test_shutdown_op_stops_the_server():
     _client_run(box["addr"], run)
     thread.join(10.0)
     assert not thread.is_alive()
-
-
-def test_scheduler_kwarg_is_exclusive_with_cache_config():
-    from repro.engine.scheduler import Scheduler
-
-    scheduler = Scheduler(ResultCache(None), workers=0)
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        CampaignService(cache=ResultCache(None), scheduler=scheduler)
