@@ -17,6 +17,7 @@ from repro.core.mapper import map_sequence
 from repro.core.srag import build_srag
 from repro.hdl.netlist import Netlist
 from repro.synth.fsm import FiniteStateMachine, synthesize_fsm
+from repro.synth.logic.minimize import _minimize_cached
 
 LENGTHS = [16, 32, 64, 128, 256]
 
@@ -37,6 +38,9 @@ def _shift_register_effort(length):
 
 
 def _fsm_effort(length):
+    # Cold synthesis: the QM memo can still hold this machine's tables from
+    # an earlier test in the same process, and a memo hit is not effort.
+    _minimize_cached.cache_clear()
     fsm = FiniteStateMachine.from_select_sequence(list(range(length)))
     result = synthesize_fsm(fsm, encoding="binary")
     return result.synthesis_seconds, result.stats

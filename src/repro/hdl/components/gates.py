@@ -31,10 +31,11 @@ def _build_tree(netlist: Netlist, inputs: Sequence[Net], gate_prefix: str, prefi
                 next_level.append(group[0])
                 continue
             out = netlist.new_net(f"{prefix}_s{stage}_")
-            pins = {"Y": out}
-            for pin_name, net in zip("ABCD", group):
-                pins[pin_name] = net
-            netlist.add_cell(f"{gate_prefix}{len(group)}", **pins)
+            # ``Y`` first, then the inputs: ``Cell.pins`` order is the order
+            # the emitters print the port map in.
+            netlist.add_cell(
+                f"{gate_prefix}{len(group)}", Y=out, **dict(zip("ABCD", group))
+            )
             next_level.append(out)
         level = next_level
         stage += 1

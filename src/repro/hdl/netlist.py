@@ -33,7 +33,13 @@ from typing import (
     Tuple,
 )
 
-from repro.hdl.primitives import PRIMITIVES, CellSpec
+from repro.hdl.primitives import (
+    INPUT_PINS,
+    OUTPUT_PINS,
+    PRIMITIVES,
+    SEQUENTIAL,
+    CellSpec,
+)
 
 __all__ = [
     "Net",
@@ -99,9 +105,9 @@ class Net:
         charge neither pin nor wire capacitance for ``CLK`` connections.
         """
         return [
-            (cell, pin)
-            for cell, pin in self.loads
-            if not (pin == "CLK" and cell.spec.sequential)
+            load
+            for load in self.loads
+            if load[1] != "CLK" or load[0].cell_type not in SEQUENTIAL
         ]
 
 
@@ -163,11 +169,13 @@ class Cell:
 
     def input_nets(self) -> Dict[str, Net]:
         """Mapping of input pin name to connected net."""
-        return {p: self.pins[p] for p in self.spec.inputs if p in self.pins}
+        pins = self.pins
+        return {p: pins[p] for p in INPUT_PINS[self.cell_type] if p in pins}
 
     def output_nets(self) -> Dict[str, Net]:
         """Mapping of output pin name to connected net."""
-        return {p: self.pins[p] for p in self.spec.outputs if p in self.pins}
+        pins = self.pins
+        return {p: pins[p] for p in OUTPUT_PINS[self.cell_type] if p in pins}
 
 
 class Netlist:
@@ -333,12 +341,13 @@ class Netlist:
             Optional instance name; a unique one is generated when omitted.
         pins:
             Pin-name to :class:`Net` connections.  All declared pins of the
-            cell type must be connected.
+            cell type must be connected.  The keyword order becomes
+            ``Cell.pins`` order (the emitters print pins in it) and, per
+            net, the order of the loads this cell adds.
         """
         declared = _DECLARED_PINS.get(cell_type)
         if declared is None:
             raise NetlistError(f"unknown cell type {cell_type!r}")
-        spec = PRIMITIVES[cell_type]
         if name is None:
             name = self._unique_name(
                 f"u{next(self._name_counter)}_{cell_type.lower()}", self._cells
@@ -349,10 +358,12 @@ class Netlist:
             missing, extra = sorted(declared - pins.keys()), sorted(pins.keys() - declared)
             problem = f"unconnected pins {missing}" if missing else f"unknown pins {extra}"
             raise NetlistError(f"cell {name!r} ({cell_type}): {problem}")
-        cell = Cell(name=name, cell_type=cell_type, pins=dict(pins))
+        # ``pins`` is this call's own keyword dict, so the cell keeps it.
+        cell = Cell(name, cell_type, pins)
+        outputs = OUTPUT_PINS[cell_type]
         for pin_name, net in pins.items():
-            if pin_name in spec.outputs:
-                if net.has_driver:
+            if pin_name in outputs:
+                if net.driver is not None or net.is_input:
                     raise NetlistError(
                         f"net {net.name!r} already driven; cannot also be driven "
                         f"by {name}.{pin_name}"
@@ -414,36 +425,42 @@ class Netlist:
             self._notify("replace_net", old, new, moved_loads)
         return moved
 
-    def move_loads(
-        self, old: Net, new: Net, loads: Sequence[Tuple[Cell, str]]
+    def distribute_loads(
+        self,
+        old: Net,
+        keep: Sequence[Tuple[Cell, str]],
+        moves: Sequence[Tuple[Net, Sequence[Tuple[Cell, str]]]],
     ) -> int:
-        """Re-point the given ``(cell, pin)`` loads of ``old`` at ``new``.
+        """Split ``old``'s loads: ``keep`` stays, each ``(new, loads)`` moves.
 
-        The partial-fanout counterpart of :meth:`replace_net` (buffer-tree
-        insertion splits one net's loads across several buffers).  Listeners
-        receive the same ``("replace_net", old, new, moved)`` event, with
-        ``moved`` holding exactly the loads that moved.  Returns the number
-        of connections moved.
+        The many-way counterpart of :meth:`replace_net`: buffer-tree
+        insertion hands one net's fanout to several buffers in one call.
+        ``keep`` plus every moved group must be exactly ``old``'s current
+        loads; ``old.loads`` becomes ``keep`` in the given order, and each
+        group is appended, in order, to its new net's loads.  Listeners
+        receive one ``("replace_net", old, new, moved)`` event per group.
+        Returns the number of connections moved.
         """
-        if old is new or not loads:
-            return 0
-        for net in (old, new):
+        for net in (old, *(new for new, _ in moves)):
             if self._nets.get(net.name) is not net:
                 raise NetlistError(f"net {net.name!r} is not in this netlist")
-        moved = list(loads)
-        for cell, pin in moved:
+        moved = [load for _, group in moves for load in group]
+        for cell, pin in (*keep, *moved):
             if cell.pins.get(pin) is not old:
-                raise NetlistError(
-                    f"{cell.name}.{pin} does not load net {old.name!r}"
-                )
-        doomed = set(moved)
-        old.loads = [load for load in old.loads if load not in doomed]
-        for cell, pin in moved:
-            cell.pins[pin] = new
-            new.loads.append((cell, pin))
+                raise NetlistError(f"{cell.name}.{pin} does not load net {old.name!r}")
+        if len(keep) + len(moved) != len(old.loads) or any(new is old for new, _ in moves):
+            raise NetlistError(
+                f"kept and moved loads do not partition the loads of {old.name!r}"
+            )
+        old.loads = list(keep)
+        for new, group in moves:
+            for cell, pin in group:
+                cell.pins[pin] = new
+            new.loads.extend(group)
         self._topo_cache = None
         if self._rewrite_listeners:
-            self._notify("replace_net", old, new, moved)
+            for new, group in moves:
+                self._notify("replace_net", old, new, list(group))
         return len(moved)
 
     def remove_cell(self, name: str) -> Cell:
@@ -456,8 +473,9 @@ class Netlist:
         if name not in self._cells:
             raise NetlistError(f"unknown cell instance {name!r}")
         cell = self._cells.pop(name)
+        outputs = OUTPUT_PINS[cell.cell_type]
         for pin_name, net in cell.pins.items():
-            if pin_name in cell.spec.outputs:
+            if pin_name in outputs:
                 if net.driver == (cell, pin_name):
                     net.driver = None
             else:
@@ -514,7 +532,7 @@ class Netlist:
             copy = Cell(
                 name, cell.cell_type, {pin: nets[net.name] for pin, net in cell.pins.items()}
             )
-            outputs = copy.spec.outputs
+            outputs = OUTPUT_PINS[cell.cell_type]
             for pin_name, net in copy.pins.items():
                 if pin_name in outputs:
                     if net.has_driver:
@@ -533,11 +551,11 @@ class Netlist:
     # ---------------------------------------------------------- introspection
     def sequential_cells(self) -> List[Cell]:
         """Return all flip-flop cells."""
-        return [c for c in self._cells.values() if c.spec.sequential]
+        return [c for c in self._cells.values() if c.cell_type in SEQUENTIAL]
 
     def combinational_cells(self) -> List[Cell]:
         """Return all non-flip-flop cells."""
-        return [c for c in self._cells.values() if not c.spec.sequential]
+        return [c for c in self._cells.values() if c.cell_type not in SEQUENTIAL]
 
     def stats(self) -> Dict[str, int]:
         """Return a histogram of cell types plus totals."""
@@ -558,9 +576,12 @@ class Netlist:
             If any net used by a cell or output port has no driver, or if a
             declared output port's net does not exist in the netlist.
         """
+        inputs = INPUT_PINS
         for cell in self._cells.values():
-            for pin_name, net in cell.input_nets().items():
-                if not net.has_driver:
+            pins = cell.pins
+            for pin_name in inputs[cell.cell_type]:
+                net = pins.get(pin_name)
+                if net is not None and net.driver is None and not net.is_input:
                     raise NetlistError(
                         f"net {net.name!r} feeding {cell.name}.{pin_name} has no driver"
                     )
@@ -586,31 +607,42 @@ class Netlist:
         """
         if self._topo_cache is not None:
             return list(self._topo_cache)
+        inputs, sequential = INPUT_PINS, SEQUENTIAL
         comb = self.combinational_cells()
-        indegree: Dict[str, int] = {}
-        dependents: Dict[str, List[Cell]] = {}
+        # Kahn levelisation keyed by the cells themselves (identity hash).
+        # One dependent entry and one indegree count per input pin, so a
+        # cell reading one driver on two pins waits for both releases.
+        indegree: Dict[Cell, int] = {}
+        dependents: Dict[Cell, List[Cell]] = {}
         for cell in comb:
+            pins = cell.pins
             count = 0
-            for net in cell.input_nets().values():
-                driver = net.driver
-                if driver is None:
+            for pin in inputs[cell.cell_type]:
+                net = pins.get(pin)
+                if net is None or net.driver is None:
                     continue
-                driver_cell, _ = driver
-                if not driver_cell.spec.sequential:
+                driver_cell = net.driver[0]
+                if driver_cell.cell_type not in sequential:
                     count += 1
-                    dependents.setdefault(driver_cell.name, []).append(cell)
-            indegree[cell.name] = count
-        ready = [c for c in comb if indegree[c.name] == 0]
+                    waiting = dependents.get(driver_cell)
+                    if waiting is None:
+                        dependents[driver_cell] = [cell]
+                    else:
+                        waiting.append(cell)
+            indegree[cell] = count
+        ready = [c for c in comb if not indegree[c]]
         order: List[Cell] = []
         while ready:
             cell = ready.pop()
             order.append(cell)
-            for dep in dependents.get(cell.name, []):
-                indegree[dep.name] -= 1
-                if indegree[dep.name] == 0:
+            for dep in dependents.get(cell, ()):
+                left = indegree[dep] - 1
+                indegree[dep] = left
+                if not left:
                     ready.append(dep)
         if len(order) != len(comb):
-            cyclic = sorted(set(indegree) - {c.name for c in order})
+            placed = set(order)
+            cyclic = sorted(c.name for c in comb if c not in placed)
             raise NetlistError(f"combinational loop involving cells: {cyclic[:10]}")
         self._topo_cache = order
         return list(order)

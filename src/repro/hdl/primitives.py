@@ -17,11 +17,14 @@ synthesis layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Mapping, Sequence, Tuple
 
 __all__ = [
     "CellSpec",
     "PRIMITIVES",
+    "INPUT_PINS",
+    "OUTPUT_PINS",
+    "SEQUENTIAL",
     "is_sequential",
     "combinational_eval",
     "flop_next_state",
@@ -244,6 +247,14 @@ _register(_spec("DFF_EN_RST", ["D", "CLK", "EN", "RST"], ["Q"], _dff_en_rst, seq
                 description="D flip-flop with clock enable and synchronous reset to 0"))
 _register(_spec("DFF_EN_SET", ["D", "CLK", "EN", "SET"], ["Q"], _dff_en_set, sequential=True,
                 description="D flip-flop with clock enable and synchronous set to 1"))
+
+#: Per-type tables derived once from the registry.  The netlist kernels
+#: (cell creation, validation, levelisation, buffering, timing and net
+#: loads) index these by ``cell_type`` instead of fetching a
+#: :class:`CellSpec` and building a pin dict for every cell on every pass.
+INPUT_PINS: Dict[str, Tuple[str, ...]] = {n: s.inputs for n, s in PRIMITIVES.items()}
+OUTPUT_PINS: Dict[str, Tuple[str, ...]] = {n: s.outputs for n, s in PRIMITIVES.items()}
+SEQUENTIAL: FrozenSet[str] = frozenset(n for n, s in PRIMITIVES.items() if s.sequential)
 
 
 def is_sequential(cell_type: str) -> bool:

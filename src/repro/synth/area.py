@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.hdl.netlist import Netlist
+from repro.hdl.primitives import SEQUENTIAL
 from repro.synth.cell_library import CellLibrary, STD018
 
 __all__ = ["AreaReport", "area_report"]
@@ -73,7 +74,7 @@ def area_report(netlist: Netlist, library: CellLibrary = STD018) -> AreaReport:
         area = library.area_of(cell.cell_type)
         by_type[cell.cell_type] = by_type.get(cell.cell_type, 0.0) + area
         counts[cell.cell_type] = counts.get(cell.cell_type, 0) + 1
-        if cell.spec.sequential:
+        if cell.cell_type in SEQUENTIAL:
             sequential += area
         else:
             combinational += area

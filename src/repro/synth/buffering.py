@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.hdl.netlist import Cell, Net, Netlist
+from repro.hdl.primitives import SEQUENTIAL
 
 __all__ = ["insert_buffer_trees"]
 
@@ -41,58 +42,48 @@ def insert_buffer_trees(netlist: Netlist, max_fanout: int = 8) -> int:
     # Snapshot the net list up front: buffering adds new nets that never need
     # re-buffering themselves beyond what the loop below already guarantees.
     for net in list(netlist.nets.values()):
-        inserted += _buffer_net(netlist, net, max_fanout)
+        if len(net.loads) > max_fanout:
+            inserted += _buffer_net(netlist, net, max_fanout)
     return inserted
 
 
-def _is_clock_load(load: Tuple[Cell, str]) -> bool:
-    cell, pin = load
-    return cell.spec.sequential and pin == "CLK"
-
-
 def _buffer_net(netlist: Netlist, net: Net, max_fanout: int) -> int:
-    """Recursively buffer one net; returns the number of buffers inserted."""
-    if len(net.loads) <= max_fanout:
-        # Clock pins only add to the total, so the data loads fit too.
-        return 0
-    data_loads = [load for load in net.loads if not _is_clock_load(load)]
-    clock_loads = [load for load in net.loads if _is_clock_load(load)]
-    if len(data_loads) <= max_fanout:
-        return 0
+    """Buffer one net, level by level; returns the number of buffers inserted.
 
+    Each level splits the net's data loads into ``ceil(loads / max_fanout)``
+    strided groups and drives every group of two or more through a new
+    buffer.  A group then holds at most ``max_fanout`` loads, so only the
+    original net -- which now drives one pin per group -- can need another
+    level, for very wide nets such as an enable feeding hundreds of
+    flip-flops.
+    """
     inserted = 0
-    # Split the loads into groups, each driven by a new buffer.
-    groups: List[List[Tuple[Cell, str]]] = []
-    group_count = (len(data_loads) + max_fanout - 1) // max_fanout
-    for g in range(group_count):
-        groups.append(data_loads[g::group_count])
-
-    new_loads: List[Tuple[Cell, str]] = list(clock_loads)
-    for group in groups:
-        if len(group) == 1:
-            # No point in buffering a single load; keep it on the original net.
-            new_loads.append(group[0])
-            continue
-        buffered = netlist.new_net(f"{net.name}_buf")
-        buf_cell = netlist.add_cell("BUF", A=net, Y=buffered)
-        inserted += 1
-        # add_cell() appended (buf_cell, "A") to net.loads; remember it.
-        new_loads.append((buf_cell, "A"))
-        # Re-point the grouped loads at the buffered net through the
-        # netlist's structural-mutation primitive, so the cached topological
-        # order is invalidated and rewrite listeners see the move.
-        netlist.move_loads(net, buffered, group)
-        # Recurse in case a single buffer still exceeds the limit.
-        inserted += _buffer_net(netlist, buffered, max_fanout)
-
-    # Pure permutation (same load set move_loads left behind): the legacy
-    # clock-loads-first, one-entry-per-group order is restored so that load
-    # iteration order -- and with it the float summation order inside
-    # cell_library.net_load, hence every reported delay -- stays
-    # byte-identical to the pre-move_loads implementation.
-    net.loads = new_loads
-    # The original net now drives one pin per group, which can itself exceed
-    # the fanout limit for very wide nets (e.g. an enable driving hundreds of
-    # flip-flops); keep buffering until the tree is balanced.
-    inserted += _buffer_net(netlist, net, max_fanout)
+    while len(net.loads) > max_fanout:
+        # Clock pins only add to the total, so the data loads may fit.
+        data_loads: List[Tuple[Cell, str]] = []
+        keep: List[Tuple[Cell, str]] = []
+        for load in net.loads:
+            if load[1] == "CLK" and load[0].cell_type in SEQUENTIAL:
+                keep.append(load)
+            else:
+                data_loads.append(load)
+        if len(data_loads) <= max_fanout:
+            break
+        group_count = (len(data_loads) + max_fanout - 1) // max_fanout
+        moves: List[Tuple[Net, List[Tuple[Cell, str]]]] = []
+        for g in range(group_count):
+            group = data_loads[g::group_count]
+            if len(group) == 1:
+                # No point in buffering a single load; keep it on the net.
+                keep.append(group[0])
+                continue
+            buffered = netlist.new_net(f"{net.name}_buf")
+            buf_cell = netlist.add_cell("BUF", A=net, Y=buffered)
+            keep.append((buf_cell, "A"))
+            moves.append((buffered, group))
+        # The net keeps its clock loads first, then one load per group (the
+        # single load or the buffer input): that order fixes the float
+        # summation order in cell_library.net_load, hence every delay.
+        netlist.distribute_loads(net, keep, moves)
+        inserted += len(moves)
     return inserted

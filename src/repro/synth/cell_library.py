@@ -108,10 +108,6 @@ class CellLibrary:
         return self[cell_type].area
 
     # ---------------------------------------------------------------- timing
-    def input_cap_of(self, cell_type: str) -> float:
-        """Input pin capacitance of ``cell_type``."""
-        return self[cell_type].input_cap
-
     def gate_delay(self, cell_type: str, load_cap: float) -> float:
         """Propagation delay in ns of ``cell_type`` driving ``load_cap``.
 
@@ -167,10 +163,21 @@ def net_load(net, library: "CellLibrary") -> float:
     power estimator.  Flip-flop ``CLK`` pins are excluded consistently from
     *both* the pin-capacitance sum and the per-fanout wire term (the clock
     network is not part of the signal wiring; see
-    :meth:`repro.hdl.netlist.Net.data_loads`).
+    :meth:`repro.hdl.netlist.Net.data_loads`, which lint's fanout rule
+    counts too).
+
+    The pin capacitances are added left to right in load order.  ``sum()``
+    would not do: from CPython 3.12 it compensates float sums, which moves
+    the last bits of every delay and energy between interpreter versions.
     """
     loads = net.data_loads()
-    cap = sum(library.input_cap_of(cell.cell_type) for cell, _ in loads)
+    cells = library.cells
+    cap = 0.0
+    for cell, _ in loads:
+        char = cells.get(cell.cell_type)
+        if char is None:
+            char = library[cell.cell_type]  # raises the descriptive KeyError
+        cap += char.input_cap
     return cap + library.wire_cap_per_fanout * len(loads)
 
 

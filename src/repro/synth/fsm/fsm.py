@@ -154,12 +154,15 @@ class FiniteStateMachine:
             raise ValueError("sequence must be non-empty")
         n = len(rows)
         outputs = []
+        # Each vector is one all-zero row+column vector with two hot bits.
+        zeros = (0,) * (num_rows + num_cols)
         for r, c in zip(rows, cols):
             if not (0 <= r < num_rows) or not (0 <= c < num_cols):
                 raise ValueError(f"address ({r},{c}) outside {num_rows}x{num_cols} array")
-            row_vec = tuple(1 if k == r else 0 for k in range(num_rows))
-            col_vec = tuple(1 if k == c else 0 for k in range(num_cols))
-            outputs.append(row_vec + col_vec)
+            hot_c = num_rows + c
+            outputs.append(
+                zeros[:r] + (1,) + zeros[r + 1:hot_c] + (1,) + zeros[hot_c + 1:]
+            )
         names = [f"rs_{k}" for k in range(num_rows)] + [f"cs_{k}" for k in range(num_cols)]
         return cls(
             name=name,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.hdl.components.gates import build_or_tree
 from repro.hdl.netlist import Net, Netlist
@@ -83,15 +83,24 @@ def next_state_tables(
     enc = encoding_by_name(encoding)
     width = enc.width(fsm.num_states)
     codes = enc.codes(fsm.num_states)
-    code_of = {s: codes[s] for s in range(fsm.num_states)}
-    dc_set = frozenset(c for c in range(1 << width) if c not in set(codes))
+    return _next_state_tables(fsm, width, codes, _unused_codes(width, codes))
+
+
+def _unused_codes(width: int, codes: Sequence[int]) -> FrozenSet[int]:
+    """Every ``width``-bit code no state uses: the tables' don't-care set."""
+    used = set(codes)
+    return frozenset(c for c in range(1 << width) if c not in used)
+
+
+def _next_state_tables(
+    fsm: FiniteStateMachine, width: int, codes: Sequence[int], dc_set: FrozenSet[int]
+) -> List[TruthTable]:
+    next_codes = [codes[target] for target in fsm.next_state]
     return [
         TruthTable(
             num_inputs=width,
             on_set=frozenset(
-                code_of[s]
-                for s in range(fsm.num_states)
-                if (code_of[fsm.next_state[s]] >> bit) & 1
+                codes[s] for s in range(fsm.num_states) if (next_codes[s] >> bit) & 1
             ),
             dc_set=dc_set,
         )
@@ -147,18 +156,14 @@ def synthesize_fsm(
     # State register output nets.
     state_bits = [netlist.new_net(f"state_{b}_") for b in range(width)]
 
-    used_codes = set(codes)
-    dc_codes = frozenset(
-        c for c in range(1 << width) if c not in used_codes
-    )
-    code_of = {s: codes[s] for s in range(fsm.num_states)}
+    dc_codes = _unused_codes(width, codes)
 
     total_stats = MinimizationStats()
     inverter_cache: Dict[str, Net] = {}
 
     # Next-state logic: one Boolean function of the state bits per state bit.
     next_nets: List[Net] = []
-    for bit, table in enumerate(next_state_tables(fsm, encoding)):
+    for bit, table in enumerate(_next_state_tables(fsm, width, codes, dc_codes)):
         cover, stats = minimize(table, max_exact_inputs=max_exact_inputs)
         total_stats = total_stats + stats
         next_nets.append(
@@ -174,7 +179,7 @@ def synthesize_fsm(
     # Moore output logic: one Boolean function of the state bits per output.
     for k, out_name in enumerate(fsm.output_names):
         on_set = frozenset(
-            code_of[s] for s in range(fsm.num_states) if fsm.outputs[s][k]
+            codes[s] for s in range(fsm.num_states) if fsm.outputs[s][k]
         )
         table = TruthTable(num_inputs=width, on_set=on_set, dc_set=dc_codes)
         cover, stats = minimize(table, max_exact_inputs=max_exact_inputs)
@@ -190,7 +195,7 @@ def synthesize_fsm(
 
     # State register with enable on `next` and synchronous reset to the
     # initial state's code (set for 1-bits, reset for 0-bits).
-    initial_code = code_of[fsm.initial_state]
+    initial_code = codes[fsm.initial_state]
     for bit in range(width):
         starts_high = bool((initial_code >> bit) & 1)
         netlist.add_cell(

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.hdl.netlist import Cell, Netlist
+from repro.hdl.primitives import INPUT_PINS, OUTPUT_PINS, SEQUENTIAL
 from repro.synth.cell_library import CellLibrary, STD018, net_load
 
 __all__ = ["PathSegment", "TimingReport", "timing_report"]
@@ -85,6 +86,9 @@ def timing_report(netlist: Netlist, library: CellLibrary = STD018) -> TimingRepo
     """Run static timing analysis and return the :class:`TimingReport`."""
     netlist.validate()
     order = netlist.topological_combinational_order()
+    flops = netlist.sequential_cells()
+    inputs, outputs = INPUT_PINS, OUTPUT_PINS
+    gate_delay = library.gate_delay
 
     arrival: Dict[str, float] = {}
     # net name -> (producing cell, previous net) for path reconstruction
@@ -94,29 +98,33 @@ def timing_report(netlist: Netlist, library: CellLibrary = STD018) -> TimingRepo
         arrival[net.name] = 0.0
         predecessor[net.name] = (None, None, 0.0)
 
-    for flop in netlist.sequential_cells():
+    for flop in flops:
         q_net = flop.pins.get("Q")
         if q_net is None:
             continue
-        delay = library.gate_delay(flop.cell_type, net_load(q_net, library))
+        delay = gate_delay(flop.cell_type, net_load(q_net, library))
         arrival[q_net.name] = delay
         predecessor[q_net.name] = (flop, None, delay)
 
     for cell in order:
-        # Track the max inline instead of materialising an arrival list per
-        # cell; ties keep breaking on the net name, exactly like the tuple
-        # max() this replaces.
+        # Track the max inline; ties break on the net name, exactly like a
+        # tuple max() over (arrival, name) pairs.
+        pins = cell.pins
+        cell_type = cell.cell_type
         latest, latest_net = 0.0, None
-        for pin, net in cell.input_nets().items():
-            t = arrival.get(net.name, 0.0)
-            if (
-                latest_net is None
-                or t > latest
-                or (t == latest and net.name > latest_net)
-            ):
-                latest, latest_net = t, net.name
-        for pin, net in cell.output_nets().items():
-            delay = library.gate_delay(cell.cell_type, net_load(net, library))
+        for pin in inputs[cell_type]:
+            net = pins.get(pin)
+            if net is None:
+                continue
+            name = net.name
+            t = arrival.get(name, 0.0)
+            if latest_net is None or t > latest or (t == latest and name > latest_net):
+                latest, latest_net = t, name
+        for pin in outputs[cell_type]:
+            net = pins.get(pin)
+            if net is None:
+                continue
+            delay = gate_delay(cell_type, net_load(net, library))
             arrival[net.name] = latest + delay
             predecessor[net.name] = (cell, latest_net, delay)
 
@@ -125,10 +133,12 @@ def timing_report(netlist: Netlist, library: CellLibrary = STD018) -> TimingRepo
     worst_net: Optional[str] = None
     worst_endpoint = "(no endpoints)"
 
-    for flop in netlist.sequential_cells():
+    for flop in flops:
         setup = library.setup(flop.cell_type)
-        for pin, net in flop.input_nets().items():
-            if pin == "CLK":
+        pins = flop.pins
+        for pin in inputs[flop.cell_type]:
+            net = pins.get(pin)
+            if pin == "CLK" or net is None:
                 continue
             t = arrival.get(net.name, 0.0) + setup
             if t > worst_delay:
@@ -158,7 +168,7 @@ def timing_report(netlist: Netlist, library: CellLibrary = STD018) -> TimingRepo
                 arrival=arrival.get(net_name, 0.0),
             )
         )
-        if cell.spec.sequential:
+        if cell.cell_type in SEQUENTIAL:
             break
         net_name = previous_net
         if net_name is None:

@@ -193,6 +193,23 @@ def test_cover_does_not_depend_on_on_set_build_order():
     assert cover_down == _minimize_reference(descending)[0]
 
 
+def test_memo_keeps_a_campaign_sized_working_set():
+    """A grid's distinct tables stay memoised until it asks for them again.
+
+    ``cross_workload`` minimises 840 tables, 429 of them distinct; a memo
+    bounded below that evicts tables the same campaign is about to reuse.
+    """
+    tables = [TruthTable.from_minterms(5, [m for m in range(32) if (i >> (m % 10)) & 1])
+              for i in range(1, 501)]
+    assert len(set(tables)) == 500
+    _minimize_cached.cache_clear()
+    for table in tables:
+        minimize(table)
+    hits = _minimize_cached.cache_info().hits
+    minimize(tables[0])
+    assert _minimize_cached.cache_info().hits == hits + 1
+
+
 def _fsm_tables(length, encoding="binary"):
     """The next-state truth tables FSM synthesis hands to the minimiser."""
     fsm = FiniteStateMachine.from_select_sequence(list(range(length)))
