@@ -59,6 +59,12 @@ STYLE_VARIANTS: Tuple[Tuple[str, str], ...] = (
 SPEC_VERSION = 1
 
 
+def _spec_digest(spec: dict) -> str:
+    """sha256 of a job spec's canonical JSON: the job key (see :attr:`EvalJob.key`)."""
+    payload = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def candidate_factories(
     pattern: AffineAccessPattern,
     *,
@@ -198,9 +204,25 @@ class EvalJob:
         The key covers the full spec including a fingerprint of the cell
         library's characterisation, so recalibrating a library (or bumping
         ``SPEC_VERSION``) invalidates stale cache entries.
+
+        It is computed once per job object, remembered beside the library
+        object it was computed against and reused only while
+        ``spec.library`` still resolves to that object: recalibrating a
+        library means registering a new (frozen) library object.  The memo
+        is no part of the job's identity and is never pickled.
         """
-        payload = json.dumps(self.to_spec(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        library = self.spec.resolve_library()
+        memo = self.__dict__.get("_key_memo")
+        if memo is not None and memo[0] is library:
+            return memo[1]
+        key = _spec_digest(self.to_spec())
+        object.__setattr__(self, "_key_memo", (library, key))
+        return key
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_key_memo", None)
+        return state
 
     @property
     def label(self) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 import traceback
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.mapping_params import MappingError
@@ -133,10 +133,7 @@ class EvalRecord:
         entries for jobs predating either feature keep their exact original
         format (and NaN never has to survive a JSON round-trip).
         """
-        data = asdict(self)
-        data.pop("cached")
-        data.pop("lint_findings")
-        data.pop("verify_result")
+        data = {name: getattr(self, name) for name in _PERSISTED_FIELDS}
         if not self.has_power:
             data.pop("energy_per_access_fj")
             data.pop("avg_power_uw")
@@ -150,6 +147,15 @@ class EvalRecord:
         """Rebuild a record from its cached dictionary form."""
         known = {f for f in cls.__dataclass_fields__ if f != "cached"}
         return cls(cached=cached, **{k: v for k, v in data.items() if k in known})
+
+
+#: Fields of the cached dictionary form, in declaration order: every field
+#: but the volatile ``cached``, ``lint_findings`` and ``verify_result``.
+_PERSISTED_FIELDS = tuple(
+    name
+    for name in EvalRecord.__dataclass_fields__
+    if name not in ("cached", "lint_findings", "verify_result")
+)
 
 
 def warn_unclosed(owner: object) -> None:

@@ -68,9 +68,13 @@ class CellCharacteristics:
     sequential: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellLibrary:
     """A named collection of cell characteristics plus global constants.
+
+    Frozen: job keys remember the library object they were computed
+    against (:attr:`repro.engine.jobs.EvalJob.key`), so a recalibration is
+    a new object, never an edit.
 
     Attributes
     ----------

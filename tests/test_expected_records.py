@@ -9,19 +9,31 @@ runs on.  Records compare as canonical JSON, so the NaN metrics of skipped
 points compare equal.
 
 One base class holds the checks; each subclass names a grid and states its
-size and outcome counts as literals.
+size and outcome counts as literals.  ``RECORDS_SHA256`` pins the whole of
+``expected.json``'s ``records`` to the ``SPEC_VERSION`` they were recorded
+under, so re-recording any metric without a version bump fails too.
 """
 
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
 from unittest import TestCase
 
 from repro.engine.cache import ResultCache
+from repro.engine.jobs import SPEC_VERSION
 from repro.engine.runner import CampaignRunner
 from repro.engine.sweep import build_campaign
 
 EXPECTED_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+#: sha256 of the canonical JSON of ``expected.json``'s ``records``, by the
+#: ``SPEC_VERSION`` they describe.  A change to any recorded figure must bump
+#: ``SPEC_VERSION`` (stale cache entries then stop matching) and add its
+#: digest here.
+RECORDS_SHA256 = {
+    1: "03483f6e89c2d397ead102b0374b885c3254e49938bb70d5b17dafcaafd44a75",
+}
 
 #: Record fields that vary run to run and are never compared.
 VOLATILE_FIELDS = ("duration_s",)
@@ -31,6 +43,15 @@ def _canonical(record: dict) -> str:
     return json.dumps(
         {k: v for k, v in record.items() if k not in VOLATILE_FIELDS}, sort_keys=True
     )
+
+
+class TestRecordsDigest(TestCase):
+    def test_records_are_pinned_to_the_spec_version(self):
+        records = json.loads(EXPECTED_PATH.read_text(encoding="utf-8"))["records"]
+        canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        self.assertIn(SPEC_VERSION, RECORDS_SHA256, msg="no digest pinned for this SPEC_VERSION")
+        self.assertEqual(digest, RECORDS_SHA256[SPEC_VERSION])
 
 
 class CommonGridTests:

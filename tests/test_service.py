@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.engine import jobs as jobs_module
 from repro.engine import runner as runner_module
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import Campaign, EvalJob
@@ -218,6 +219,29 @@ def test_remote_campaign_with_spec_override_matches_local_serial_run():
     assert {r.key: _normalized(r) for r in remote.records} == {
         r.key: _normalized(r) for r in local.records
     }
+
+
+def test_remote_campaign_hashes_each_job_once_per_side(monkeypatch):
+    """At most one digest per job on the client, and per job per request on
+    the server.  The client runs on the main thread, the service on its own."""
+    want = [job.key for job in build_campaign("smoke").jobs]
+    n = len(want)
+    counts = {"client": 0, "server": 0}
+    digest = jobs_module._spec_digest
+    main = threading.main_thread()
+
+    def counting(spec):
+        counts["client" if threading.current_thread() is main else "server"] += 1
+        return digest(spec)
+
+    monkeypatch.setattr(jobs_module, "_spec_digest", counting)
+    with service_running(cache=ResultCache(None), workers=0) as addr:
+        for request in (1, 2):
+            result = run_campaign_remote(*addr, build_campaign("smoke"))
+            assert [record.key for record in result.records] == want
+            assert result.hits == (0 if request == 1 else n)
+            assert 0 < counts["client"] <= n * request
+            assert 0 < counts["server"] <= n * request
 
 
 def test_bad_requests_keep_the_connection_usable():

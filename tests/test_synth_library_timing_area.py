@@ -1,5 +1,7 @@
 """Tests for the standard-cell library, timing analysis and area accounting."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.hdl.components import build_binary_counter, build_decoder
@@ -44,6 +46,13 @@ def test_scaled_library():
     assert scaled.area_of("DFF") == pytest.approx(STD018.area_of("DFF") * 0.5)
     assert scaled.tau == pytest.approx(STD018.tau * 0.5)
     assert scaled.gate_delay("INV", 4.0) < STD018.gate_delay("INV", 4.0)
+
+
+def test_library_is_frozen():
+    """Job keys remember their library object, so a library never changes in place."""
+    with pytest.raises(FrozenInstanceError):
+        STD018.tau = 0.04
+    assert STD018.tau == 0.02
 
 
 # ---------------------------------------------------------------------------
