@@ -7,8 +7,8 @@ architecture".  This example runs that exploration for three workloads
 (DCT column pass, zoom-by-two, motion-estimation block read), prints every
 applicable architecture with its area/delay, marks the Pareto-optimal points,
 and shows what happens for a sequence the SRAG cannot implement (a
-serpentine scan), where the mapper rejects it and the relaxed multi-counter
-extension takes over.
+serpentine scan): the mapper rejects it, and a CntAG or FSM generator is
+the architecture left to pick.
 
 Run with::
 
@@ -18,7 +18,6 @@ Run with::
 from repro.analysis.explorer import explore
 from repro.core.mapper import map_sequence
 from repro.core.mapping_params import MappingError
-from repro.core.multi_counter import GeneralisedSragModel, map_sequence_relaxed
 from repro.workloads import dct, motion_estimation, patterns, zoom
 
 
@@ -40,20 +39,6 @@ def main() -> None:
         map_sequence(serpentine.col_sequence, num_lines=4)
     except MappingError as error:
         print(f"strict mapper: {error}")
-
-    # An unequal-repetition sequence handled by the relaxed architecture.
-    irregular = [5, 5, 5, 1, 1, 4, 4, 0, 0, 3, 3, 7, 7, 6, 6, 2, 2]
-    print()
-    print("### unequal repetition counts -- handled by the multi-counter extension")
-    try:
-        map_sequence(irregular, num_lines=8)
-    except MappingError as error:
-        print(f"strict mapper: {error}")
-    parameters = map_sequence_relaxed(irregular, num_lines=8)
-    regenerated = GeneralisedSragModel(parameters).run(len(irregular))
-    print(f"relaxed mapping registers: {parameters.registers}")
-    print(f"relaxed division counts:   {parameters.division_counts}")
-    print(f"regenerates the sequence:  {regenerated == irregular}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """repro -- reproduction of "Performance-Area Trade-Off of Address Generators
 for Address Decoder-Decoupled Memory" (Hettiaratchi, Cheung, Clarke; DATE 2002).
 
-The package is organised in layers (see DESIGN.md for the full inventory):
+The package is organised in layers (README.md's subsystem map lists them all):
 
 * :mod:`repro.hdl` -- structural RTL substrate (netlists, primitives,
   simulator, components, HDL emitters).
@@ -12,8 +12,7 @@ The package is organised in layers (see DESIGN.md for the full inventory):
 * :mod:`repro.workloads` -- the paper's access patterns (motion estimation,
   DCT, zoom, FIFO) and additional synthetic patterns.
 * :mod:`repro.core` -- the paper's contribution: the SRAG architecture, the
-  SRAdGen mapping procedure, the two-hot ADDM generator and the relaxed
-  multi-counter extension.
+  SRAdGen mapping procedure and the two-hot ADDM generator.
 * :mod:`repro.generators` -- baseline architectures (CntAG, arithmetic,
   symbolic FSM, SFM pointers) behind a common interface.
 * :mod:`repro.analysis` -- trade-off records, design-space exploration and

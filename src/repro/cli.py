@@ -218,18 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent result-cache directory (campaigns resume from it)",
     )
     engine.add_argument(
-        "--cache-backend",
-        choices=["jsonl", "sharded"],
-        default=None,
-        help=(
-            "cache write layout: 'jsonl' appends to one results.jsonl "
-            "(single writer; the default for CLI runs), 'sharded' gives "
-            "every writer its own segment file so concurrent processes can "
-            "share a cache dir (the default for --serve).  Reads always "
-            "see both layouts."
-        ),
-    )
-    engine.add_argument(
         "--connect",
         metavar="HOST:PORT",
         help=(
@@ -489,7 +477,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
             )
             return 3
     else:
-        cache = ResultCache(args.cache_dir, backend=args.cache_backend or "jsonl")
+        cache = ResultCache(args.cache_dir)
         workers = 0 if args.serial else args.workers
         print(
             f"campaign {args.campaign!r}: {len(campaign)} jobs, "
@@ -586,7 +574,7 @@ def _serve(args: argparse.Namespace) -> int:
     from repro.service.server import CampaignService
 
     service = CampaignService(
-        cache=ResultCache(args.cache_dir, backend=args.cache_backend or "sharded"),
+        cache=ResultCache(args.cache_dir, backend="sharded"),
         workers=0 if args.serial else args.workers,
         retry_policy=_retry_policy(args),
         rebuild_budget=args.rebuild_budget,
@@ -714,9 +702,9 @@ def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     except MappingError as error:
         print(f"mapping failed: {error}", file=sys.stderr)
         print(
-            "hint: the sequence violates an SRAG restriction; consider the "
-            "relaxed multi-counter architecture (repro.core.multi_counter) or "
-            "a CntAG/FSM generator.",
+            "hint: the sequence violates an SRAG restriction; a CntAG or FSM "
+            "generator may fit instead (--explore with --workload compares "
+            "every architecture).",
             file=sys.stderr,
         )
         return 1

@@ -10,23 +10,14 @@
 * :mod:`repro.core.two_hot` -- two-hot encoding helpers.
 * :mod:`repro.core.sradgen` -- the end-to-end SRAdGen tool flow (sequence in,
   VHDL/Verilog + synthesis report out).
-* :mod:`repro.core.multi_counter` -- the relaxed multi-counter extension the
-  paper sketches as future work.
 """
 
 from repro.core.addm_generator import SragAddressGenerator
-from repro.core.mapper import map_address_sequence, map_row_and_column, map_sequence
+from repro.core.mapper import map_address_sequence, map_sequence
 from repro.core.mapping_params import MappingError, SragMapping
-from repro.core.multi_counter import (
-    GeneralisedSragModel,
-    GeneralisedSragParameters,
-    build_generalised_srag,
-    map_sequence_relaxed,
-)
 from repro.core.srag import SragFunctionalModel, SragPorts, build_srag
 from repro.core.sradgen import SRAdGenResult, generate
 from repro.core.two_hot import (
-    decode_two_hot,
     encode_two_hot,
     is_valid_two_hot,
     one_hot_width,
@@ -36,20 +27,14 @@ from repro.core.two_hot import (
 __all__ = [
     "SragAddressGenerator",
     "map_address_sequence",
-    "map_row_and_column",
     "map_sequence",
     "MappingError",
     "SragMapping",
-    "GeneralisedSragModel",
-    "GeneralisedSragParameters",
-    "build_generalised_srag",
-    "map_sequence_relaxed",
     "SragFunctionalModel",
     "SragPorts",
     "build_srag",
     "SRAdGenResult",
     "generate",
-    "decode_two_hot",
     "encode_two_hot",
     "is_valid_two_hot",
     "one_hot_width",

@@ -29,7 +29,7 @@ from repro.workloads.sequences import (
     consecutive_repetitions,
 )
 
-__all__ = ["map_sequence", "map_address_sequence", "map_row_and_column"]
+__all__ = ["map_sequence", "map_address_sequence"]
 
 
 def map_sequence(
@@ -219,18 +219,3 @@ def map_address_sequence(
         sequence.col_sequence, num_lines=sequence.cols, verify=verify
     )
     return row_mapping, col_mapping
-
-
-def map_row_and_column(
-    row_sequence: Sequence[int],
-    col_sequence: Sequence[int],
-    num_rows: int,
-    num_cols: int,
-    *,
-    verify: bool = True,
-) -> Tuple[SragMapping, SragMapping]:
-    """Map explicit row and column sequences (convenience wrapper)."""
-    return (
-        map_sequence(row_sequence, num_lines=num_rows, verify=verify),
-        map_sequence(col_sequence, num_lines=num_cols, verify=verify),
-    )

@@ -14,7 +14,6 @@ from typing import List, Sequence, Tuple
 
 __all__ = [
     "encode_two_hot",
-    "decode_two_hot",
     "is_valid_two_hot",
     "two_hot_width",
     "one_hot_width",
@@ -47,20 +46,3 @@ def encode_two_hot(row: int, col: int, rows: int, cols: int) -> Tuple[List[int],
 def is_valid_two_hot(row_select: Sequence[int], col_select: Sequence[int]) -> bool:
     """True when exactly one row line and one column line are asserted."""
     return sum(1 for b in row_select if b) == 1 and sum(1 for b in col_select if b) == 1
-
-
-def decode_two_hot(
-    row_select: Sequence[int], col_select: Sequence[int]
-) -> Tuple[int, int]:
-    """Decode a two-hot code back to ``(row, col)``.
-
-    Raises :class:`ValueError` when the code is not exactly two-hot -- the
-    condition that would corrupt an ADDM array.
-    """
-    rows_asserted = [i for i, bit in enumerate(row_select) if bit]
-    cols_asserted = [i for i, bit in enumerate(col_select) if bit]
-    if len(rows_asserted) != 1 or len(cols_asserted) != 1:
-        raise ValueError(
-            f"not a two-hot code: rows {rows_asserted}, columns {cols_asserted}"
-        )
-    return rows_asserted[0], cols_asserted[0]

@@ -430,26 +430,22 @@ class CampaignRunner:
         in completion order).
     retry_policy:
         Optional :class:`~repro.resilience.retry.RetryPolicy` forwarded to
-        the private scheduler: transient (``error``) records are re-run
-        under bounded deterministic backoff before being surfaced.
+        the scheduler: transient (``error``) records are re-run under
+        bounded deterministic backoff before being surfaced.
     rebuild_budget:
-        How many broken-pool rebuilds the private scheduler performs before
+        How many broken-pool rebuilds the scheduler performs before
         degrading to serial evaluation (default 2).
-    scheduler:
-        An existing :class:`~repro.engine.scheduler.Scheduler` to run
-        against instead of constructing a private one -- this is how
-        several runners (or the campaign service) share one pool, one cache
-        and one in-flight dedup table.  Mutually exclusive with ``cache`` /
-        ``workers`` / ``retry_policy`` / ``rebuild_budget``, which
-        configure the private scheduler.  A shared scheduler is *not*
-        closed by the runner.
+
+    To share one pool, one cache and one in-flight dedup table between
+    several callers (as the campaign service does), submit to one
+    :class:`~repro.engine.scheduler.Scheduler` directly.
 
     One worker pool is kept alive across the runner's lifetime, so a
     sequence of ``run()`` calls (a campaign sweep, an explorer session)
     pays process startup and the per-worker registry warm-up exactly once.
     Use the runner as a context manager -- or call :meth:`close` -- to shut
-    the pool down deterministically; a runner whose still-warm private pool
-    is instead reclaimed by the garbage collector emits a
+    the pool down deterministically; a runner whose still-warm pool is
+    instead reclaimed by the garbage collector emits a
     ``ResourceWarning``.
     """
 
@@ -460,42 +456,25 @@ class CampaignRunner:
         workers: Optional[int] = None,
         progress: Optional[Callable[[EvalRecord, int, int], None]] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        rebuild_budget: Optional[int] = None,
-        scheduler: Optional["Scheduler"] = None,
+        rebuild_budget: int = 2,
     ):
-        if scheduler is not None:
-            if (
-                cache is not None
-                or workers is not None
-                or retry_policy is not None
-                or rebuild_budget is not None
-            ):
-                raise ValueError(
-                    "scheduler= is mutually exclusive with cache=/workers=/"
-                    "retry_policy=/rebuild_budget=; configure the shared "
-                    "Scheduler instead"
-                )
-            self._scheduler = scheduler
-            self._owns_scheduler = False
-        else:
-            # Imported here, not at module top: scheduler.py imports the
-            # evaluation primitives from this module.
-            from repro.engine.scheduler import Scheduler
+        # Imported here, not at module top: scheduler.py imports the
+        # evaluation primitives from this module.
+        from repro.engine.scheduler import Scheduler
 
-            self._scheduler = Scheduler(
-                cache,
-                workers=workers,
-                retry_policy=retry_policy,
-                rebuild_budget=2 if rebuild_budget is None else rebuild_budget,
-            )
-            self._owns_scheduler = True
+        self._scheduler = Scheduler(
+            cache,
+            workers=workers,
+            retry_policy=retry_policy,
+            rebuild_budget=rebuild_budget,
+        )
         self.progress = progress
         self._closed = False
 
     # ----------------------------------------------------------- delegation
     @property
     def scheduler(self) -> "Scheduler":
-        """The scheduler this runner submits to (private or shared)."""
+        """The scheduler this runner submits to."""
         return self._scheduler
 
     @property
@@ -508,14 +487,9 @@ class CampaignRunner:
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
-        """Shut down the private scheduler's worker pool (idempotent).
-
-        A shared scheduler (``scheduler=`` at construction) is left
-        running: its lifetime belongs to whoever created it.
-        """
+        """Shut down the scheduler's worker pool (idempotent)."""
         self._closed = True
-        if self._owns_scheduler:
-            self._scheduler.close()
+        self._scheduler.close()
 
     def __enter__(self) -> "CampaignRunner":
         return self
@@ -525,15 +499,11 @@ class CampaignRunner:
 
     def __del__(self):  # pragma: no cover - interpreter-shutdown dependent
         scheduler = getattr(self, "_scheduler", None)
-        if (
-            scheduler is not None
-            and getattr(self, "_owns_scheduler", False)
-            and not getattr(self, "_closed", True)
-            and scheduler._pool is not None
-        ):
+        if scheduler is None:
+            return
+        if not getattr(self, "_closed", True) and scheduler._pool is not None:
             warn_unclosed(self)
-        if scheduler is not None and getattr(self, "_owns_scheduler", False):
-            scheduler.close()
+        scheduler.close()
 
     # ------------------------------------------------------------------ run
     def run(self, campaign: Campaign, *, force: bool = False) -> CampaignResult:

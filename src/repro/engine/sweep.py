@@ -45,14 +45,6 @@ def register_campaign(
     registered ``description`` onto it.
     """
 
-    if callable(name):
-        # The pre-lazy API was a bare decorator; registering a factory under
-        # a function object would silently drop the campaign.
-        raise TypeError(
-            "register_campaign now takes the campaign name: "
-            'use @register_campaign("name")'
-        )
-
     def decorator(factory: CampaignFactory) -> CampaignFactory:
         CAMPAIGNS[name] = factory
         _DESCRIPTIONS[name] = description

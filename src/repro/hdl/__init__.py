@@ -15,8 +15,8 @@ reproduction is built on:
   the hot path behind power estimation.
 * :mod:`repro.hdl.components` -- structural generators for the mid-level
   building blocks used by the paper's address generators (binary counters,
-  shift registers, decoders, comparators, adders, multiplexor trees).
-* :mod:`repro.hdl.emit` -- VHDL / Verilog / DOT emitters.
+  shift registers, decoders, comparators, adders, wide gates).
+* :mod:`repro.hdl.emit` -- VHDL / Verilog emitters.
 
 The netlist layer is deliberately technology-agnostic: cells are referenced
 by type name only.  Area and delay live in :mod:`repro.synth.cell_library`,

@@ -5,11 +5,9 @@ package provides the equivalent back ends for our structural netlists:
 
 * :func:`repro.hdl.emit.vhdl.emit_vhdl` -- structural VHDL-93.
 * :func:`repro.hdl.emit.verilog.emit_verilog` -- structural Verilog-2001.
-* :func:`repro.hdl.emit.dot.emit_dot` -- Graphviz DOT for visual inspection.
 """
 
-from repro.hdl.emit.dot import emit_dot
 from repro.hdl.emit.verilog import emit_verilog
 from repro.hdl.emit.vhdl import emit_vhdl
 
-__all__ = ["emit_vhdl", "emit_verilog", "emit_dot"]
+__all__ = ["emit_vhdl", "emit_verilog"]

@@ -34,9 +34,7 @@ from repro.lint.design import (
     DESIGN_RULES,
     DesignContext,
     DesignRule,
-    design_rule_catalogue,
     lint_netlist,
-    lint_netlist_if_enabled,
 )
 
 __all__ = [
@@ -52,10 +50,8 @@ __all__ = [
     "Rule",
     "WARNING",
     "ast_rule_catalogue",
-    "design_rule_catalogue",
     "lint_file",
     "lint_netlist",
-    "lint_netlist_if_enabled",
     "lint_paths",
     "lint_source",
     "severity_rank",

@@ -16,7 +16,7 @@ an unreachable FSM state that costs area but not correctness).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 __all__ = [
     "ERROR",
@@ -195,20 +195,3 @@ class LintReport:
             "checked": self.checked,
         }
 
-
-def filter_suppressed(
-    findings: Sequence[Finding], suppress: Iterable[str]
-) -> tuple:
-    """Split findings into (kept, dropped_count) under per-rule suppression.
-
-    ``suppress`` holds rule ids; ``"all"`` suppresses everything.  The AST
-    engine does finer (per-line) suppression itself; this is the coarse
-    API-level form the design linter offers.
-    """
-    names = set(suppress)
-    if not names:
-        return list(findings), 0
-    kept = [
-        f for f in findings if f.rule not in names and "all" not in names
-    ]
-    return kept, len(findings) - len(kept)

@@ -57,7 +57,6 @@ from repro.lint.core import (
     Finding,
     LintReport,
     Rule,
-    filter_suppressed,
 )
 from repro.obs import metrics, span
 
@@ -66,9 +65,7 @@ __all__ = [
     "SAT_DESIGN_RULES",
     "DesignContext",
     "DesignRule",
-    "design_rule_catalogue",
     "lint_netlist",
-    "lint_netlist_if_enabled",
     "rules_for_level",
 ]
 
@@ -563,7 +560,7 @@ class SatRedundantLogicRule(DesignRule):
 
 
 #: All design rules, in reporting order.  The id -> rule mapping is the
-#: stable public surface: tests pin it, suppressions name it.
+#: stable public surface: tests pin it, reports name it.
 DESIGN_RULES: Tuple[DesignRule, ...] = (
     CombLoopRule(),
     UndrivenNetRule(),
@@ -595,28 +592,18 @@ def rules_for_level(level: int) -> Tuple[DesignRule, ...]:
     return DESIGN_RULES
 
 
-def design_rule_catalogue() -> List[Tuple[str, str, str]]:
-    """``(id, severity, description)`` for every design rule."""
-    return [
-        (r.id, r.severity, r.description)
-        for r in DESIGN_RULES + SAT_DESIGN_RULES
-    ]
-
-
 def lint_netlist(
     netlist: Netlist,
     *,
     library: Optional[object] = None,
     max_fanout: Optional[int] = None,
     fsm: Optional[object] = None,
-    suppress: Sequence[str] = (),
     rules: Optional[Iterable[DesignRule]] = None,
 ) -> LintReport:
     """Run the design rules over ``netlist`` and return a :class:`LintReport`.
 
     Never mutates the netlist and never raises on structural problems --
-    every violation becomes a finding.  ``suppress`` drops findings by rule
-    id (report-level; the count lands in ``report.suppressed``).
+    every violation becomes a finding.
     """
     ctx = DesignContext(
         netlist=netlist, library=library, max_fanout=max_fanout, fsm=fsm
@@ -625,11 +612,9 @@ def lint_netlist(
         findings: List[Finding] = []
         for rule in rules if rules is not None else DESIGN_RULES:
             findings.extend(rule.check(ctx))
-        kept, dropped = filter_suppressed(findings, suppress)
         report = LintReport(
             target=netlist.name,
-            findings=kept,
-            suppressed=dropped,
+            findings=findings,
             checked=len(netlist.cells) + len(netlist.nets),
         )
         report.sort()
@@ -639,21 +624,3 @@ def lint_netlist(
             metrics.incr("lint.errors", report.error_count)
     return report
 
-
-def lint_netlist_if_enabled(netlist, spec, *, fsm=None, suppress=()):
-    """Flow-facing gate: lint only when ``spec.lint`` is set, else ``None``.
-
-    The disabled branch is a single attribute test -- the floor test in
-    ``tests/test_lint_flow.py`` pins that it stays immeasurable, mirroring
-    the NULL_SPAN contract in :mod:`repro.obs`.
-    """
-    if not spec.lint:
-        return None
-    return lint_netlist(
-        netlist,
-        library=spec.resolve_library(),
-        max_fanout=spec.max_fanout,
-        fsm=fsm,
-        suppress=suppress,
-        rules=rules_for_level(spec.lint),
-    )

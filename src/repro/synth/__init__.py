@@ -17,24 +17,9 @@ Main entry points
   two-level minimisation and SOP-to-netlist synthesis.
 * :mod:`repro.synth.fsm` -- symbolic FSM model, state encodings and FSM
   synthesis (the paper's "symbolic state machine" baseline).
+
+The package root re-exports nothing: import names from their submodules.
+:mod:`repro.flow` loads :mod:`repro.synth.cell_library` while it is itself
+being imported, so an eager import of :mod:`repro.synth.flow` here would
+close an import cycle back onto the half-initialised :mod:`repro.flow`.
 """
-
-from repro.synth.area import AreaReport, area_report
-from repro.synth.buffering import insert_buffer_trees
-from repro.synth.cell_library import CellCharacteristics, CellLibrary, STD018
-from repro.synth.flow import run_synthesis_flow
-from repro.synth.report import SynthesisResult
-from repro.synth.timing import TimingReport, timing_report
-
-__all__ = [
-    "AreaReport",
-    "area_report",
-    "insert_buffer_trees",
-    "CellCharacteristics",
-    "CellLibrary",
-    "STD018",
-    "run_synthesis_flow",
-    "SynthesisResult",
-    "TimingReport",
-    "timing_report",
-]

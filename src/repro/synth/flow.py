@@ -99,7 +99,7 @@ def _synthesize(
     with span("flow.area"):
         area = area_report(netlist, cell_library)
     # Lint is a pure diagnostic over the measured netlist: default-off, and
-    # when off the cost is one falsy attribute test (floor-tested), so every
+    # when off the cost is one falsy attribute test, so every
     # pre-existing flow is bit-identical in output *and* time.
     lint_report = None
     if spec.lint:

@@ -182,16 +182,3 @@ class FiniteStateMachine:
             if advance:
                 state = self.next_state[state]
         return observed
-
-    def output_sequence_as_indices(self, steps: int) -> List[int]:
-        """Simulate and decode one-hot output vectors back to indices.
-
-        Raises :class:`ValueError` if an output vector is not one-hot.
-        """
-        indices = []
-        for vector in self.simulate(steps):
-            asserted = [i for i, bit in enumerate(vector) if bit]
-            if len(asserted) != 1:
-                raise ValueError(f"output vector {vector} is not one-hot")
-            indices.append(asserted[0])
-        return indices

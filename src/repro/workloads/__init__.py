@@ -29,7 +29,6 @@ from repro.workloads.registry import (
     WORKLOADS,
     available_workloads,
     build_pattern,
-    register_workload,
 )
 from repro.workloads.dct import column_pass_pattern, column_pass_sequence
 from repro.workloads.fifo import fifo_pattern, fifo_sequence, incremental_sequence
@@ -49,7 +48,6 @@ __all__ = [
     "WORKLOADS",
     "available_workloads",
     "build_pattern",
-    "register_workload",
     "collapse_repetitions",
     "consecutive_repetitions",
     "dct",

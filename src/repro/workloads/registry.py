@@ -20,7 +20,7 @@ from typing import Callable, Dict, List
 from repro.workloads import dct, fifo, motion_estimation, patterns, zoom
 from repro.workloads.loopnest import AffineAccessPattern
 
-__all__ = ["WORKLOADS", "available_workloads", "build_pattern", "register_workload"]
+__all__ = ["WORKLOADS", "available_workloads", "build_pattern"]
 
 WorkloadFactory = Callable[[int, int], AffineAccessPattern]
 
@@ -47,12 +47,6 @@ def available_workloads() -> List[str]:
     return sorted(WORKLOADS)
 
 
-def register_workload(name: str, factory: WorkloadFactory) -> None:
-    """Register (or replace) a workload factory under ``name``."""
-    WORKLOADS[name] = factory
-    _cached_pattern.cache_clear()
-
-
 @lru_cache(maxsize=128)
 def _cached_pattern(name: str, rows: int, cols: int) -> AffineAccessPattern:
     return WORKLOADS[name](rows, cols)
@@ -64,7 +58,7 @@ def build_pattern(name: str, rows: int, cols: int) -> AffineAccessPattern:
     Patterns are memoised per ``(name, rows, cols)``: a campaign grid asks
     for the same pattern once per style and opt level, the construction
     walks the whole loop nest, and patterns are never mutated after
-    construction (re-registering a workload name drops the cache).
+    construction.
     """
     if name not in WORKLOADS:
         raise KeyError(

@@ -178,10 +178,6 @@ class AddressSequence:
             self.linear[i % self.length] for i in range(len(produced))
         ]
 
-    def repetition_counts(self) -> List[int]:
-        """Run lengths of consecutive identical linear addresses."""
-        return consecutive_repetitions(self.linear)
-
     def reduced(self) -> List[int]:
         """Linear sequence with consecutive repetitions collapsed."""
         return collapse_repetitions(self.linear)

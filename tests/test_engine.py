@@ -491,15 +491,6 @@ def test_campaign_descriptions_are_registered_and_stamped():
         assert build_campaign(name).description == description
 
 
-def test_register_campaign_rejects_legacy_bare_decorator_usage():
-    from repro.engine.sweep import register_campaign
-
-    with pytest.raises(TypeError, match="campaign name"):
-        @register_campaign
-        def orphan() -> Campaign:  # pragma: no cover - must not register
-            return Campaign("orphan", [])
-
-
 def test_build_campaign_rejects_name_mismatch(monkeypatch):
     import repro.engine.sweep as sweep_module
 

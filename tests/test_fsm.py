@@ -21,7 +21,7 @@ from repro.synth.fsm import (
 def test_fsm_from_select_sequence_cycles():
     fsm = FiniteStateMachine.from_select_sequence([2, 0, 1])
     assert fsm.num_states == 3
-    assert fsm.output_sequence_as_indices(7) == [2, 0, 1, 2, 0, 1, 2]
+    assert [vec.index(1) for vec in fsm.simulate(7)] == [2, 0, 1, 2, 0, 1, 2]
 
 
 def test_fsm_from_binary_sequence():

@@ -10,9 +10,7 @@ from repro.hdl.components import (
     build_decoder,
     build_equality_comparator,
     build_incrementer,
-    build_mux_tree,
     build_or_tree,
-    build_register,
     build_ripple_adder,
     build_token_shift_register,
 )
@@ -242,25 +240,6 @@ def test_token_shift_register_validation():
         build_token_shift_register(netlist, 4, clk, serial, token_at=4)
 
 
-def test_parallel_register_variants():
-    netlist = Netlist("reg")
-    clk = netlist.add_input("clk")
-    en = netlist.add_input("en")
-    rst = netlist.add_input("rst")
-    data = netlist.add_input_bus("d", 4)
-    q = build_register(netlist, data, clk, enable=en, reset=rst)
-    netlist.add_output_bus("q", q)
-    sim = Simulator(netlist)
-    sim.poke_bus(data, 9)
-    sim.step(en=1, rst=0)
-    assert sim.peek_bus(q) == 9
-    sim.poke_bus(data, 5)
-    sim.step(en=0, rst=0)
-    assert sim.peek_bus(q) == 9
-    sim.step(en=1, rst=1)
-    assert sim.peek_bus(q) == 0
-
-
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 9, 16])
 def test_and_or_trees(count):
     netlist = Netlist("tree")
@@ -276,25 +255,3 @@ def test_and_or_trees(count):
         bits_set = [(value >> i) & 1 for i in range(count)]
         assert sim.peek("a") == int(all(bits_set))
         assert sim.peek("o") == int(any(bits_set))
-
-
-def test_mux_tree_selects_correct_input():
-    netlist = Netlist("mux")
-    data = netlist.add_input_bus("d", 6)
-    select = netlist.add_input_bus("s", 3)
-    out = build_mux_tree(netlist, data, select)
-    netlist.add_output("y", out)
-    sim = Simulator(netlist)
-    sim.poke_bus(data, 0b101010)
-    for index in range(6):
-        sim.poke_bus(select, index)
-        sim.settle()
-        assert sim.peek("y") == (0b101010 >> index) & 1
-
-
-def test_mux_tree_too_many_inputs_rejected():
-    netlist = Netlist("mux")
-    data = netlist.add_input_bus("d", 5)
-    select = netlist.add_input_bus("s", 2)
-    with pytest.raises(NetlistError):
-        build_mux_tree(netlist, data, select)

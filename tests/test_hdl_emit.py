@@ -1,4 +1,4 @@
-"""Tests for the VHDL / Verilog / DOT emitters."""
+"""Tests for the VHDL / Verilog emitters."""
 
 import hashlib
 
@@ -8,7 +8,7 @@ from repro.core.addm_generator import SragAddressGenerator
 from repro.engine.jobs import build_design
 from repro.flow import FlowSpec
 from repro.hdl.components import build_binary_counter
-from repro.hdl.emit import emit_dot, emit_verilog, emit_vhdl
+from repro.hdl.emit import emit_verilog, emit_vhdl
 from repro.hdl.netlist import Netlist
 from repro.workloads.motion_estimation import read_sequence
 from repro.workloads.registry import build_pattern
@@ -56,15 +56,6 @@ def test_verilog_contains_module_and_instances():
 def test_verilog_balanced_modules():
     text = emit_verilog(_small_design())
     assert text.count("module ") - text.count("endmodule") == 0
-
-
-def test_dot_output_mentions_cells_and_ports():
-    netlist = _small_design()
-    text = emit_dot(netlist)
-    assert text.startswith('digraph "small_counter"')
-    assert text.rstrip().endswith("}")
-    for cell_name in list(netlist.cells)[:3]:
-        assert cell_name in text
 
 
 def test_emitters_on_generated_srag():

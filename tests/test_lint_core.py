@@ -7,7 +7,6 @@ from repro.lint.core import (
     Finding,
     LintReport,
     Rule,
-    filter_suppressed,
     severity_rank,
 )
 
@@ -106,12 +105,3 @@ def test_report_summary_render_and_to_dict():
     assert data["checked"] == 10
     assert data["findings"][0]["message"] == "w1"
 
-
-def test_filter_suppressed_by_rule_and_all():
-    findings = [_finding(rule="r1"), _finding(rule="r2")]
-    kept, dropped = filter_suppressed(findings, ())
-    assert len(kept) == 2 and dropped == 0
-    kept, dropped = filter_suppressed(findings, ("r1",))
-    assert [f.rule for f in kept] == ["r2"] and dropped == 1
-    kept, dropped = filter_suppressed(findings, ("all",))
-    assert kept == [] and dropped == 2

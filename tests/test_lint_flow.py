@@ -1,9 +1,8 @@
-"""Lint/flow integration: the lint-off path is byte-identical and free, the
+"""Lint/flow integration: the lint-off path is byte-identical, the
 lint-on path surfaces reports through SynthesisResult, EvalRecord and the
 CLI without perturbing cache keys or serialised records."""
 
 import json
-import time
 
 import pytest
 
@@ -12,7 +11,6 @@ from repro.engine.jobs import EvalJob
 from repro.engine.runner import EvalRecord, evaluate_job
 from repro.flow import FlowSpec
 from repro.generators.fsm_based import FsmAddressGenerator
-from repro.lint.design import lint_netlist_if_enabled
 from repro.synth.flow import run_synthesis_flow
 from repro.synth.fsm import FiniteStateMachine
 from repro.workloads.registry import build_pattern
@@ -153,32 +151,3 @@ def test_cli_lint_flag_on_campaign_path(capsys):
     assert code == 0
     assert "lint: 0 error-severity finding(s)" in captured.out
 
-
-# ---------------------------------------------------------------------------
-# Disabled-path overhead floor (the NULL_SPAN pattern from PR 6)
-# ---------------------------------------------------------------------------
-
-def test_lint_disabled_path_overhead_floor(pattern):
-    """Best-of-3: the lint-off gate must stay in noise territory.
-
-    Mirrors test_disabled_tracer_overhead_floor: the disabled branch is one
-    falsy attribute test, so a regression that starts resolving libraries or
-    walking the netlist with linting off shows up as an order of magnitude.
-    """
-    from repro.engine.jobs import build_design
-
-    netlist = build_design(pattern, "SRAG", "two-hot").netlist
-    spec = FlowSpec()
-    n = 200_000
-
-    def gated_loop():
-        for _ in range(n):
-            lint_netlist_if_enabled(netlist, spec)
-
-    elapsed = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        gated_loop()
-        elapsed = min(elapsed, time.perf_counter() - start)
-    # ~2.5 us per disabled call is an order of magnitude above observed cost.
-    assert elapsed < n * 2.5e-6, f"lint-off overhead too high: {elapsed:.3f}s"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mapper import map_address_sequence, map_row_and_column, map_sequence
+from repro.core.mapper import map_address_sequence, map_sequence
 from repro.core.mapping_params import MappingError
 from repro.core.srag import SragFunctionalModel
 from repro.workloads import motion_estimation
@@ -100,14 +100,6 @@ def test_mapping_of_full_2d_sequence():
     # Each dimension uses one flip-flop per distinct address.
     assert row_mapping.total_flip_flops == 8
     assert col_mapping.total_flip_flops == 8
-
-
-def test_map_row_and_column_wrapper():
-    rows = [0, 0, 1, 1]
-    cols = [0, 1, 0, 1]
-    row_mapping, col_mapping = map_row_and_column(rows, cols, 2, 2)
-    assert row_mapping.div_count == 2
-    assert col_mapping.div_count == 1
 
 
 def test_iterations_per_register():

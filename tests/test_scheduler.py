@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine import runner as runner_module
 from repro.engine.cache import ResultCache
-from repro.engine.jobs import Campaign, EvalJob
+from repro.engine.jobs import EvalJob
 from repro.engine.runner import CampaignRunner, EvalRecord
 from repro.engine.scheduler import Scheduler, SchedulerTimeout
 from repro.obs import metrics
@@ -137,36 +137,15 @@ def test_cancel_resolves_joined_submissions_with_error_records(counted_eval):
 
 
 # ----------------------------------------------------------------- sharing
-def test_runners_share_scheduler_cache_and_dedup(counted_eval):
+def test_submissions_share_scheduler_cache_and_dedup(counted_eval):
     scheduler = Scheduler(ResultCache(None), workers=0)
-    campaign = Campaign("shared", [JOB_A, JOB_B])
-    first = CampaignRunner(scheduler=scheduler).run(campaign)
-    second = CampaignRunner(scheduler=scheduler).run(campaign)
-    assert first.evaluated == 2 and first.hits == 0
-    assert second.evaluated == 0 and second.hits == 2
+    first = scheduler.submit([JOB_A, JOB_B])
+    assert first.pending == 2 and first.cached_keys == []
+    assert [r.status for r in first.results(timeout=10.0)] == ["ok", "ok"]
+    second = scheduler.submit([JOB_A, JOB_B])
+    assert second.pending == 0 and second.cached_keys == [JOB_A.key, JOB_B.key]
+    assert len(list(second.results(timeout=10.0))) == 2
     assert len(counted_eval) == 2
-
-
-def test_runner_close_leaves_shared_scheduler_running(counted_eval):
-    scheduler = Scheduler(ResultCache(None), workers=0)
-
-    class _Pool:
-        def shutdown(self, wait=True, cancel_futures=False):
-            raise AssertionError("shared scheduler pool must not be shut down")
-
-    scheduler._pool = _Pool()
-    runner = CampaignRunner(scheduler=scheduler)
-    runner.close()  # no-op on the shared scheduler
-    runner.__del__()  # and no ResourceWarning path either
-    scheduler._pool = None
-
-
-def test_scheduler_kwarg_is_exclusive_with_private_config():
-    scheduler = Scheduler(ResultCache(None), workers=0)
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        CampaignRunner(ResultCache(None), scheduler=scheduler)
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        CampaignRunner(workers=2, scheduler=scheduler)
 
 
 # --------------------------------------------------------------- lifecycle
