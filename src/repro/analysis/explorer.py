@@ -82,18 +82,19 @@ def explore(
     """Evaluate every applicable architecture for ``pattern``.
 
     Architectures that cannot implement the pattern (SRAG restrictions, SFM's
-    FIFO-only limitation, non-power-of-two arrays for the arithmetic style)
-    are recorded in ``skipped`` with the reason, rather than raising, whether
-    the failure surfaces while constructing, elaborating or synthesising the
-    candidate: :func:`repro.engine.runner.evaluate_point` classifies every
+    FIFO-only limitation, non-power-of-two arrays for the arithmetic style,
+    binary/gray FSMs too wide for truth-table synthesis) are recorded in
+    ``skipped`` with the reason, rather than raising, whether the failure
+    surfaces while constructing, elaborating or synthesising the candidate: :func:`repro.engine.runner.evaluate_point` classifies every
     point, exactly as it does for campaign jobs.
 
     Parameters
     ----------
     spec:
         Flow configuration (:class:`repro.flow.FlowSpec`) applied at every
-        design point; defaults to an all-defaults spec.  ``spec.fsm_encodings``
-        selects the symbolic-FSM candidates, ``spec.max_fsm_states`` leaves
+        design point; defaults to an all-defaults spec.  Symbolic-FSM
+        candidates take every encoding of
+        :data:`repro.engine.jobs.FSM_ENCODINGS`; ``spec.max_fsm_states`` leaves
         them out for sequences longer than that bound (keeping exploration
         time bounded; the blow-up itself is measured by the synthesis-effort
         benchmark instead), ``spec.opt_level`` sets the logic-optimization
@@ -101,11 +102,7 @@ def explore(
         each record.
     """
     result = ExplorationResult(workload=pattern.name)
-    candidates = candidate_factories(
-        pattern,
-        fsm_encodings=spec.fsm_encodings,
-        max_fsm_states=spec.max_fsm_states,
-    )
+    candidates = candidate_factories(pattern, max_fsm_states=spec.max_fsm_states)
     for style, variant, _ in candidates:
         record = evaluate_point(
             lambda: pattern, style, variant, spec,

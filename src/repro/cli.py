@@ -157,11 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate alternative architectures and print the design space",
     )
     parser.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip gate-level verification of the generated SRAG",
-    )
-    parser.add_argument(
         "--opt-level",
         type=_opt_level,
         default=None,
@@ -697,7 +692,6 @@ def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             emit_verilog_text=bool(args.verilog),
             synthesize=args.report or bool(args.lint) or bool(args.verify),
             spec=spec,
-            verify=not args.no_verify,
         )
     except MappingError as error:
         print(f"mapping failed: {error}", file=sys.stderr)

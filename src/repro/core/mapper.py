@@ -35,10 +35,11 @@ __all__ = ["map_sequence", "map_address_sequence"]
 def map_sequence(
     sequence: Sequence[int],
     num_lines: Optional[int] = None,
-    *,
-    verify: bool = True,
 ) -> SragMapping:
     """Map a 1-D address sequence onto SRAG parameters.
+
+    The paper's verification step (simulating the functional SRAG model
+    against the input) always runs.
 
     Parameters
     ----------
@@ -47,9 +48,6 @@ def map_sequence(
     num_lines:
         Number of select lines in this dimension; defaults to
         ``max(sequence) + 1``.
-    verify:
-        Run the functional-model verification step (recommended; the paper
-        requires it).
 
     Returns
     -------
@@ -126,8 +124,7 @@ def map_sequence(
         num_lines=num_lines,
     )
 
-    if verify:
-        _verify(mapping)
+    _verify(mapping)
     return mapping
 
 
@@ -205,17 +202,13 @@ def _verify(mapping: SragMapping) -> None:
 
 
 def map_address_sequence(
-    sequence: AddressSequence, *, verify: bool = True
+    sequence: AddressSequence,
 ) -> Tuple[SragMapping, SragMapping]:
     """Map both dimensions of a 2-D :class:`AddressSequence`.
 
     Returns ``(row_mapping, column_mapping)`` -- the inputs to the row SRAG
     and the column SRAG of the complete two-hot generator.
     """
-    row_mapping = map_sequence(
-        sequence.row_sequence, num_lines=sequence.rows, verify=verify
-    )
-    col_mapping = map_sequence(
-        sequence.col_sequence, num_lines=sequence.cols, verify=verify
-    )
+    row_mapping = map_sequence(sequence.row_sequence, num_lines=sequence.rows)
+    col_mapping = map_sequence(sequence.col_sequence, num_lines=sequence.cols)
     return row_mapping, col_mapping

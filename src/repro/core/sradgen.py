@@ -75,10 +75,13 @@ def generate(
     emit_verilog_text: bool = False,
     synthesize: bool = False,
     spec: FlowSpec = DEFAULT_SPEC,
-    verify: bool = True,
     name: Optional[str] = None,
 ) -> SRAdGenResult:
     """Run the complete SRAdGen flow on ``sequence``.
+
+    Before emitting anything, the elaborated netlist is simulated at gate
+    level (:meth:`SragDesign.verify`) and its two-hot select lines must
+    regenerate the input sequence; this check always runs.
 
     Parameters
     ----------
@@ -93,10 +96,6 @@ def generate(
         Flow configuration (:class:`repro.flow.FlowSpec`) for the synthesis
         step: cell library, buffering threshold, logic-optimization effort.
         Defaults to an all-defaults spec.
-    verify:
-        Before emitting anything, simulate the elaborated netlist at gate
-        level (:meth:`SragDesign.verify`) and check that its two-hot select
-        lines regenerate the input sequence.
     name:
         Optional netlist/entity name (made a safe identifier); defaults to
         ``srag_<sequence name>``.
@@ -110,7 +109,7 @@ def generate(
         than an unmappable sequence).
     """
     design = SragDesign(sequence, name=name)
-    if verify and not design.verify():
+    if not design.verify():
         raise RuntimeError(
             f"structural verification failed for sequence {sequence.name!r}"
         )

@@ -17,8 +17,8 @@ package is the scaffolding for that exploration at scale:
   synchronous scheduler client: submits a campaign, streams
   :class:`EvalRecord` results back in campaign order, and merges
   campaign-level Pareto fronts;
-* :mod:`repro.engine.sweep` -- built-in campaigns reproducing the paper's
-  Figure 8/10 sweeps plus new cross-workload grids;
+* :mod:`repro.engine.sweep` -- built-in campaigns along the paper's
+  Figure 8/10 axes (whole-netlist figures) plus new cross-workload grids;
 * :mod:`repro.engine.pareto` -- the O(n log n) Pareto sweep shared with the
   interactive explorer.
 """
@@ -27,7 +27,6 @@ from repro.engine.cache import ResultCache
 from repro.engine.jobs import (
     Campaign,
     EvalJob,
-    FSM_ENCODINGS,
     STYLE_VARIANTS,
     build_design,
     candidate_factories,
@@ -50,7 +49,6 @@ __all__ = [
     "CampaignRunner",
     "EvalJob",
     "EvalRecord",
-    "FSM_ENCODINGS",
     "ResultCache",
     "STYLE_VARIANTS",
     "Scheduler",

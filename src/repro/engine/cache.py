@@ -1,4 +1,4 @@
-"""Content-addressed on-disk result store with pluggable write backends.
+"""Content-addressed on-disk result store.
 
 Synthesising a design point takes orders of magnitude longer than reading a
 cached record, so campaigns persist every evaluation keyed by the job's
@@ -7,25 +7,26 @@ then only evaluates points whose spec changed -- new workloads, new
 geometries, a recalibrated library -- and everything else is a cache hit.
 
 The store is a directory of append-only JSON-lines files.  *Reading* is
-backend-agnostic: every cache loads the base ``results.jsonl`` plus any
-``segments/*.jsonl`` shard files, so a directory written by either backend
-(or by several writers) loads unchanged.  *Writing* is the backend choice:
+layout-agnostic: every cache loads the base ``results.jsonl`` plus any
+``segments/*.jsonl`` shard files, so a directory written by either layout
+(or by several writers) loads unchanged.  *Writing* follows the
+``backend`` name given to :class:`ResultCache`:
 
-* :class:`JsonlBackend` (the default, and the seed format) appends every
-  record to the single base file.  Atomic enough for the single-writer
-  model the CLI uses; the format stays greppable and diffable.
-* :class:`ShardedSegmentBackend` gives every writer its own segment file
-  under ``segments/``, so any number of concurrent processes (the campaign
+* ``"jsonl"`` (the default, and the seed format) appends every record to the
+  single base file.  Atomic enough for the single-writer model of
+  ``sradgen --campaign``; the format stays greppable and diffable.
+* ``"sharded"`` gives every cache instance its own segment file under
+  ``segments/``, so any number of concurrent processes (the campaign
   service, parallel CLI invocations) can append without interleaving a
-  single file.  Segments are folded back into the base file by
-  merge-on-compact.
+  single file.  Appends hold the directory :class:`CacheLock` briefly, and
+  segments are folded back into the base file by merge-on-compact.
 
 Re-putting a key appends a new line that supersedes the old one on the next
 load; :meth:`ResultCache.compact` re-reads every data file *from disk* under
 the directory-level :class:`CacheLock` (so a concurrent writer can neither
 be torn nor lost), rewrites the base file with only live entries and removes
 the segment files it merged.  Every key and record stays byte-identical to
-the seed format regardless of backend.
+the seed format in either layout.
 
 Crash safety (PR 10) completes the torn-*read* tolerance with torn-*write*
 tolerance.  Appends are atomic from the reader's point of view: the line is
@@ -48,25 +49,20 @@ import json
 import os
 import time
 import uuid
-from typing import Dict, Iterator, List, Optional, Set, Union
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.obs import log, metrics
 from repro.resilience.faults import FaultInjected, fault_data, fault_point
 from repro.resilience.retry import RetryPolicy, call_with_retry
 
-__all__ = [
-    "CacheLock",
-    "CacheLockTimeout",
-    "CacheBackend",
-    "JsonlBackend",
-    "ResultCache",
-    "ShardedSegmentBackend",
-    "make_backend",
-]
+__all__ = ["CacheLock", "CacheLockTimeout", "ResultCache"]
 
 _RESULTS_FILE = "results.jsonl"
 _SEGMENTS_DIR = "segments"
 _LOCK_FILE = "cache.lock"
+
+#: Seconds between attempts to create a held lock file.
+_LOCK_POLL_S = 0.005
 
 #: Bounded retry for appends: transient write failures (including injected
 #: torn writes, which the seal protocol repairs) self-heal within ~0.1s.
@@ -81,10 +77,10 @@ class CacheLock:
     """Advisory inter-process lock file guarding cache compaction.
 
     Acquisition atomically creates ``cache.lock`` in the cache directory
-    (``O_CREAT | O_EXCL``) with the holder's pid inside.  Compaction (both
-    backends) and sharded-segment appends take this lock, so rewriting the
-    base file can never race a writer into losing records -- the satellite
-    fix for ``sradgen --compact-cache`` racing a running service.
+    (``O_CREAT | O_EXCL``) with the holder's pid inside.  Compaction (of
+    either layout) and sharded-segment appends take this lock, so rewriting
+    the base file can never race a writer into losing records -- the fix for
+    ``sradgen --compact-cache`` racing a running service.
 
     A lock whose holder died (pid gone, or the file is older than
     ``stale_after_s``) is broken and re-acquired, so a crashed compaction
@@ -96,12 +92,10 @@ class CacheLock:
         directory: str,
         *,
         timeout: float = 10.0,
-        poll_s: float = 0.005,
         stale_after_s: float = 60.0,
     ):
         self.path = os.path.join(directory, _LOCK_FILE)
         self.timeout = timeout
-        self.poll_s = poll_s
         self.stale_after_s = stale_after_s
 
     def acquire(self) -> "CacheLock":
@@ -118,7 +112,7 @@ class CacheLock:
                         f"could not acquire cache lock {self.path} "
                         f"within {self.timeout}s"
                     )
-                time.sleep(self.poll_s)
+                time.sleep(_LOCK_POLL_S)
             else:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
                     handle.write(str(os.getpid()))
@@ -175,72 +169,6 @@ class CacheLock:
         self.release()
 
 
-class CacheBackend:
-    """Write strategy behind :class:`ResultCache`.
-
-    A backend decides one thing: which file a ``put`` appends to, and
-    whether that append must hold the directory :class:`CacheLock`.
-    Reading and compaction are shared by :class:`ResultCache` and are
-    backend-agnostic.
-    """
-
-    #: Registry handle (``ResultCache(dir, backend="jsonl")``).
-    name: str = ""
-    #: Whether appends must hold the cache lock (concurrent-writer safety).
-    locks_appends: bool = False
-
-    def append_path(self, directory: str) -> str:
-        """The file this backend's appends go to."""
-        raise NotImplementedError
-
-
-class JsonlBackend(CacheBackend):
-    """The seed format: one append-only ``results.jsonl``, single writer."""
-
-    name = "jsonl"
-    locks_appends = False
-
-    def append_path(self, directory: str) -> str:
-        return os.path.join(directory, _RESULTS_FILE)
-
-
-class ShardedSegmentBackend(CacheBackend):
-    """Per-writer segment files under ``segments/``; merge-on-compact.
-
-    Each backend instance owns one segment named after its ``writer_id``
-    (pid plus a random token by default), so concurrent writers never touch
-    the same file.  Appends take the directory lock briefly so a concurrent
-    compaction cannot unlink a segment between reading and merging it.
-    """
-
-    name = "sharded"
-    locks_appends = True
-
-    def __init__(self, writer_id: Optional[str] = None):
-        self.writer_id = writer_id or f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
-
-    def append_path(self, directory: str) -> str:
-        return os.path.join(
-            directory, _SEGMENTS_DIR, f"seg-{self.writer_id}.jsonl"
-        )
-
-
-_BACKENDS = {JsonlBackend.name: JsonlBackend, ShardedSegmentBackend.name: ShardedSegmentBackend}
-
-
-def make_backend(backend: Union[str, CacheBackend]) -> CacheBackend:
-    """Resolve a backend name (or pass an instance through)."""
-    if isinstance(backend, CacheBackend):
-        return backend
-    try:
-        return _BACKENDS[backend]()
-    except KeyError:
-        raise ValueError(
-            f"unknown cache backend {backend!r}; "
-            f"available: {', '.join(sorted(_BACKENDS))}"
-        ) from None
-
-
 class ResultCache:
     """Persistent ``key -> record`` store backed by JSON-lines files.
 
@@ -250,21 +178,28 @@ class ResultCache:
         Cache directory; created on first write.  ``None`` gives a purely
         in-memory cache (useful for tests and one-shot runs).
     backend:
-        Write strategy: ``"jsonl"`` (default; the seed single-writer file)
-        or ``"sharded"`` (per-writer segment files safe for concurrent
-        writers), or a :class:`CacheBackend` instance.  Reading always
-        covers both layouts, so the backend can be switched freely over an
-        existing directory.
+        Where ``put`` appends: ``"jsonl"`` (default; the seed single-writer
+        ``results.jsonl``) or ``"sharded"`` (a
+        ``segments/seg-<pid>-<token>.jsonl`` file this instance owns,
+        appended under the cache lock, safe for concurrent writers).
+        Anything else raises ``ValueError``.  Reading always covers both
+        layouts, so the backend can be switched freely over an existing
+        directory.
     """
 
-    def __init__(
-        self,
-        directory: Optional[str] = None,
-        *,
-        backend: Union[str, CacheBackend] = "jsonl",
-    ):
+    def __init__(self, directory: Optional[str] = None, *, backend: str = "jsonl"):
+        if backend == "jsonl":
+            append_name = _RESULTS_FILE
+        elif backend == "sharded":
+            token = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
+            append_name = os.path.join(_SEGMENTS_DIR, f"seg-{token}.jsonl")
+        else:
+            raise ValueError(
+                f"unknown cache backend {backend!r}; available: jsonl, sharded"
+            )
         self.directory = directory
-        self.backend = make_backend(backend)
+        self.backend = backend
+        self._append_name = append_name
         self._records: Dict[str, dict] = {}
         self._loaded = directory is None
         # Paths whose tail this instance has verified ends in a newline; a
@@ -377,12 +312,12 @@ class ResultCache:
         if self.directory is None:
             return
         fault_point("cache.append")
-        path = self.backend.append_path(self.directory)
+        path = os.path.join(self.directory, self._append_name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         line = json.dumps({"key": key, "record": record}, sort_keys=True) + "\n"
 
         def attempt() -> None:
-            if self.backend.locks_appends:
+            if self.backend == "sharded":
                 with self.lock():
                     self._write_line(path, line)
             else:
@@ -449,11 +384,11 @@ class ResultCache:
                     )
         self._sealed.add(path)
 
-    def lock(self, *, timeout: float = 10.0) -> CacheLock:
+    def lock(self) -> CacheLock:
         """The directory-level lock guarding compaction and sharded appends."""
         if self.directory is None:
             raise ValueError("in-memory caches have no lock")
-        return CacheLock(self.directory, timeout=timeout)
+        return CacheLock(self.directory)
 
     # ------------------------------------------------------------ dict-like
     def __contains__(self, key: str) -> bool:

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.flow import DEFAULT_SPEC, FSM_ENCODINGS, FlowSpec
+from repro.flow import DEFAULT_SPEC, FlowSpec
 from repro.generators.arithmetic import ArithmeticAddressGenerator
 from repro.generators.base import AddressGeneratorDesign
 from repro.generators.counter_based import CounterBasedAddressGenerator
@@ -54,6 +54,9 @@ STYLE_VARIANTS: Tuple[Tuple[str, str], ...] = (
     ("FSM", "onehot"),
 )
 
+#: Symbolic-FSM state encodings explored per workload.
+FSM_ENCODINGS: Tuple[str, ...] = ("binary", "gray", "onehot")
+
 #: Bump when the meaning of a job spec (or of the recorded metrics) changes
 #: incompatibly; old cache entries then stop matching.
 SPEC_VERSION = 1
@@ -68,7 +71,6 @@ def _spec_digest(spec: dict) -> str:
 def candidate_factories(
     pattern: AffineAccessPattern,
     *,
-    fsm_encodings: Sequence[str] = FSM_ENCODINGS,
     max_fsm_states: int = 512,
 ) -> List[Tuple[str, str, Callable[[], AddressGeneratorDesign]]]:
     """Enumerate ``(style, variant, factory)`` for every applicable architecture.
@@ -95,7 +97,7 @@ def candidate_factories(
         ("SFM", "pointers", lambda: SfmPointerGenerator(sequence)),
     ]
     if sequence.length <= max_fsm_states:
-        for encoding in fsm_encodings:
+        for encoding in FSM_ENCODINGS:
             candidates.append(
                 (
                     "FSM",

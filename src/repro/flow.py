@@ -28,19 +28,14 @@ present, for the same reason.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Mapping
 
 __all__ = [
     "DEFAULT_SPEC",
-    "FSM_ENCODINGS",
     "FlowSpec",
     "cli_overrides",
     "opt_label_suffix",
 ]
-
-#: Default symbolic-FSM state encodings explored per workload.  (Canonical
-#: home of the constant; :mod:`repro.engine.jobs` re-exports it.)
-FSM_ENCODINGS: Tuple[str, ...] = ("binary", "gray", "onehot")
 
 
 def opt_label_suffix(opt_level: int) -> str:
@@ -67,6 +62,10 @@ def _since_seed(default: Any, **extra_metadata: Any) -> Any:
 class FlowSpec:
     """Single source of truth for every synthesis/evaluation knob.
 
+    Seven fields: five say what gets evaluated, and ``lint``/``verify`` say
+    which diagnostics ride along.  The symbolic-FSM encodings are not a knob
+    (:data:`repro.engine.jobs.FSM_ENCODINGS`).
+
     Attributes
     ----------
     library:
@@ -84,18 +83,13 @@ class FlowSpec:
         Simulated cycles for the switching-activity power study; 0 disables
         it.  Consumed by :func:`repro.engine.runner.evaluate_point` (campaign
         jobs and ``--explore``); plain synthesis ignores it.
-    fsm_encodings:
-        Symbolic-FSM state encodings enumerated per workload.  An
-        *enumeration* knob: it widens or narrows the candidate list but does
-        not change any single evaluation, so it never enters job cache keys.
     max_fsm_states:
         Symbolic-FSM candidates are skipped for sequences longer than this.
     lint:
         Run the design-rule checker (:mod:`repro.lint.design`) on the
         synthesised netlist (0 = off).  A *diagnostic* knob: it reports on
-        the result without changing it, so -- like ``fsm_encodings`` -- it
-        never enters job cache keys, and cached records satisfy a linted
-        request bit-for-bit.
+        the result without changing it, so it never enters job cache keys,
+        and cached records satisfy a linted request bit-for-bit.
     verify:
         Formally verify (SAT-based CEC, :mod:`repro.verify`) that the
         synthesised netlist is equivalent to the pre-flow netlist (0 =
@@ -112,7 +106,6 @@ class FlowSpec:
     max_fanout: int = _always(8)
     opt_level: int = _since_seed(0)
     power_cycles: int = _since_seed(0)
-    fsm_encodings: Tuple[str, ...] = _since_seed(FSM_ENCODINGS, job_key=False)
     max_fsm_states: int = _always(512)
     lint: int = _since_seed(0, job_key=False)
     verify: int = _since_seed(0, job_key=False)
@@ -129,14 +122,6 @@ class FlowSpec:
             raise TypeError(
                 f"library must be a name or a CellLibrary, got {self.library!r}"
             )
-        if not isinstance(self.fsm_encodings, tuple):
-            object.__setattr__(self, "fsm_encodings", tuple(self.fsm_encodings))
-        for encoding in self.fsm_encodings:
-            if encoding not in FSM_ENCODINGS:
-                raise ValueError(
-                    f"unknown FSM encoding {encoding!r}; "
-                    f"available: {', '.join(FSM_ENCODINGS)}"
-                )
         self._check_int("max_fanout", minimum=2)
         self._check_int("opt_level", minimum=0)
         self._check_int("power_cycles", minimum=0)
@@ -169,7 +154,7 @@ class FlowSpec:
             value = getattr(self, spec_field.name)
             if spec_field.metadata.get("omit_default") and value == spec_field.default:
                 continue
-            spec[spec_field.name] = list(value) if isinstance(value, tuple) else value
+            spec[spec_field.name] = value
         return spec
 
     @classmethod

@@ -275,8 +275,9 @@ class CounterBasedAddressGenerator(AddressGeneratorDesign):
         computation), the ``row_decoder`` and the ``column_decoder`` as three
         independently synthesised blocks.  The paper computes the total CntAG
         delay as "the sum of the counter delay and the worst of the row or
-        the column decoder delay"; :mod:`repro.analysis.tradeoff` follows the
-        same methodology.
+        the column decoder delay";
+        :func:`repro.analysis.tradeoff.evaluate_cntag` is the one place that
+        sum is computed.
         """
         return {
             "counter": self.counter_section_report(library),
@@ -287,19 +288,6 @@ class CounterBasedAddressGenerator(AddressGeneratorDesign):
                 self.col_width, self.pattern.cols, library
             ),
         }
-
-    def paper_methodology_delay(self, library: CellLibrary = STD018) -> float:
-        """CntAG delay computed the way the paper computes it.
-
-        Figure 9's caption and text define the total as the counter delay
-        plus the worst decoder delay (the decoders are fed combinationally by
-        the address-computation logic).
-        """
-        components = self.component_reports(library)
-        return components["counter"].delay_ns + max(
-            components["row_decoder"].delay_ns,
-            components["column_decoder"].delay_ns,
-        )
 
 
 def build_standalone_decoder(address_width: int, num_outputs: int) -> Netlist:

@@ -195,7 +195,7 @@ class CompiledSimulator:
         for slot, value in previous.items():
             self._write_net(slot, value)
 
-    def run(self, cycles: int, *, count_toggles: bool = True) -> None:
+    def run(self, cycles: int) -> None:
         """Batch-step ``cycles`` clock edges, counting net toggles as it goes.
 
         Equivalent to ``step(cycles)`` (without keyword ports) but with
@@ -207,7 +207,7 @@ class CompiledSimulator:
         """
         if cycles < 0:
             raise SimulationError(f"cycles must be non-negative, got {cycles}")
-        self._counting = count_toggles
+        self._counting = True
         self._interval_base.clear()
         try:
             for i in range(cycles):

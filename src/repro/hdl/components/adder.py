@@ -1,24 +1,25 @@
-"""Ripple-carry adder and incrementer builders.
+"""Ripple-carry adder and lookahead incrementer builders.
 
-The arithmetic-based address-generator baseline and the binary counters used
-by both the CntAG and the SRAG control circuitry are built from these blocks.
-Using an explicit ripple structure (half/full adders composed from XOR/AND/OR
-gates) gives the timing model the expected carry-chain behaviour: delay grows
-linearly with operand width, which is what makes wide counters slower than
-the small SRAG control counters.
+The arithmetic-based address-generator baseline and the CntAG's adder variant
+sum their operands with a ripple-carry adder (full adders composed from
+XOR/AND/OR gates), whose delay grows linearly with operand width.  The binary
+counters of both the CntAG and the SRAG control circuitry increment with a
+carry-lookahead incrementer, whose delay grows with ``log(width)``; that is
+still what makes wide address counters slower than the small SRAG control
+counters.
 """
 
 from __future__ import annotations
 
 from typing import Sequence, Tuple
 
+from repro.hdl.components.gates import build_and_tree
 from repro.hdl.netlist import Bus, Net, Netlist, NetlistError
 
 __all__ = [
     "build_half_adder",
     "build_full_adder",
     "build_ripple_adder",
-    "build_incrementer",
     "build_lookahead_incrementer",
 ]
 
@@ -50,10 +51,9 @@ def build_ripple_adder(
     a: Sequence[Net],
     b: Sequence[Net],
     *,
-    carry_in: Net = None,
     prefix: str = "add",
 ) -> Tuple[Bus, Net]:
-    """Build a ripple-carry adder ``a + b (+ carry_in)``.
+    """Build a ripple-carry adder ``a + b``.
 
     Returns the sum bus (same width as the operands) and the carry-out net.
     """
@@ -61,33 +61,10 @@ def build_ripple_adder(
         raise NetlistError(f"adder operand widths differ: {len(a)} vs {len(b)}")
     if not a:
         raise NetlistError("adder width must be at least 1")
-    carry = carry_in if carry_in is not None else netlist.const(0)
+    carry = netlist.const(0)
     sums = []
     for i, (abit, bbit) in enumerate(zip(a, b)):
         s, carry = build_full_adder(netlist, abit, bbit, carry, prefix=f"{prefix}_b{i}")
-        sums.append(s)
-    return Bus(sums, name=f"{prefix}_sum"), carry
-
-
-def build_incrementer(
-    netlist: Netlist,
-    a: Sequence[Net],
-    *,
-    enable: Net = None,
-    prefix: str = "inc",
-) -> Tuple[Bus, Net]:
-    """Build an incrementer ``a + enable`` (``a + 1`` when no enable given).
-
-    The increment is implemented as a half-adder chain, which is how counter
-    next-state logic is normally synthesised.  Returns the sum bus and the
-    final carry (terminal-count indication when ``a`` is all ones).
-    """
-    if not a:
-        raise NetlistError("incrementer width must be at least 1")
-    carry = enable if enable is not None else netlist.const(1)
-    sums = []
-    for i, abit in enumerate(a):
-        s, carry = build_half_adder(netlist, abit, carry, prefix=f"{prefix}_b{i}")
         sums.append(s)
     return Bus(sums, name=f"{prefix}_sum"), carry
 
@@ -107,21 +84,16 @@ def build_lookahead_incrementer(
     grows with ``log(width)`` rather than linearly -- the behaviour the
     paper's CntAG counter delay (Figure 9) exhibits.
     """
-    # Imported here to avoid a circular import (gates has no dependencies on
-    # this module, but keeping the adder importable on its own is convenient).
-    from repro.hdl.components.gates import build_and_tree
-
     if not a:
         raise NetlistError("incrementer width must be at least 1")
     sums = []
+    # Never connected, but part of every recorded netlist and golden HDL file.
     carry: Net = netlist.const(1)
     for i, abit in enumerate(a):
         if i == 0:
             carry = netlist.const(1)
         else:
-            carry = build_and_tree(
-                netlist, list(a[:i]), prefix=f"{prefix}_c{i}"
-            )
+            carry = build_and_tree(netlist, list(a[:i]), prefix=f"{prefix}_c{i}")
         s = netlist.new_net(f"{prefix}_s{i}_")
         netlist.add_cell("XOR2", A=abit, B=carry, Y=s)
         sums.append(s)

@@ -6,7 +6,7 @@ the SRAG only needs the two small control counters ``DivCnt`` and ``PassCnt``
 whose widths depend on the repetition structure of the address sequence, not
 on the array size.  That asymmetry is what produces the paper's headline
 delay trend (Figure 8), so the counter is modelled structurally: a register,
-a half-adder increment chain, and wrap-around logic built from an equality
+a carry-lookahead incrementer, and wrap-around logic built from an equality
 comparator.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.hdl.components.adder import build_incrementer, build_lookahead_incrementer
+from repro.hdl.components.adder import build_lookahead_incrementer
 from repro.hdl.components.comparator import build_equality_comparator
 from repro.hdl.netlist import Bus, Net, Netlist, NetlistError
 
@@ -58,7 +58,6 @@ def build_binary_counter(
     *,
     enable: Optional[Net] = None,
     reset: Optional[Net] = None,
-    carry_structure: str = "lookahead",
     prefix: str = "cnt",
 ) -> BinaryCounter:
     """Build a modulo-``modulus`` synchronous up-counter.
@@ -66,28 +65,14 @@ def build_binary_counter(
     The counter increments on every clock edge for which ``enable`` is high
     (or on every edge when no enable is given), wraps to zero after reaching
     ``modulus - 1`` and resets synchronously to zero when ``reset`` is high.
-
-    Parameters
-    ----------
-    carry_structure:
-        ``"lookahead"`` (default) computes each carry with an AND tree, as a
-        synthesis tool would; ``"ripple"`` chains half adders, giving delay
-        linear in the counter width.
+    Each carry of the increment is an AND tree over the lower bits, as a
+    synthesis tool would build it.
     """
-    if carry_structure not in ("lookahead", "ripple"):
-        raise NetlistError(
-            f"carry_structure must be 'lookahead' or 'ripple', got {carry_structure!r}"
-        )
     width = counter_width(modulus)
     state = Bus([netlist.new_net(f"{prefix}_q{i}_") for i in range(width)], name=prefix)
 
     terminal = build_equality_comparator(netlist, state, modulus - 1, prefix=f"{prefix}_tc")
-    if carry_structure == "lookahead":
-        incremented, _carry = build_lookahead_incrementer(
-            netlist, state, prefix=f"{prefix}_inc"
-        )
-    else:
-        incremented, _carry = build_incrementer(netlist, state, prefix=f"{prefix}_inc")
+    incremented, _carry = build_lookahead_incrementer(netlist, state, prefix=f"{prefix}_inc")
 
     if enable is None:
         enable = netlist.const(1)

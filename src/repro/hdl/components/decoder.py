@@ -63,7 +63,6 @@ def build_decoder(
     address: Sequence[Net],
     *,
     num_outputs: Optional[int] = None,
-    enable: Optional[Net] = None,
     prefix: str = "dec",
 ) -> Decoder:
     """Build a one-hot decoder over ``address``.
@@ -83,8 +82,6 @@ def build_decoder(
         Binary address bus, LSB first.
     num_outputs:
         Number of select lines to generate; defaults to ``2 ** len(address)``.
-    enable:
-        Optional enable net ANDed into every output.
     """
     width = len(address)
     if width == 0:
@@ -125,14 +122,6 @@ def build_decoder(
                 terms.append(lines[remaining % group_size])
                 remaining //= group_size
             outputs.append(build_and_tree(netlist, terms, prefix=f"{prefix}_o{k}"))
-
-    if enable is not None:
-        gated: List[Net] = []
-        for k, line in enumerate(outputs):
-            out = netlist.new_net(f"{prefix}_en{k}_")
-            netlist.add_cell("AND2", A=line, B=enable, Y=out)
-            gated.append(out)
-        outputs = gated
 
     return Decoder(
         outputs=Bus(outputs, name=prefix),

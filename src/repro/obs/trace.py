@@ -244,14 +244,13 @@ def span(name: str, detail: str = "") -> Union[Span, _NullSpan]:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def render_spans(roots: Sequence[Span], *, merge: bool = True) -> str:
+def render_spans(roots: Sequence[Span]) -> str:
     """Render a span forest as an indented text tree.
 
-    With ``merge`` (the default), sibling spans sharing a name are folded
-    into one line -- ``evaluate_job x64   total 3.801 s`` -- which keeps a
-    whole campaign's tree readable; a merged line's children are the merged
-    children of all its members.  With ``merge=False`` every span gets its
-    own line, details included.
+    Sibling spans sharing a name are folded into one line --
+    ``evaluate_job x64   total 3.801 s`` -- which keeps a whole campaign's
+    tree readable; a merged line's children are the merged children of all
+    its members.  A span with no same-name sibling keeps its detail.
     """
     lines: List[str] = []
 
@@ -267,12 +266,6 @@ def render_spans(roots: Sequence[Span], *, merge: bool = True) -> str:
             for key, value in sorted(counters.items())
         )
         return f"   [{body}]"
-
-    def walk_plain(node: Span, depth: int) -> None:
-        detail = f"  ({node.detail})" if node.detail else ""
-        emit(node.name, node.wall_s, depth, detail + counters_suffix(node.counters))
-        for child in node.children:
-            walk_plain(child, depth + 1)
 
     def walk_merged(siblings: Sequence[Span], depth: int) -> None:
         groups: Dict[str, List[Span]] = {}
@@ -294,9 +287,5 @@ def render_spans(roots: Sequence[Span], *, merge: bool = True) -> str:
             if children:
                 walk_merged(children, depth + 1)
 
-    if merge:
-        walk_merged(list(roots), 0)
-    else:
-        for root in roots:
-            walk_plain(root, 0)
+    walk_merged(list(roots), 0)
     return "\n".join(lines)

@@ -10,7 +10,7 @@ that baseline:
 * :class:`~repro.synth.fsm.fsm.FiniteStateMachine` -- a Moore machine with a
   single ``next`` advance input, defined by its transition list and per-state
   output vectors.
-* :mod:`repro.synth.fsm.encoding` -- binary, gray, one-hot and Johnson state
+* :mod:`repro.synth.fsm.encoding` -- binary, gray and one-hot state
   encodings.
 * :func:`~repro.synth.fsm.synthesis.synthesize_fsm` -- elaborate the encoded
   machine into flip-flops plus minimised two-level next-state and output

@@ -3,7 +3,7 @@
 The paper synthesises its Section 3 baseline with the synthesis tool's
 default *binary* (minimum-length) encoding, and contrasts it with the
 shift-register solution which is effectively a one-hot (or, for the 2-D SRAG,
-two-hot) encoding in disguise.  Several classic encodings are provided so the
+two-hot) encoding in disguise.  Gray and one-hot are provided beside it so the
 design space can be explored beyond the paper's single point.
 """
 
@@ -22,7 +22,7 @@ class StateEncoding:
     Attributes
     ----------
     name:
-        Encoding name (``"binary"``, ``"gray"``, ``"onehot"``, ``"johnson"``).
+        Encoding name (``"binary"``, ``"gray"``, ``"onehot"``).
     width_fn:
         Maps the number of states to the number of state bits.
     encode_fn:
@@ -72,26 +72,10 @@ def _onehot_encode(state: int, _num_states: int) -> int:
     return 1 << state
 
 
-def _johnson_width(num_states: int) -> int:
-    # A Johnson (twisted-ring) counter of w bits cycles through 2w codes.
-    return max(1, (num_states + 1) // 2)
-
-
-def _johnson_encode(state: int, num_states: int) -> int:
-    width = _johnson_width(num_states)
-    code = 0
-    # Walk the twisted ring 'state' steps from the all-zeros code.
-    for _ in range(state):
-        msb = (code >> (width - 1)) & 1
-        code = ((code << 1) | (1 - msb)) & ((1 << width) - 1)
-    return code
-
-
 ENCODINGS: Dict[str, StateEncoding] = {
     "binary": StateEncoding("binary", _binary_width, lambda s, n: s),
     "gray": StateEncoding("gray", _binary_width, _gray_encode),
     "onehot": StateEncoding("onehot", _onehot_width, _onehot_encode),
-    "johnson": StateEncoding("johnson", _johnson_width, _johnson_encode),
 }
 
 

@@ -113,17 +113,19 @@ def synthesize_fsm(
     *,
     encoding: str = "binary",
     name: Optional[str] = None,
-    max_exact_inputs: int = 12,
 ) -> FsmSynthesisResult:
     """Synthesise ``fsm`` with the given state ``encoding``.
 
     Parameters
     ----------
     encoding:
-        One of ``"binary"``, ``"gray"``, ``"onehot"``, ``"johnson"``.
-    max_exact_inputs:
-        Passed to the two-level minimiser; wider functions fall back to a
-        heuristic cover.
+        One of ``"binary"``, ``"gray"``, ``"onehot"``.
+
+    Raises
+    ------
+    ValueError
+        If a ``"binary"`` or ``"gray"`` state register would be wider than
+        :data:`MAX_TABLE_WIDTH` bits (its truth tables cannot be enumerated).
     """
     start = time.perf_counter()
     enc = encoding_by_name(encoding)
@@ -134,20 +136,25 @@ def synthesize_fsm(
             f"encoding {encoding!r} does not give distinct codes for "
             f"{fsm.num_states} states"
         )
+    if encoding != "onehot" and width > MAX_TABLE_WIDTH:
+        raise ValueError(
+            f"{encoding} encoding of {fsm.num_states} states needs {width} "
+            f"state bits; truth-table synthesis stops at {MAX_TABLE_WIDTH}"
+        )
 
     netlist = Netlist(name or f"{fsm.name}_{encoding}")
     clk = netlist.add_input("clk")
     advance = netlist.add_input("next")
     reset = netlist.add_input("reset")
 
-    if width > MAX_TABLE_WIDTH or encoding == "onehot":
+    if encoding == "onehot":
         result = _synthesize_structural_onehot(netlist, fsm, clk, advance, reset)
         elapsed = time.perf_counter() - start
         return FsmSynthesisResult(
             netlist=netlist,
             fsm=fsm,
             encoding_name=encoding,
-            state_width=fsm.num_states if encoding == "onehot" else width,
+            state_width=width,
             stats=result,
             synthesis_seconds=elapsed,
             structural=True,
@@ -164,7 +171,7 @@ def synthesize_fsm(
     # Next-state logic: one Boolean function of the state bits per state bit.
     next_nets: List[Net] = []
     for bit, table in enumerate(_next_state_tables(fsm, width, codes, dc_codes)):
-        cover, stats = minimize(table, max_exact_inputs=max_exact_inputs)
+        cover, stats = minimize(table)
         total_stats = total_stats + stats
         next_nets.append(
             sop_to_netlist(
@@ -182,7 +189,7 @@ def synthesize_fsm(
             codes[s] for s in range(fsm.num_states) if fsm.outputs[s][k]
         )
         table = TruthTable(num_inputs=width, on_set=on_set, dc_set=dc_codes)
-        cover, stats = minimize(table, max_exact_inputs=max_exact_inputs)
+        cover, stats = minimize(table)
         total_stats = total_stats + stats
         out_net = sop_to_netlist(
             netlist,

@@ -105,19 +105,22 @@ class PowerReport:
         )
 
 
-def _reference_toggles(
-    netlist: Netlist, cycles: int, next_port: str, reset_port: str
-) -> Dict[str, int]:
+def _reset_and_advance(simulator):
+    """Reset through ``reset`` and hold ``next`` high, where those ports exist."""
+    if "reset" in simulator.netlist.inputs:
+        simulator.reset("reset")
+    if "next" in simulator.netlist.inputs:
+        simulator.poke("next", 1)
+    return simulator
+
+
+def _reference_toggles(netlist: Netlist, cycles: int) -> Dict[str, int]:
     """Measure per-net toggle counts with the reference truth-table simulator.
 
     Kept as the oracle the compiled fast path is checked against (and for
     debugging); campaigns always go through the compiled engine.
     """
-    simulator = Simulator(netlist)
-    if reset_port in netlist.inputs:
-        simulator.reset(reset_port)
-    if next_port in netlist.inputs:
-        simulator.poke(next_port, 1)
+    simulator = _reset_and_advance(Simulator(netlist))
 
     previous = {name: simulator.peek(net) for name, net in netlist.nets.items()}
     toggles: Dict[str, int] = {name: 0 for name in netlist.nets}
@@ -131,9 +134,7 @@ def _reference_toggles(
     return {name: count for name, count in toggles.items() if count}
 
 
-def _compiled_toggles(
-    netlist: Netlist, cycles: int, next_port: str, reset_port: str
-) -> Dict[str, int]:
+def _compiled_toggles(netlist: Netlist, cycles: int) -> Dict[str, int]:
     """Measure per-net toggle counts with the compiled simulator.
 
     Same protocol and snapshot-per-cycle toggle semantics as the reference
@@ -141,11 +142,7 @@ def _compiled_toggles(
     :class:`~repro.hdl.compiled.CompiledSimulator` -- quiescent cones are
     never re-evaluated and untouched nets are never re-scanned.
     """
-    simulator = CompiledSimulator(netlist)
-    if reset_port in netlist.inputs:
-        simulator.reset(reset_port)
-    if next_port in netlist.inputs:
-        simulator.poke(next_port, 1)
+    simulator = _reset_and_advance(CompiledSimulator(netlist))
     simulator.reset_toggles()
     simulator.run(cycles)
     return simulator.toggle_counts()
@@ -156,23 +153,21 @@ def estimate_power(
     *,
     library: CellLibrary = STD018,
     cycles: Optional[int] = None,
-    frequency_mhz: float = 100.0,
-    next_port: str = "next",
-    reset_port: str = "reset",
     engine: str = "compiled",
 ) -> PowerReport:
     """Estimate dynamic power by simulating ``netlist`` for ``cycles`` cycles.
 
-    The design is reset, its ``next`` input is held high (one address per
-    cycle, the paper's usage model), and every net transition is recorded.
+    The design is reset through its ``reset`` input, its ``next`` input is
+    held high (one address per cycle, the paper's usage model), and every
+    net transition is recorded.  A design without one of these ports simply
+    skips that step.  Average power assumes :class:`PowerReport`'s default
+    100 MHz clock.
 
     Parameters
     ----------
     cycles:
         Simulation window; defaults to 256 cycles (or fewer for tiny designs
         is fine -- activities are periodic in the address sequence length).
-    frequency_mhz:
-        Clock frequency used to convert energy per cycle into average power.
     engine:
         ``"compiled"`` (default) runs the levelised event-driven simulator;
         ``"reference"`` runs the original dict-driven simulator.  The two
@@ -184,9 +179,9 @@ def estimate_power(
     if cycles < 1:
         raise ValueError(f"cycles must be positive, got {cycles}")
     if engine == "compiled":
-        toggles = _compiled_toggles(netlist, cycles, next_port, reset_port)
+        toggles = _compiled_toggles(netlist, cycles)
     elif engine == "reference":
-        toggles = _reference_toggles(netlist, cycles, next_port, reset_port)
+        toggles = _reference_toggles(netlist, cycles)
     else:
         raise ValueError(f"unknown simulation engine {engine!r}")
 
@@ -215,5 +210,4 @@ def estimate_power(
         toggle_counts=toggles,
         switching_energy_fj=switching_energy,
         clock_energy_fj=clock_energy,
-        frequency_mhz=frequency_mhz,
     )

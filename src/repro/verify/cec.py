@@ -52,6 +52,10 @@ __all__ = [
 # merge, it never affects soundness of the final verdict.
 _SWEEP_CONFLICT_LIMIT = 2_000
 
+#: Cycles the BMC fallback unrolls when register-correspondence induction
+#: fails.
+BMC_BOUND = 8
+
 
 class VerificationError(Exception):
     """An internal solver/encoder inconsistency (never a design property)."""
@@ -141,13 +145,13 @@ class CecResult:
         )
 
 
-def check_equivalence(golden: Netlist, revised: Netlist, *, bound: int = 8) -> CecResult:
+def check_equivalence(golden: Netlist, revised: Netlist) -> CecResult:
     """Check that ``revised`` implements the same function as ``golden``.
 
     Netlists are matched by port name (input and output port sets must be
     identical, or :class:`ValueError` is raised).  Purely combinational
     pairs get a direct miter proof; sequential pairs get register-
-    correspondence induction with a ``bound``-cycle BMC fallback.
+    correspondence induction with a :data:`BMC_BOUND`-cycle BMC fallback.
     """
     golden.validate()
     revised.validate()
@@ -163,7 +167,7 @@ def check_equivalence(golden: Netlist, revised: Netlist, *, bound: int = 8) -> C
         )
     with span("verify.cec", detail=golden.name):
         if golden.sequential_cells() or revised.sequential_cells():
-            result = _check_sequential(golden, revised, bound)
+            result = _check_sequential(golden, revised)
         else:
             result = _check_combinational(golden, revised)
     metrics.incr("verify.cec.checks")
@@ -471,7 +475,7 @@ def _induction_step(golden: Netlist, revised: Netlist) -> Tuple[Optional[bool], 
     return verdict, _snapshot_stats(builder, merged)
 
 
-def _check_sequential(golden: Netlist, revised: Netlist, bound: int) -> CecResult:
+def _check_sequential(golden: Netlist, revised: Netlist) -> CecResult:
     verdict, stats = _induction_step(golden, revised)
     if verdict is False:
         return CecResult(
@@ -480,10 +484,10 @@ def _check_sequential(golden: Netlist, revised: Netlist, bound: int) -> CecResul
     # The induction counterexample may start from an unreachable state, so
     # it is never reported directly; fall back to bounded model checking
     # from the real (all-zero) reset state.
-    return _bmc(golden, revised, bound, note="induction step failed")
+    return _bmc(golden, revised, note="induction step failed")
 
 
-def _bmc(golden: Netlist, revised: Netlist, bound: int, *, note: str) -> CecResult:
+def _bmc(golden: Netlist, revised: Netlist, *, note: str) -> CecResult:
     builder = CnfBuilder()
     zero = builder.false_lit()
     golden_flops = {c.name: c for c in golden.sequential_cells()}
@@ -495,7 +499,7 @@ def _bmc(golden: Netlist, revised: Netlist, bound: int, *, note: str) -> CecResu
     diff_flags: List[int] = []
     merged = 0
     canon: Dict[int, int] = {}
-    for _ in range(bound):
+    for _ in range(BMC_BOUND):
         port_lits, golden_seed, revised_seed = _shared_input_lits(
             builder, golden, revised
         )
@@ -527,9 +531,9 @@ def _bmc(golden: Netlist, revised: Netlist, bound: int, *, note: str) -> CecResu
             equivalent=True,
             proven=False,
             method="bmc",
-            bound=bound,
+            bound=BMC_BOUND,
             note=note,
             stats=stats,
         )
     stimulus = [_model_inputs(builder, ports) for ports in cycle_ports]
-    return _confirmed(golden, revised, stimulus, "bmc", bound, stats)
+    return _confirmed(golden, revised, stimulus, "bmc", BMC_BOUND, stats)

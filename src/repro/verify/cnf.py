@@ -77,10 +77,10 @@ def flop_rows(
 
 
 class CnfBuilder:
-    """Variable allocation plus gate-level clause emission over a solver."""
+    """Variable allocation plus gate-level clause emission over a fresh solver."""
 
-    def __init__(self, solver: Optional[SatSolver] = None):
-        self.solver = solver if solver is not None else SatSolver()
+    def __init__(self) -> None:
+        self.solver = SatSolver()
         self._false_lit: Optional[int] = None
 
     # ------------------------------------------------------------- primitives

@@ -8,14 +8,7 @@ import time
 
 import pytest
 
-from repro.engine.cache import (
-    CacheLock,
-    CacheLockTimeout,
-    JsonlBackend,
-    ResultCache,
-    ShardedSegmentBackend,
-    make_backend,
-)
+from repro.engine.cache import CacheLock, CacheLockTimeout, ResultCache
 from repro.obs import metrics
 
 
@@ -55,23 +48,20 @@ def test_torn_line_mid_file_skips_only_that_line(tmp_path):
 
 
 # ----------------------------------------------------------------- backends
-def test_make_backend_resolves_names_and_instances():
-    assert isinstance(make_backend("jsonl"), JsonlBackend)
-    assert isinstance(make_backend("sharded"), ShardedSegmentBackend)
-    instance = ShardedSegmentBackend(writer_id="w1")
-    assert make_backend(instance) is instance
-    with pytest.raises(ValueError, match="unknown cache backend"):
-        make_backend("bogus")
-
-
 def test_sharded_backend_writes_per_writer_segments(tmp_path):
-    a = ResultCache(str(tmp_path), backend=ShardedSegmentBackend(writer_id="a"))
-    b = ResultCache(str(tmp_path), backend=ShardedSegmentBackend(writer_id="b"))
+    a = ResultCache(str(tmp_path), backend="sharded")
+    b = ResultCache(str(tmp_path), backend="sharded")
     a.put("ka", {"v": 1})
+    a.put("ka2", {"v": 3})
     b.put("kb", {"v": 2})
     segments = sorted(os.listdir(tmp_path / "segments"))
-    assert segments == ["seg-a.jsonl", "seg-b.jsonl"]
+    # One segment per cache instance, named after the writing process.
+    assert len(segments) == 2
+    assert all(name.startswith(f"seg-{os.getpid()}-") for name in segments)
+    assert all(name.endswith(".jsonl") for name in segments)
     assert not os.path.exists(tmp_path / "results.jsonl")
+    with pytest.raises(ValueError, match="unknown cache backend"):
+        ResultCache(str(tmp_path), backend="bogus")
     # A fresh cache -- regardless of its own write backend -- reads both.
     reader = ResultCache(str(tmp_path))
     assert reader.get("ka") == {"v": 1}
@@ -102,8 +92,8 @@ def test_existing_jsonl_directory_loads_under_sharded_backend(tmp_path):
 
 
 def test_compact_merges_segments_into_base(tmp_path):
-    a = ResultCache(str(tmp_path), backend=ShardedSegmentBackend(writer_id="a"))
-    b = ResultCache(str(tmp_path), backend=ShardedSegmentBackend(writer_id="b"))
+    a = ResultCache(str(tmp_path), backend="sharded")
+    b = ResultCache(str(tmp_path), backend="sharded")
     _fill(a, 3, prefix="a")
     _fill(b, 3, prefix="b")
     a.put("shared", {"value": 1})
@@ -180,9 +170,7 @@ def test_multi_writer_thread_stress(tmp_path):
     per_writer = 25
 
     def work(index):
-        cache = ResultCache(
-            str(tmp_path), backend=ShardedSegmentBackend(writer_id=f"t{index}")
-        )
+        cache = ResultCache(str(tmp_path), backend="sharded")
         for i in range(per_writer):
             cache.put(f"w{index}-k{i}", {"writer": index, "i": i})  # disjoint
             cache.put("overlap", {"value": "same"})  # overlapping

@@ -24,7 +24,7 @@ from repro.cli import build_parser, main
 from repro.core.sradgen import generate
 from repro.engine.jobs import Campaign, EvalJob
 from repro.engine.runner import EvalRecord
-from repro.flow import DEFAULT_SPEC, FSM_ENCODINGS, FlowSpec, opt_label_suffix
+from repro.flow import DEFAULT_SPEC, FlowSpec, opt_label_suffix
 from repro.generators.srag_design import SragDesign
 from repro.synth.cell_library import STD018, get_library
 from repro.synth.flow import run_synthesis_flow
@@ -41,7 +41,7 @@ def test_spec_defaults_and_immutability():
     assert spec == DEFAULT_SPEC
     assert (spec.library, spec.max_fanout, spec.max_fsm_states) == ("std018", 8, 512)
     assert spec.opt_level == 0 and spec.power_cycles == 0
-    assert spec.fsm_encodings == FSM_ENCODINGS
+    assert spec.lint == 0 and spec.verify == 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.opt_level = 1
     # Hashable: specs can key dicts/sets (and so can jobs embedding them).
@@ -56,7 +56,7 @@ def test_spec_defaults_and_immutability():
         dict(opt_level=-1),
         dict(power_cycles=-5),
         dict(max_fsm_states=0),
-        dict(fsm_encodings=("binary", "hexadecimal")),
+        dict(lint=-1),
         dict(opt_level=True),
         dict(max_fanout="8"),
         dict(library=3.14),
@@ -82,11 +82,6 @@ def test_spec_registers_unseen_library_objects_under_qualified_names():
     assert FlowSpec.from_spec(spec.to_spec()) == spec
 
 
-def test_fsm_encodings_sequence_is_coerced_to_tuple():
-    spec = FlowSpec(fsm_encodings=["gray"])
-    assert spec.fsm_encodings == ("gray",)
-
-
 # ---------------------------------------------------------------------------
 # Canonical serialisation
 # ---------------------------------------------------------------------------
@@ -97,17 +92,19 @@ def test_to_spec_omits_post_seed_fields_at_their_defaults():
         "max_fanout": 8,
         "max_fsm_states": 512,
     }
-    loaded = FlowSpec(opt_level=1, power_cycles=64, fsm_encodings=("gray",))
+    loaded = FlowSpec(opt_level=1, power_cycles=64, lint=1, verify=1)
     assert loaded.to_spec() == {
         "library": "std018",
         "max_fanout": 8,
         "max_fsm_states": 512,
         "opt_level": 1,
         "power_cycles": 64,
-        "fsm_encodings": ["gray"],
+        "lint": 1,
+        "verify": 1,
     }
-    # Enumeration-only knobs never reach job cache keys.
-    assert "fsm_encodings" not in loaded.to_spec(job_key=True)
+    # Diagnostic knobs never reach job cache keys.
+    keyed = loaded.to_spec(job_key=True)
+    assert "lint" not in keyed and "verify" not in keyed
 
 
 def test_from_spec_round_trips_and_rejects_unknown_fields():
@@ -115,7 +112,7 @@ def test_from_spec_round_trips_and_rejects_unknown_fields():
         FlowSpec(),
         FlowSpec(library="std018_fast", max_fanout=4),
         FlowSpec(opt_level=1, power_cycles=256, max_fsm_states=64),
-        FlowSpec(fsm_encodings=("onehot", "gray")),
+        FlowSpec(lint=1, verify=2),
     ):
         assert FlowSpec.from_spec(spec.to_spec()) == spec
     with pytest.raises(ValueError, match="effort_tier"):

@@ -63,11 +63,13 @@ def test_cntag_decoder_outputs_are_select_lines():
 
 
 def test_cntag_component_reports_and_paper_delay():
+    from repro.analysis.tradeoff import evaluate_cntag
+
     pattern = motion_estimation.new_img_read_pattern(16, 16, 2, 2)
     design = CounterBasedAddressGenerator(pattern)
     components = design.component_reports()
     assert set(components) == {"counter", "row_decoder", "column_decoder"}
-    total = design.paper_methodology_delay()
+    total = evaluate_cntag(pattern).delay_ns
     assert total == pytest.approx(
         components["counter"].delay_ns
         + max(components["row_decoder"].delay_ns, components["column_decoder"].delay_ns)

@@ -157,8 +157,6 @@ def test_render_spans_merges_same_name_siblings(private_tracer):
     rendered = render_spans(private_tracer.roots)
     assert "evaluate_job x3" in rendered
     assert "jobs=3" in rendered
-    plain = render_spans(private_tracer.roots, merge=False)
-    assert plain.count("evaluate_job") == 3
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ from repro.synth.power import PowerReport, estimate_power
 from repro.workloads import motion_estimation
 
 
-def _counter_netlist(modulus):
+def _counter_netlist(modulus, advance="next"):
     netlist = Netlist("pwr_cnt")
     clk = netlist.add_input("clk")
-    nxt = netlist.add_input("next")
+    nxt = netlist.add_input(advance)
     rst = netlist.add_input("reset")
     counter = build_binary_counter(netlist, modulus, clk, enable=nxt, reset=rst)
     netlist.add_output_bus("c", counter.count)
@@ -39,14 +39,16 @@ def test_power_scales_with_activity():
 
 
 def test_idle_design_only_burns_clock_power():
-    """With `next` held low the counter never toggles; only clock energy remains."""
-    netlist = _counter_netlist(16)
+    """With its advance input held low the counter never toggles; only clock
+    energy remains."""
+    netlist = _counter_netlist(16, advance="hold")
     report_idle = PowerReport(cycles=0)
     assert report_idle.energy_per_access_fj == 0
 
-    sim_report = estimate_power(netlist, cycles=32, next_port="absent_port")
-    # The port name does not exist, so `next` stays 0 and nothing switches
-    # after reset; all remaining energy is clock energy.
+    sim_report = estimate_power(netlist, cycles=32)
+    # The netlist has no `next` port, so the estimator never raises its
+    # advance input and nothing switches after reset; all remaining energy is
+    # clock energy.
     assert sim_report.switching_energy_fj == pytest.approx(0.0)
     assert sim_report.clock_energy_fj > 0
 
