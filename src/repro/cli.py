@@ -84,7 +84,7 @@ def _bounded_int(minimum: int):
 
 
 _opt_level = _bounded_int(0)
-_fsm_states = _bounded_int(1)
+_positive_int = _bounded_int(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
             "shared scheduler and cache (see --host/--port/--cache-dir)"
         ),
     )
-    parser.add_argument("--rows", type=int, help="memory array rows")
-    parser.add_argument("--cols", type=int, help="memory array columns")
+    parser.add_argument("--rows", type=_positive_int, help="memory array rows")
+    parser.add_argument("--cols", type=_positive_int, help="memory array columns")
     parser.add_argument("--vhdl", help="write generated VHDL to this file")
     parser.add_argument("--verilog", help="write generated Verilog to this file")
     parser.add_argument(
@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-fsm-states",
-        type=_fsm_states,
+        type=_positive_int,
         default=None,
         metavar="N",
         help=(
@@ -320,9 +320,12 @@ def _load_sequence(args: argparse.Namespace) -> AddressSequence:
         pattern: AffineAccessPattern = build_pattern(args.workload, args.rows, args.cols)
         return pattern.to_sequence()
     addresses = _read_address_file(args.input)
-    return AddressSequence.from_linear(
-        name=args.input, addresses=addresses, rows=args.rows, cols=args.cols
-    )
+    try:
+        return AddressSequence.from_linear(
+            name=args.input, addresses=addresses, rows=args.rows, cols=args.cols
+        )
+    except ValueError as error:
+        raise SystemExit(f"{args.input}: {error}") from None
 
 
 def _format_progress(record: EvalRecord, done: int, total: int) -> str:

@@ -10,11 +10,11 @@ independently by the SRAdGen procedure on its own RowAS / ColAS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.core.mapper import map_address_sequence
 from repro.core.mapping_params import SragMapping
-from repro.core.srag import SragFunctionalModel, SragPorts, build_srag
+from repro.core.srag import SragPorts, build_srag
 from repro.hdl.netlist import Netlist, sanitise_name
 from repro.workloads.sequences import AddressSequence
 
@@ -26,7 +26,10 @@ class SragAddressGenerator:
     """A mapped, elaborated two-hot SRAG for one address sequence.
 
     Use :meth:`from_sequence` to run the mapping procedure and elaborate the
-    netlist in one step.
+    netlist in one step.  The mapping procedure already proves that each
+    dimension's behavioural model regenerates its sequence; the gate-level
+    check of the netlist is
+    :meth:`repro.generators.srag_design.SragDesign.verify`.
 
     Attributes
     ----------
@@ -86,35 +89,3 @@ class SragAddressGenerator:
     def cols(self) -> int:
         """Number of column-select lines."""
         return self.sequence.cols
-
-    @property
-    def select_line_count(self) -> int:
-        """Total select lines (two-hot width)."""
-        return self.rows + self.cols
-
-    def functional_models(self) -> Tuple[SragFunctionalModel, SragFunctionalModel]:
-        """Behavioural models of the row and column SRAGs."""
-        return (
-            SragFunctionalModel.from_mapping(self.row_mapping),
-            SragFunctionalModel.from_mapping(self.col_mapping),
-        )
-
-    # ------------------------------------------------------------- simulation
-    def simulate_functional(self, cycles: Optional[int] = None) -> List[int]:
-        """Linear addresses produced by the behavioural models."""
-        steps = cycles if cycles is not None else self.sequence.length
-        row_model, col_model = self.functional_models()
-        return [
-            row * self.cols + col
-            for row, col in zip(row_model.run(steps), col_model.run(steps))
-        ]
-
-    def verify(self, cycles: Optional[int] = None) -> bool:
-        """Check that the behavioural models reproduce the target sequence.
-
-        Gate-level checking of the netlist is
-        :meth:`repro.generators.srag_design.SragDesign.verify`.
-        """
-        steps = cycles if cycles is not None else self.sequence.length
-        return self.sequence.matches(self.simulate_functional(steps))
-

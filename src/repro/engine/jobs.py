@@ -141,8 +141,6 @@ class EvalJob:
     ``spec.opt_level > 0`` runs the logic-optimization pipeline
     (:mod:`repro.synth.opt`) before buffering and timing, so area/delay
     figures describe the netlist a real synthesis tool would report on.
-    The knob fields (``library``, ``opt_level``, ...) are readable as
-    convenience attributes.
     """
 
     workload: str
@@ -157,27 +155,6 @@ class EvalJob:
         # anything but a spec here rather than deep inside a worker.
         if not isinstance(self.spec, FlowSpec):
             raise TypeError(f"EvalJob: spec must be a FlowSpec, got {self.spec!r}")
-
-    # Convenience views onto the spec.
-    @property
-    def library(self) -> str:
-        return self.spec.library
-
-    @property
-    def max_fanout(self) -> int:
-        return self.spec.max_fanout
-
-    @property
-    def max_fsm_states(self) -> int:
-        return self.spec.max_fsm_states
-
-    @property
-    def power_cycles(self) -> int:
-        return self.spec.power_cycles
-
-    @property
-    def opt_level(self) -> int:
-        return self.spec.opt_level
 
     def to_spec(self) -> dict:
         """Canonical dictionary form of the job (what gets hashed).
@@ -231,7 +208,7 @@ class EvalJob:
         """Compact display label, e.g. ``fifo 8x8 SRAG[two-hot] @std018 O1``."""
         return (
             f"{self.workload} {self.rows}x{self.cols} "
-            f"{self.style}[{self.variant}] @{self.library}{self.spec.label_suffix}"
+            f"{self.style}[{self.variant}] @{self.spec.library}{self.spec.label_suffix}"
         )
 
     def pattern(self) -> AffineAccessPattern:

@@ -64,7 +64,7 @@ class EvalRecord:
     (unexpected failure; ``note`` holds the traceback summary).
 
     ``energy_per_access_fj`` / ``avg_power_uw`` are NaN unless the job asked
-    for the power study (``EvalJob.power_cycles > 0``); records cached before
+    for the power study (``spec.power_cycles > 0``); records cached before
     power existed load fine -- :meth:`from_dict` fills missing fields with
     their defaults.
 

@@ -3,8 +3,9 @@
 Public surface:
 
 * :class:`repro.verify.sat.SatSolver` -- deterministic stdlib CDCL solver.
-* :func:`repro.verify.cec.check_equivalence` -- combinational/sequential
-  CEC with simulator-replayed counterexamples.
+* :func:`repro.verify.cec.check_equivalence` -- register-correspondence
+  induction with a BMC fallback, one pipeline for every netlist pair, with
+  simulator-replayed counterexamples.
 * :func:`repro.verify.cover.verify_cover` -- SAT proof that an SOP cover
   equals a :class:`~repro.synth.logic.truth_table.TruthTable` exactly.
 """

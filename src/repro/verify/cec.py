@@ -1,28 +1,28 @@
-"""Combinational and sequential equivalence checking (CEC) between netlists.
+"""Sequential equivalence checking (CEC) between netlists, as one pipeline.
 
-The construction is the classic miter used by ABC/yosys ``sat``/``equiv``:
-both netlists are Tseitin-encoded into one CNF with shared input-port
-variables, a difference flag is attached to every matched output pair, and
-the solver is asked for a model raising some flag.  UNSAT is a proof of
+Every check runs the same steps on one time-frame encoder, :func:`_frame`:
+both netlists are Tseitin-encoded into one CNF over shared input-port
+variables, same-named internal nets are swept (merged structurally or by
+effort-bounded SAT queries), and one miter, :func:`_miter_query`, asks the
+solver for a model in which some matched pair differs.  UNSAT is a proof of
 equivalence; SAT yields a candidate counterexample.
 
-Sequential designs are handled by *register correspondence induction*: the
-optimization pipeline (PR 3/PR 5) preserves cell and net names, so flops are
-matched by name, both fabrics are evaluated on a shared symbolic state, and
-the solver proves that from any agreeing state the outputs agree and the
-next states agree again.  Both simulators reset every flop to 0, so the base
-case is trivial and an UNSAT induction step is a full equivalence proof --
-over a superset of the reachable states, which is sound.  When induction
-does not apply (flop sets differ) or returns a possibly-unreachable
-counterexample, the checker falls back to bounded unrolling (BMC) from the
-all-zero reset state.
+The proof is *register correspondence induction*: the optimization pipeline
+preserves cell and net names, so flops are matched by name, both fabrics
+are evaluated on a shared symbolic state, and the solver proves that from
+any agreeing state the outputs agree and the next states agree again.
+Both simulators reset every flop to 0, so the base case is trivial and an
+UNSAT induction step is a full equivalence proof -- over a superset of the
+reachable states, which is sound.  A flop-free pair is the same query with
+no state.  When the step fails (flop sets differ, or its counterexample may
+start from an unreachable state), the checker unrolls the same frame
+encoder :data:`BMC_BOUND` times from the all-zero reset state (BMC).
 
 Two defences keep the verdict trustworthy:
 
-* *SAT sweeping*: before the final miter query, internal nets that exist in
-  both designs under the same name are proved equal (cheap, effort-bounded
-  queries) and merged, so the closing proof is local and fast even on the
-  full workload grid.
+* *SAT sweeping*: before the closing miter, internal nets that exist in
+  both designs under the same name are proved equal and merged, so the
+  closing proof is local and fast even on the full workload grid.
 * *Counterexample replay*: a claimed difference is only ever reported after
   it has been replayed on the reference :class:`~repro.hdl.simulator
   .Simulator` and observed as a real output mismatch.  A solver or encoder
@@ -33,9 +33,9 @@ Two defences keep the verdict trustworthy:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.hdl.netlist import Netlist
+from repro.hdl.netlist import Cell, Netlist
 from repro.hdl.simulator import Simulator
 from repro.obs import metrics, span
 
@@ -65,9 +65,9 @@ class VerificationError(Exception):
 class Counterexample:
     """A replayed, confirmed difference between two netlists.
 
-    ``inputs`` holds one ``{port: bit}`` assignment per cycle (a single
-    entry for combinational designs).  The mismatch was observed on the
-    reference simulator at ``cycle`` on output ``port``.
+    ``inputs`` holds one ``{port: bit}`` assignment per cycle, up to and
+    including ``cycle``.  The mismatch was observed on the reference
+    simulator at ``cycle`` on output ``port``.
     """
 
     inputs: List[Dict[str, int]]
@@ -104,7 +104,7 @@ class CecResult:
     """Outcome of an equivalence check.
 
     ``equivalent`` is the verdict; ``proven`` distinguishes a formal proof
-    (combinational miter or induction) from a bounded-only answer (BMC
+    (induction) from a bounded-only answer (BMC
     exhausted its unrolling depth without finding a difference).  A
     ``False`` verdict always carries a simulator-replayed
     :class:`Counterexample`.
@@ -149,9 +149,9 @@ def check_equivalence(golden: Netlist, revised: Netlist) -> CecResult:
     """Check that ``revised`` implements the same function as ``golden``.
 
     Netlists are matched by port name (input and output port sets must be
-    identical, or :class:`ValueError` is raised).  Purely combinational
-    pairs get a direct miter proof; sequential pairs get register-
-    correspondence induction with a :data:`BMC_BOUND`-cycle BMC fallback.
+    identical, or :class:`ValueError` is raised).  Every pair gets register-
+    correspondence induction (with no state for a flop-free pair) and a
+    :data:`BMC_BOUND`-cycle BMC fallback.
     """
     golden.validate()
     revised.validate()
@@ -166,10 +166,7 @@ def check_equivalence(golden: Netlist, revised: Netlist) -> CecResult:
             f"{sorted(golden.outputs)} vs {sorted(revised.outputs)}"
         )
     with span("verify.cec", detail=golden.name):
-        if golden.sequential_cells() or revised.sequential_cells():
-            result = _check_sequential(golden, revised)
-        else:
-            result = _check_combinational(golden, revised)
+        result = _check(golden, revised)
     metrics.incr("verify.cec.checks")
     if not result.equivalent:
         metrics.incr("verify.cec.inequivalent")
@@ -180,21 +177,46 @@ def check_equivalence(golden: Netlist, revised: Netlist) -> CecResult:
 # Shared machinery
 # ---------------------------------------------------------------------------
 
-def _shared_input_lits(
-    builder: CnfBuilder, golden: Netlist, revised: Netlist
-) -> Tuple[Dict[str, int], Dict[str, int], Dict[str, int]]:
-    """One variable per input *port*, seeded into both net-lit maps."""
-    port_lits = {port: builder.new_var() for port in sorted(golden.inputs)}
-    golden_seed = {golden.inputs[p].name: lit for p, lit in port_lits.items()}
-    revised_seed = {revised.inputs[p].name: lit for p, lit in port_lits.items()}
-    return port_lits, golden_seed, revised_seed
-
-
 def _canon(table: Dict[int, int], lit: int) -> int:
     """Canonical representative of ``lit`` under the merge substitution."""
     while lit in table:
         lit = table[lit]
     return lit
+
+
+def _merge(
+    builder: CnfBuilder, canon: Dict[int, int], g_lit: int, r_lit: int
+) -> None:
+    """Assert ``g_lit == r_lit`` and record the substitution in ``canon``."""
+    builder.assert_equal(g_lit, r_lit)
+    canon[r_lit] = g_lit
+    canon[-r_lit] = -g_lit
+
+
+def _same_structure(
+    canon: Dict[int, int],
+    g_cell: Cell,
+    golden_lits: Dict[str, int],
+    r_cell: Cell,
+    revised_lits: Dict[str, int],
+    pins: Sequence[str],
+) -> bool:
+    """Same cell type over canonically merged literals on ``pins``.
+
+    Both Tseitin blocks then tabulate the same function of the same
+    literals, so the two outputs are equal by construction and can be merged
+    without solving.
+    """
+    if r_cell.cell_type != g_cell.cell_type:
+        return False
+    for pin in pins:
+        g_in = golden_lits.get(g_cell.pins[pin].name)
+        r_in = revised_lits.get(r_cell.pins[pin].name)
+        if g_in is None or r_in is None:
+            return False
+        if _canon(canon, g_in) != _canon(canon, r_in):
+            return False
+    return True
 
 
 def _sweep(
@@ -209,12 +231,9 @@ def _sweep(
 
     Works in the golden netlist's topological order so each query sits on
     top of already-merged fanin, keeping the solver's work local.  Most
-    pairs merge *deductively*: when the two drivers are the same cell type
-    over pairwise-merged input literals, both Tseitin blocks define the
-    same function of the same literals, so equality is a logical
-    consequence and no solve is needed (this makes an O0-vs-buffered sweep
-    SAT-free).  Structurally changed nets fall back to an effort-bounded
-    SAT query; an unanswered query simply skips the merge.
+    pairs merge deductively (:func:`_same_structure`), which makes an
+    O0-vs-buffered sweep SAT-free.  Structurally changed nets fall back to
+    an effort-bounded SAT query; an unanswered query simply skips the merge.
 
     ``canon`` is the caller's literal-substitution table; every entry added
     to it is an equality already entailed by the clause database, so callers
@@ -237,27 +256,6 @@ def _sweep(
             canon[out_lit] = in_lit
             canon[-out_lit] = -in_lit
 
-    def merge(g_lit: int, r_lit: int) -> None:
-        builder.assert_equal(g_lit, r_lit)
-        canon[r_lit] = g_lit
-        canon[-r_lit] = -g_lit
-
-    def structurally_equal(g_cell, net_name: str) -> bool:
-        r_net = revised.nets.get(net_name)
-        if r_net is None or r_net.driver is None:
-            return False
-        r_cell, _ = r_net.driver
-        if r_cell.cell_type != g_cell.cell_type:
-            return False
-        for pin in g_cell.spec.inputs:
-            g_in = golden_lits.get(g_cell.pins[pin].name)
-            r_in = revised_lits.get(r_cell.pins[pin].name)
-            if g_in is None or r_in is None:
-                return False
-            if _canon(canon, g_in) != _canon(canon, r_in):
-                return False
-        return True
-
     for cell in golden.topological_combinational_order():
         net_name = cell.pins[cell.spec.outputs[0]].name
         g_lit = golden_lits.get(net_name)
@@ -267,8 +265,12 @@ def _sweep(
         if _canon(canon, g_lit) == _canon(canon, r_lit):
             merged += 1  # already equal through earlier merges
             continue
-        if structurally_equal(cell, net_name):
-            merge(g_lit, r_lit)
+        r_net = revised.nets.get(net_name)
+        if r_net is not None and r_net.driver is not None and _same_structure(
+            canon, cell, golden_lits, r_net.driver[0], revised_lits,
+            cell.spec.inputs,
+        ):
+            _merge(builder, canon, g_lit, r_lit)
             merged += 1
             continue
         diff = builder.xor_lit(g_lit, r_lit)
@@ -276,43 +278,66 @@ def _sweep(
             [diff], conflict_limit=_SWEEP_CONFLICT_LIMIT
         )
         if verdict is False:
-            merge(g_lit, r_lit)
+            _merge(builder, canon, g_lit, r_lit)
             merged += 1
     return merged
 
 
-def _merge_matched_flops(
-    builder: CnfBuilder,
-    canon: Dict[int, int],
-    matched: List[str],
-    golden_flops: Dict[str, object],
-    revised_flops: Dict[str, object],
-    golden_lits: Dict[str, int],
-    revised_lits: Dict[str, int],
-    next_g: Dict[str, int],
-    next_r: Dict[str, int],
-) -> None:
-    """Deductively merge next-state literals of identically-wired flops.
+#: One encoded time frame: input-port literals, output-literal pairs,
+#: next-state literals of each side and the number of nets swept.
+_Frame = Tuple[
+    Dict[str, int], List[Tuple[int, int]], Dict[str, int], Dict[str, int], int
+]
 
-    When a name-matched flop pair has the same cell type and every non-CLK
-    input (plus the shared ``Q`` state) sits on canonically-merged
-    literals, both next-state encodings tabulate the same function of the
-    same literals, so their output literals are equal by construction --
-    mirroring the combinational sweep's structural merge."""
+
+def _frame(
+    builder: CnfBuilder,
+    golden: Netlist,
+    revised: Netlist,
+    canon: Dict[int, int],
+    state_g: Optional[Dict[str, int]] = None,
+    state_r: Optional[Dict[str, int]] = None,
+) -> _Frame:
+    """Encode one time frame of both netlists over shared inputs and sweep it.
+
+    Each input port gets one variable, shared by both sides.  ``state_g``
+    and ``state_r`` map flop names to current-state literals.  Without
+    them, every name-matched flop gets one variable shared by both sides
+    ("both designs are in the same state"), and unmatched flops stay free,
+    which over-approximates that side's behaviour and keeps UNSAT sound.
+    Next states of identically wired matched flops are merged like any
+    swept net.
+    """
+    port_lits = {port: builder.new_var() for port in sorted(golden.inputs)}
+    golden_flops = {c.name: c for c in golden.sequential_cells()}
+    revised_flops = {c.name: c for c in revised.sequential_cells()}
+    matched = sorted(set(golden_flops) & set(revised_flops))
+    if state_g is None:
+        state_g = {name: builder.new_var() for name in matched}
+        state_r = state_g
+    golden_seed = {golden.inputs[p].name: lit for p, lit in port_lits.items()}
+    revised_seed = {revised.inputs[p].name: lit for p, lit in port_lits.items()}
+    for name, lit in state_g.items():
+        golden_seed[golden_flops[name].pins["Q"].name] = lit
+    for name, lit in state_r.items():
+        revised_seed[revised_flops[name].pins["Q"].name] = lit
+    golden_lits = encode_netlist(builder, golden, golden_seed)
+    revised_lits = encode_netlist(builder, revised, revised_seed)
+    merged = _sweep(builder, golden, golden_lits, revised, revised_lits, canon)
+    next_g = encode_flop_next(builder, golden, golden_lits)
+    next_r = encode_flop_next(builder, revised, revised_lits)
     for name in matched:
         g_flop = golden_flops[name]
-        r_flop = revised_flops[name]
-        if g_flop.cell_type != r_flop.cell_type:
-            continue
         pins = [p for p in g_flop.spec.inputs if p != "CLK"] + ["Q"]
-        if all(
-            _canon(canon, golden_lits[g_flop.pins[p].name])
-            == _canon(canon, revised_lits[r_flop.pins[p].name])
-            for p in pins
+        if _same_structure(
+            canon, g_flop, golden_lits, revised_flops[name], revised_lits, pins
         ):
-            builder.assert_equal(next_g[name], next_r[name])
-            canon[next_r[name]] = next_g[name]
-            canon[-next_r[name]] = -next_g[name]
+            _merge(builder, canon, next_g[name], next_r[name])
+    outputs = [
+        (golden_lits[golden.outputs[p].name], revised_lits[revised.outputs[p].name])
+        for p in sorted(golden.outputs)
+    ]
+    return port_lits, outputs, next_g, next_r, merged
 
 
 def _miter_query(
@@ -410,121 +435,44 @@ def _snapshot_stats(builder: CnfBuilder, merged: int) -> Dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Combinational
+# Induction over register correspondence, BMC fallback
 # ---------------------------------------------------------------------------
 
-def _check_combinational(golden: Netlist, revised: Netlist) -> CecResult:
+def _check(golden: Netlist, revised: Netlist) -> CecResult:
+    """Prove the induction step: from any state where the name-matched
+    flops agree, the outputs agree and the next states agree again."""
     builder = CnfBuilder()
-    port_lits, golden_seed, revised_seed = _shared_input_lits(
-        builder, golden, revised
-    )
-    golden_lits = encode_netlist(builder, golden, golden_seed)
-    revised_lits = encode_netlist(builder, revised, revised_seed)
     canon: Dict[int, int] = {}
-    merged = _sweep(builder, golden, golden_lits, revised, revised_lits, canon)
-    pairs = [
-        (golden_lits[golden.outputs[p].name], revised_lits[revised.outputs[p].name])
-        for p in sorted(golden.outputs)
-    ]
-    verdict = _miter_query(builder, pairs, canon)
-    stats = _snapshot_stats(builder, merged)
-    if verdict is False:
-        return CecResult(
-            equivalent=True, proven=True, method="comb-miter", stats=stats
-        )
-    stimulus = [_model_inputs(builder, port_lits)]
-    return _confirmed(golden, revised, stimulus, "comb-miter", 0, stats)
-
-
-# ---------------------------------------------------------------------------
-# Sequential: induction over register correspondence, BMC fallback
-# ---------------------------------------------------------------------------
-
-def _induction_step(golden: Netlist, revised: Netlist) -> Tuple[Optional[bool], Dict[str, int]]:
-    """Prove the induction step; returns (miter verdict, stats).
-
-    A shared variable per name-matched flop models "both designs are in the
-    same state"; flops private to one side stay free, which over-
-    approximates that side's behaviour and keeps UNSAT sound.
-    """
-    builder = CnfBuilder()
-    _, golden_seed, revised_seed = _shared_input_lits(builder, golden, revised)
-    golden_flops = {c.name: c for c in golden.sequential_cells()}
-    revised_flops = {c.name: c for c in revised.sequential_cells()}
-    matched = sorted(set(golden_flops) & set(revised_flops))
-    for name in matched:
-        state = builder.new_var()
-        golden_seed[golden_flops[name].pins["Q"].name] = state
-        revised_seed[revised_flops[name].pins["Q"].name] = state
-    golden_lits = encode_netlist(builder, golden, golden_seed)
-    revised_lits = encode_netlist(builder, revised, revised_seed)
-    canon: Dict[int, int] = {}
-    merged = _sweep(builder, golden, golden_lits, revised, revised_lits, canon)
-    next_g = encode_flop_next(builder, golden, golden_lits)
-    next_r = encode_flop_next(builder, revised, revised_lits)
-    _merge_matched_flops(
-        builder, canon, matched, golden_flops, revised_flops,
-        golden_lits, revised_lits, next_g, next_r,
-    )
-    pairs = [
-        (golden_lits[golden.outputs[p].name], revised_lits[revised.outputs[p].name])
-        for p in sorted(golden.outputs)
-    ]
-    pairs.extend((next_g[name], next_r[name]) for name in matched)
-    verdict = _miter_query(builder, pairs, canon)
-    return verdict, _snapshot_stats(builder, merged)
-
-
-def _check_sequential(golden: Netlist, revised: Netlist) -> CecResult:
-    verdict, stats = _induction_step(golden, revised)
-    if verdict is False:
-        return CecResult(
-            equivalent=True, proven=True, method="induction", stats=stats
-        )
+    _, pairs, next_g, next_r, merged = _frame(builder, golden, revised, canon)
+    pairs += [(next_g[n], next_r[n]) for n in sorted(set(next_g) & set(next_r))]
+    if _miter_query(builder, pairs, canon) is False:
+        stats = _snapshot_stats(builder, merged)
+        return CecResult(equivalent=True, proven=True, method="induction", stats=stats)
     # The induction counterexample may start from an unreachable state, so
     # it is never reported directly; fall back to bounded model checking
     # from the real (all-zero) reset state.
-    return _bmc(golden, revised, note="induction step failed")
+    return _bmc(golden, revised)
 
 
-def _bmc(golden: Netlist, revised: Netlist, *, note: str) -> CecResult:
+def _bmc(golden: Netlist, revised: Netlist) -> CecResult:
     builder = CnfBuilder()
     zero = builder.false_lit()
-    golden_flops = {c.name: c for c in golden.sequential_cells()}
-    revised_flops = {c.name: c for c in revised.sequential_cells()}
-    matched = sorted(set(golden_flops) & set(revised_flops))
-    state_g = {name: zero for name in golden_flops}
-    state_r = {name: zero for name in revised_flops}
-    cycle_ports: List[Dict[str, int]] = []
-    diff_flags: List[int] = []
-    merged = 0
+    state_g = {cell.name: zero for cell in golden.sequential_cells()}
+    state_r = {cell.name: zero for cell in revised.sequential_cells()}
     canon: Dict[int, int] = {}
+    cycle_ports: List[Dict[str, int]] = []
+    pairs: List[Tuple[int, int]] = []
+    merged = 0
     for _ in range(BMC_BOUND):
-        port_lits, golden_seed, revised_seed = _shared_input_lits(
-            builder, golden, revised
+        ports, outputs, state_g, state_r, swept = _frame(
+            builder, golden, revised, canon, state_g, state_r
         )
-        cycle_ports.append(port_lits)
-        for name, cell in golden_flops.items():
-            golden_seed[cell.pins["Q"].name] = state_g[name]
-        for name, cell in revised_flops.items():
-            revised_seed[cell.pins["Q"].name] = state_r[name]
-        golden_lits = encode_netlist(builder, golden, golden_seed)
-        revised_lits = encode_netlist(builder, revised, revised_seed)
-        merged += _sweep(builder, golden, golden_lits, revised, revised_lits, canon)
-        for port in sorted(golden.outputs):
-            g_lit = golden_lits[golden.outputs[port].name]
-            r_lit = revised_lits[revised.outputs[port].name]
-            if _canon(canon, g_lit) != _canon(canon, r_lit):
-                diff_flags.append(builder.xor_lit(g_lit, r_lit))
-        state_g = encode_flop_next(builder, golden, golden_lits)
-        state_r = encode_flop_next(builder, revised, revised_lits)
-        _merge_matched_flops(
-            builder, canon, matched, golden_flops, revised_flops,
-            golden_lits, revised_lits, state_g, state_r,
-        )
-    gate = builder.new_var()
-    builder.add(-gate, *diff_flags)
-    verdict = builder.solver.solve([gate])
+        cycle_ports.append(ports)
+        pairs.extend(outputs)
+        merged += swept
+    # ``canon`` only grows, so filtering every frame's pairs once here drops
+    # at least what per-frame filtering would.
+    verdict = _miter_query(builder, pairs, canon)
     stats = _snapshot_stats(builder, merged)
     if verdict is False:
         return CecResult(
@@ -532,7 +480,7 @@ def _bmc(golden: Netlist, revised: Netlist, *, note: str) -> CecResult:
             proven=False,
             method="bmc",
             bound=BMC_BOUND,
-            note=note,
+            note="induction step failed",
             stats=stats,
         )
     stimulus = [_model_inputs(builder, ports) for ports in cycle_ports]

@@ -98,12 +98,6 @@ class CnfBuilder:
             self._false_lit = var
         return self._false_lit
 
-    def true_lit(self) -> int:
-        return -self.false_lit()
-
-    def constant(self, value: int) -> int:
-        return self.true_lit() if value else self.false_lit()
-
     # ------------------------------------------------------------------ gates
     def encode_rows(
         self,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.addm_generator import SragAddressGenerator
 from repro.core.mapping_params import MappingError
+from repro.core.srag import SragFunctionalModel
 from repro.core.two_hot import (
     encode_two_hot,
     is_valid_two_hot,
@@ -54,7 +55,11 @@ def test_two_hot_encode_decode_round_trip():
 def test_generator_reproduces_sequence_functionally_and_structurally(sequence_factory):
     sequence = sequence_factory()
     generator = SragAddressGenerator.from_sequence(sequence)
-    assert generator.verify()
+    steps = sequence.length
+    row_model = SragFunctionalModel.from_mapping(generator.row_mapping)
+    col_model = SragFunctionalModel.from_mapping(generator.col_mapping)
+    assert row_model.run(steps) == sequence.row_sequence
+    assert col_model.run(steps) == sequence.col_sequence
     assert SragDesign(sequence).verify()
 
 
@@ -64,7 +69,7 @@ def test_generator_reports_dimensions():
     )
     assert generator.rows == 4
     assert generator.cols == 8
-    assert generator.select_line_count == 12
+    assert len(generator.netlist.outputs) == 12  # two-hot: rows + cols lines
     assert set(generator.netlist.inputs) == {"clk", "next", "reset"}
     assert f"rs_{generator.rows - 1}" in generator.netlist.outputs
     assert f"cs_{generator.cols - 1}" in generator.netlist.outputs
@@ -79,7 +84,10 @@ def test_generator_rejects_unmappable_sequence():
 def test_generator_simulation_over_multiple_periods():
     sequence = dct.column_pass_sequence(4, 4)
     generator = SragAddressGenerator.from_sequence(sequence)
-    produced = generator.simulate_functional(2 * sequence.length)
+    steps = 2 * sequence.length
+    rows = SragFunctionalModel.from_mapping(generator.row_mapping).run(steps)
+    cols = SragFunctionalModel.from_mapping(generator.col_mapping).run(steps)
+    produced = [row * sequence.cols + col for row, col in zip(rows, cols)]
     assert produced == sequence.linear * 2
 
 

@@ -176,7 +176,7 @@ def test_error_records_are_not_cached(tmp_path, monkeypatch):
     def explode(j):
         return EvalRecord(
             workload=j.workload, rows=j.rows, cols=j.cols, style=j.style,
-            variant=j.variant, library=j.library, key=j.key,
+            variant=j.variant, library=j.spec.library, key=j.key,
             status="error", note="transient worker failure",
         )
 
@@ -438,7 +438,7 @@ def test_record_from_dict_tolerates_pre_power_cache_entries():
 
 def test_power_campaign_runs_and_describes_power(tmp_path):
     campaign = build_campaign("power")
-    assert all(job.power_cycles == 256 for job in campaign)
+    assert all(job.spec.power_cycles == 256 for job in campaign)
     # Trim to one geometry to keep the unit test fast; the full campaign is
     # exercised by the CLI test and the CI workflow.
     small = Campaign("power", [job for job in campaign if job.rows == 4])
@@ -539,7 +539,7 @@ def test_opt_levels_campaign_pairs_every_point():
     campaign = build_campaign("opt_levels")
     by_level = {}
     for job in campaign:
-        by_level.setdefault(job.opt_level, set()).add(
+        by_level.setdefault(job.spec.opt_level, set()).add(
             (job.workload, job.rows, job.cols, job.style, job.variant)
         )
     assert set(by_level) == {0, 1}

@@ -267,8 +267,9 @@ def test_eval_job_legacy_keywords():
                 library="std018_lp", power_cycles=64, opt_level=1)
     job = EvalJob("fifo", 4, 4, "SRAG", "two-hot",
                   FlowSpec(library="std018_lp", power_cycles=64, opt_level=1))
-    assert (job.library, job.power_cycles, job.opt_level) == ("std018_lp", 64, 1)
-    assert job.max_fanout == 8 and job.max_fsm_states == 512
+    spec = job.spec
+    assert (spec.library, spec.power_cycles, spec.opt_level) == ("std018_lp", 64, 1)
+    assert spec.max_fanout == 8 and spec.max_fsm_states == 512
 
 
 def test_legacy_keywords_layer_on_top_of_an_explicit_spec():
@@ -277,7 +278,9 @@ def test_legacy_keywords_layer_on_top_of_an_explicit_spec():
     with pytest.raises(TypeError):
         EvalJob("fifo", 4, 4, "SRAG", "two-hot", spec, power_cycles=16)
     job = EvalJob("fifo", 4, 4, "SRAG", "two-hot", spec.with_overrides(power_cycles=16))
-    assert (job.library, job.opt_level, job.power_cycles) == ("std018_lp", 1, 16)
+    assert (job.spec.library, job.spec.opt_level, job.spec.power_cycles) == (
+        "std018_lp", 1, 16
+    )
 
 
 def test_eval_job_pickles_without_warning(recwarn):
@@ -286,9 +289,10 @@ def test_eval_job_pickles_without_warning(recwarn):
     clone = pickle.loads(pickle.dumps(job))
     assert clone == job and clone.key == job.key
     assert not recwarn.list
-    # The spec's knobs read through as job attributes.
-    assert (clone.library, clone.max_fanout, clone.max_fsm_states,
-            clone.power_cycles, clone.opt_level) == ("std018_lp", 8, 512, 64, 1)
+    # The spec's knobs survive the round trip.
+    spec = clone.spec
+    assert (spec.library, spec.max_fanout, spec.max_fsm_states,
+            spec.power_cycles, spec.opt_level) == ("std018_lp", 8, 512, 64, 1)
 
 
 def test_synthesize_accepts_a_positional_spec():

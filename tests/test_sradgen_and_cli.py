@@ -122,6 +122,28 @@ def test_cli_rejects_malformed_address_file(tmp_path):
         main(["--input", str(address_file), "--rows", "2", "--cols", "2"])
 
 
+@pytest.mark.parametrize("address", ["99", "-1"])
+def test_cli_rejects_address_outside_array_in_one_line(tmp_path, address):
+    address_file = tmp_path / "outside.txt"
+    address_file.write_text(f"0\n{address}\n")
+    with pytest.raises(SystemExit) as raised:
+        main(["--input", str(address_file), "--rows", "4", "--cols", "4"])
+    assert str(raised.value).startswith(
+        f"{address_file}: linear address {address} outside 0..15"
+    )
+
+
+@pytest.mark.parametrize("flag", ["--rows", "--cols"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cli_rejects_non_positive_dimensions_as_usage_error(flag, value, capsys):
+    argv = ["--workload", "fifo", "--rows", "4", "--cols", "4", "--report"]
+    argv[argv.index(flag) + 1] = value
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+    assert f"{flag}: must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_explore(capsys):
     exit_code = main(["--workload", "fifo", "--rows", "4", "--cols", "4", "--explore"])
     captured = capsys.readouterr()

@@ -80,7 +80,8 @@ def _toggler_restructured(name):
 def test_combinational_equivalence_is_proven():
     result = check_equivalence(_and2("g"), _nand_inv("r"))
     assert result.equivalent and result.proven
-    assert result.method == "comb-miter"
+    # A flop-free pair is induction with no matched flops: the same miter.
+    assert result.method == "induction"
     assert result.counterexample is None
     assert "equivalent" in result.summary()
 
@@ -89,11 +90,13 @@ def test_combinational_inequivalence_yields_replayed_counterexample():
     result = check_equivalence(_and2("g"), _or2("r"))
     assert not result.equivalent
     assert result.proven
+    assert result.method == "bmc"
     cex = result.counterexample
     assert isinstance(cex, Counterexample)
     assert cex.port == "y"
-    # AND and OR differ exactly when a != b.
-    stimulus = cex.inputs[0]
+    # AND and OR differ exactly when a != b; BMC may find the first
+    # difference at any cycle of its unrolling.
+    stimulus = cex.inputs[cex.cycle]
     assert stimulus["a"] != stimulus["b"]
     assert cex.golden_value != cex.revised_value
     assert "differs" in result.summary()
@@ -145,6 +148,36 @@ def test_cec_result_serialises():
     assert isinstance(CecResult(**{
         k: v for k, v in data.items() if k in ("equivalent", "proven", "method")
     }), CecResult)
+
+
+# ---------------------------------------------------------------------------
+# Golden verdicts: the CNF of a product pair, pinned through its stats
+# ---------------------------------------------------------------------------
+
+def _proof(vars_, clauses, conflicts, decisions, merged):
+    return {
+        "equivalent": True, "proven": True, "method": "induction",
+        "bound": 0, "note": "", "counterexample": None,
+        "stats": {
+            "vars": vars_, "clauses": clauses, "conflicts": conflicts,
+            "decisions": decisions, "merged_nets": merged,
+        },
+    }
+
+
+@pytest.mark.parametrize("style,variant,expected", [
+    ("SRAG", "two-hot", _proof(123, 1023, 6, 34, 18)),
+    ("CntAG", "decoders", _proof(132, 991, 170, 205, 36)),
+    ("FSM", "binary", _proof(143, 1034, 21, 26, 52)),
+])
+def test_o0_vs_o1_verdict_is_pinned(style, variant, expected):
+    """Variable and clause counts plus the solver's search trace change
+    whenever the encoding's variable order or clause set does."""
+    netlist = build_design(
+        build_pattern("motion_est_read", 8, 8), style, variant
+    ).netlist
+    optimized = run_synthesis_flow(netlist, spec=FlowSpec(opt_level=1)).netlist
+    assert check_equivalence(netlist, optimized).to_dict() == expected
 
 
 # ---------------------------------------------------------------------------
