@@ -26,7 +26,6 @@ def main() -> None:
         "example",
         workloads=("dct", "zoombytwo", "motion_est_read"),
         geometries=((4, 4), (8, 8), (16, 16)),
-        description="example grid: 3 workloads x 3 sizes x all styles",
     )
     print(f"{len(campaign)} design points, cache in {cache_dir!r}")
 

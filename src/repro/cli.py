@@ -83,8 +83,19 @@ def _bounded_int(minimum: int):
     return convert
 
 
-_opt_level = _bounded_int(0)
+_non_negative_int = _bounded_int(0)
 _positive_int = _bounded_int(1)
+
+#: Largest TCP port number.
+_MAX_PORT = 65535
+
+
+def _port(text: str) -> int:
+    """Argparse type: a TCP port number, 0 to 65535."""
+    value = _non_negative_int(text)
+    if value > _MAX_PORT:
+        raise argparse.ArgumentTypeError(f"must be <= {_MAX_PORT}, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,9 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--opt-level",
-        type=_opt_level,
+        type=int,
+        choices=(0, 1),
         default=None,
-        metavar="N",
         help=(
             "logic-optimization effort for synthesis (0 = raw netlist, "
             "1 = constant folding, sharing, chain collapsing and dead-cell "
@@ -222,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine.add_argument(
         "--workers",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="worker processes for campaign evaluation (default: min(cpus, 8))",
     )
@@ -249,35 +260,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=0,
         help="port for --serve to bind (default 0: pick a free port and print it)",
     )
     resilience = parser.add_argument_group("resilience options")
     resilience.add_argument(
         "--retry-max",
-        type=int,
+        type=_non_negative_int,
         metavar="N",
         help=(
             "retry transient evaluation failures up to N times with "
             "deterministic exponential backoff (default: no retries)"
-        ),
-    )
-    resilience.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="base backoff before the first retry, doubling per attempt (default 0.05)",
-    )
-    resilience.add_argument(
-        "--rebuild-budget",
-        type=int,
-        default=2,
-        metavar="N",
-        help=(
-            "rebuild a broken worker pool up to N times before degrading to "
-            "serial evaluation (default 2)"
         ),
     )
     obs = parser.add_argument_group("observability options")
@@ -422,9 +416,11 @@ def _parse_address(text: str) -> tuple:
     if not sep or not host:
         raise SystemExit(f"--connect expects HOST:PORT, got {text!r}")
     try:
-        return host, int(port)
-    except ValueError:
-        raise SystemExit(f"--connect expects a numeric port, got {port!r}") from None
+        return host, _port(port)
+    except argparse.ArgumentTypeError:
+        raise SystemExit(
+            f"--connect expects a port from 0 to {_MAX_PORT}, got {port!r}"
+        ) from None
 
 
 def _run_campaign(args: argparse.Namespace) -> int:
@@ -486,7 +482,6 @@ def _run_campaign(args: argparse.Namespace) -> int:
             workers=workers,
             progress=None if args.quiet else progress,
             retry_policy=_retry_policy(args),
-            rebuild_budget=args.rebuild_budget,
         ) as runner:
             result = runner.run(campaign, force=args.force)
     print()
@@ -575,7 +570,6 @@ def _serve(args: argparse.Namespace) -> int:
         cache=ResultCache(args.cache_dir, backend="sharded"),
         workers=0 if args.serial else args.workers,
         retry_policy=_retry_policy(args),
-        rebuild_budget=args.rebuild_budget,
     )
 
     async def _main() -> None:
@@ -630,9 +624,7 @@ def _retry_policy(args: argparse.Namespace) -> Optional["RetryPolicy"]:
         return None
     from repro.resilience.retry import RetryPolicy
 
-    return RetryPolicy(
-        max_retries=args.retry_max, base_backoff_s=args.retry_backoff
-    )
+    return RetryPolicy(max_retries=args.retry_max)
 
 
 def _dispatch(argv: Optional[Sequence[str]]) -> int:

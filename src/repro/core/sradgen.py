@@ -75,7 +75,6 @@ def generate(
     emit_verilog_text: bool = False,
     synthesize: bool = False,
     spec: FlowSpec = DEFAULT_SPEC,
-    name: Optional[str] = None,
 ) -> SRAdGenResult:
     """Run the complete SRAdGen flow on ``sequence``.
 
@@ -94,11 +93,9 @@ def generate(
         area) through :meth:`SragDesign.synthesize`.
     spec:
         Flow configuration (:class:`repro.flow.FlowSpec`) for the synthesis
-        step: cell library, buffering threshold, logic-optimization effort.
-        Defaults to an all-defaults spec.
-    name:
-        Optional netlist/entity name (made a safe identifier); defaults to
-        ``srag_<sequence name>``.
+        step: cell library and logic-optimization effort.
+        Defaults to an all-defaults spec.  The netlist and HDL entity are
+        named ``srag_<sequence name>`` (made a safe identifier).
 
     Raises
     ------
@@ -108,7 +105,7 @@ def generate(
         If verification fails (which would indicate a library bug rather
         than an unmappable sequence).
     """
-    design = SragDesign(sequence, name=name)
+    design = SragDesign(sequence)
     if not design.verify():
         raise RuntimeError(
             f"structural verification failed for sequence {sequence.name!r}"

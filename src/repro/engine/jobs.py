@@ -28,6 +28,7 @@ from repro.generators.counter_based import CounterBasedAddressGenerator
 from repro.generators.fsm_based import FsmAddressGenerator
 from repro.generators.sfm_pointer import SfmPointerGenerator
 from repro.generators.srag_design import SragDesign
+from repro.synth.buffering import MAX_FANOUT
 from repro.synth.cell_library import library_fingerprint
 from repro.workloads.loopnest import AffineAccessPattern
 from repro.workloads.registry import build_pattern
@@ -161,8 +162,9 @@ class EvalJob:
 
         The knob fields come from :meth:`FlowSpec.to_spec`, whose
         omit-at-default contract keeps every pre-``FlowSpec`` key stable;
-        the job adds its identity fields and a fingerprint of the cell
-        library's characterisation.
+        the job adds its identity fields, a fingerprint of the cell
+        library's characterisation and the buffering threshold, which every
+        key has carried since the seed.
         """
         spec = {
             "version": SPEC_VERSION,
@@ -172,6 +174,7 @@ class EvalJob:
             "style": self.style,
             "variant": self.variant,
             "library_fingerprint": library_fingerprint(self.spec.resolve_library()),
+            "max_fanout": MAX_FANOUT,
         }
         spec.update(self.spec.to_spec(job_key=True))
         return spec
@@ -226,13 +229,13 @@ class Campaign:
         Campaign name (used for reporting and as the CLI handle).
     jobs:
         The evaluation grid, in a deterministic order.
-    description:
-        One-line human description shown by ``sradgen --list-campaigns``.
+
+    A registered campaign's one-line description lives in the registry
+    (:func:`repro.engine.sweep.campaign_description`), not on the object.
     """
 
     name: str
     jobs: List[EvalJob] = field(default_factory=list)
-    description: str = ""
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -250,7 +253,6 @@ class Campaign:
         styles: Optional[Sequence[Tuple[str, str]]] = None,
         libraries: Optional[Sequence[str]] = None,
         spec: FlowSpec = DEFAULT_SPEC,
-        description: str = "",
     ) -> "Campaign":
         """Expand a full cross-product grid into a campaign.
 
@@ -283,7 +285,7 @@ class Campaign:
             for library in library_axis
             for style, variant in chosen
         ]
-        return cls(name=name, jobs=jobs, description=description)
+        return cls(name=name, jobs=jobs)
 
     def extended(self, other: Iterable[EvalJob]) -> "Campaign":
         """A copy of this campaign with extra jobs appended."""

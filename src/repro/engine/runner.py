@@ -432,9 +432,9 @@ class CampaignRunner:
         Optional :class:`~repro.resilience.retry.RetryPolicy` forwarded to
         the scheduler: transient (``error``) records are re-run under
         bounded deterministic backoff before being surfaced.
-    rebuild_budget:
-        How many broken-pool rebuilds the scheduler performs before
-        degrading to serial evaluation (default 2).
+
+    A broken worker pool is rebuilt up to the scheduler's default budget
+    (two rebuilds) before evaluation degrades to serial.
 
     To share one pool, one cache and one in-flight dedup table between
     several callers (as the campaign service does), submit to one
@@ -456,18 +456,12 @@ class CampaignRunner:
         workers: Optional[int] = None,
         progress: Optional[Callable[[EvalRecord, int, int], None]] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        rebuild_budget: int = 2,
     ):
         # Imported here, not at module top: scheduler.py imports the
         # evaluation primitives from this module.
         from repro.engine.scheduler import Scheduler
 
-        self._scheduler = Scheduler(
-            cache,
-            workers=workers,
-            retry_policy=retry_policy,
-            rebuild_budget=rebuild_budget,
-        )
+        self._scheduler = Scheduler(cache, workers=workers, retry_policy=retry_policy)
         self.progress = progress
         self._closed = False
 

@@ -199,7 +199,9 @@ class Scheduler:
     rebuild_budget:
         How many times a broken process pool is rebuilt (with its doomed
         in-flight jobs re-enqueued) before the scheduler degrades to serial
-        in-process evaluation for the rest of its life.
+        in-process evaluation for the rest of its life.  Every product path
+        uses the default of 2; the chaos tests set 0 and 1 to reach the
+        exhausted-budget path.
 
     One scheduler may serve any number of concurrent clients; submissions
     from different threads share the pool, the cache and the in-flight
@@ -445,7 +447,7 @@ class Scheduler:
         self,
         future: "concurrent.futures.Future",
         batch: List[EvalJob],
-        generation: int = 0,
+        generation: int,
     ) -> None:
         """Pool-future completion: recover failures, then publish records.
 

@@ -45,8 +45,8 @@ def register_campaign(
     job grid, and ``import repro.engine`` must not pay for eight grids
     nobody asked for.  The grid is only expanded when
     :func:`build_campaign` is called, which also checks that the factory
-    really produces a campaign of the registered name and stamps the
-    registered ``description`` onto it.
+    really produces a campaign of the registered name.  The description
+    stays here, read by :func:`campaign_description`.
     """
 
     def decorator(factory: CampaignFactory) -> CampaignFactory:
@@ -80,8 +80,6 @@ def build_campaign(name: str) -> Campaign:
         raise ValueError(
             f"campaign factory registered as {name!r} built {campaign.name!r}"
         )
-    if not campaign.description:
-        campaign.description = _DESCRIPTIONS.get(name, "")
     return campaign
 
 

@@ -21,8 +21,10 @@ Serialisation is canonical and *default-omitting*: fields that post-date the
 seed (``opt_level``, ``power_cycles``, ...) stay out of :meth:`FlowSpec.to_spec`
 at their default values, so every cache key and JSONL record minted before
 the field existed survives byte-for-byte.  Fields that have been hashed
-since the seed (``library``, ``max_fanout``, ``max_fsm_states``) are always
-present, for the same reason.
+since the seed (``library``, ``max_fsm_states``) are always present, for the
+same reason.  The seed's third always-hashed value, the buffering threshold,
+is the constant :data:`repro.synth.buffering.MAX_FANOUT`, which
+:meth:`repro.engine.jobs.EvalJob.to_spec` still writes into every key.
 """
 
 from __future__ import annotations
@@ -62,9 +64,10 @@ def _since_seed(default: Any, **extra_metadata: Any) -> Any:
 class FlowSpec:
     """Single source of truth for every synthesis/evaluation knob.
 
-    Seven fields: five say what gets evaluated, and ``lint``/``verify`` say
-    which diagnostics ride along.  The symbolic-FSM encodings are not a knob
-    (:data:`repro.engine.jobs.FSM_ENCODINGS`).
+    Six fields: four say what gets evaluated, and ``lint``/``verify`` say
+    which diagnostics ride along.  Neither the buffering threshold
+    (:data:`repro.synth.buffering.MAX_FANOUT`) nor the symbolic-FSM
+    encodings (:data:`repro.engine.jobs.FSM_ENCODINGS`) is a knob.
 
     Attributes
     ----------
@@ -74,11 +77,9 @@ class FlowSpec:
         accepted and normalised to its registered name (unregistered
         libraries are registered under a fingerprint-qualified name so the
         spec stays serialisable).
-    max_fanout:
-        Maximum fanout before the flow inserts a buffer tree (>= 2).
     opt_level:
-        Logic-optimization effort (0 = raw netlist, 1 = full
-        :mod:`repro.synth.opt` pipeline).
+        Logic-optimization effort: 0 = raw netlist, 1 = full
+        :mod:`repro.synth.opt` pipeline.  No other value exists.
     power_cycles:
         Simulated cycles for the switching-activity power study; 0 disables
         it.  Consumed by :func:`repro.engine.runner.evaluate_point` (campaign
@@ -103,7 +104,6 @@ class FlowSpec:
     """
 
     library: str = _always("std018")
-    max_fanout: int = _always(8)
     opt_level: int = _since_seed(0)
     power_cycles: int = _since_seed(0)
     max_fsm_states: int = _always(512)
@@ -122,8 +122,9 @@ class FlowSpec:
             raise TypeError(
                 f"library must be a name or a CellLibrary, got {self.library!r}"
             )
-        self._check_int("max_fanout", minimum=2)
         self._check_int("opt_level", minimum=0)
+        if self.opt_level > 1:
+            raise ValueError(f"opt_level must be 0 or 1, got {self.opt_level}")
         self._check_int("power_cycles", minimum=0)
         self._check_int("max_fsm_states", minimum=1)
         self._check_int("lint", minimum=0)

@@ -17,12 +17,11 @@ disappear and the design collapses to the classic accumulator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.generators.base import AddressGeneratorDesign
 from repro.hdl.components.adder import build_ripple_adder
 from repro.hdl.components.counter import build_binary_counter
-from repro.hdl.components.decoder import build_decoder
 from repro.hdl.netlist import Bus, Net, Netlist, NetlistError, sanitise_name
 from repro.hdl.simulator import AddressEncoding
 from repro.synth.logic.minimize import minimize
@@ -38,21 +37,14 @@ class ArithmeticAddressGenerator(AddressGeneratorDesign):
 
     style = "ArithAG"
 
-    def __init__(
-        self,
-        sequence: AddressSequence,
-        *,
-        include_decoders: bool = False,
-        name: Optional[str] = None,
-    ):
+    def __init__(self, sequence: AddressSequence):
         size = sequence.rows * sequence.cols
         if size & (size - 1):
             raise NetlistError(
                 "the arithmetic generator requires a power-of-two array so the "
                 f"accumulator can wrap naturally, got {sequence.rows}x{sequence.cols}"
             )
-        super().__init__(sequence, name=name or f"arith_{sequence.name}")
-        self.include_decoders = include_decoders
+        super().__init__(sequence, f"arith_{sequence.name}")
         self.address_width = max(1, (size - 1).bit_length())
         self.address_encoding = AddressEncoding((("addr", self.address_width),), onehot=False)
         self._strides = self._compute_strides()
@@ -105,19 +97,6 @@ class ArithmeticAddressGenerator(AddressGeneratorDesign):
             )
         address_bus = Bus(state, name="address")
         netlist.add_output_bus("addr", address_bus)
-
-        if self.include_decoders:
-            col_width = max(1, (self.sequence.cols - 1).bit_length())
-            row_bus = Bus(list(address_bus)[col_width:], name="row")
-            col_bus = Bus(list(address_bus)[:col_width], name="col")
-            row_decoder = build_decoder(
-                netlist, row_bus, num_outputs=self.sequence.rows, prefix="rowdec"
-            )
-            col_decoder = build_decoder(
-                netlist, col_bus, num_outputs=self.sequence.cols, prefix="coldec"
-            )
-            netlist.add_output_bus("rs", row_decoder.outputs)
-            netlist.add_output_bus("cs", col_decoder.outputs)
         return netlist
 
     def _build_stride_source(

@@ -41,9 +41,9 @@ class AddressGeneratorDesign(abc.ABC):
     #: Output ports carrying the address; set by each subclass's constructor.
     address_encoding: AddressEncoding
 
-    def __init__(self, sequence: AddressSequence, name: Optional[str] = None):
+    def __init__(self, sequence: AddressSequence, name: str):
         self.sequence = sequence
-        self.name = name or f"{self.style.lower()}_{sequence.name}"
+        self.name = name
         self._netlist: Optional[Netlist] = None
 
     # ------------------------------------------------------------- interface
@@ -71,9 +71,9 @@ class AddressGeneratorDesign(abc.ABC):
         steps = cycles if cycles is not None else self.sequence.length
         return sample_addresses(self.netlist, self.address_encoding, steps)
 
-    def verify(self, cycles: Optional[int] = None) -> bool:
-        """Check the simulated addresses against the target sequence."""
-        return self.sequence.matches(self.simulate(cycles))
+    def verify(self) -> bool:
+        """Check one simulated pass against the target sequence."""
+        return self.sequence.matches(self.simulate())
 
     def lint_context(self) -> Dict[str, object]:
         """Extra inputs for the design-rule checker (``spec.lint``).
@@ -84,12 +84,7 @@ class AddressGeneratorDesign(abc.ABC):
         """
         return {}
 
-    def synthesize(
-        self,
-        spec: FlowSpec = DEFAULT_SPEC,
-        *,
-        metadata: Optional[Dict[str, object]] = None,
-    ) -> SynthesisResult:
+    def synthesize(self, spec: FlowSpec = DEFAULT_SPEC) -> SynthesisResult:
         """Run the synthesis flow on the design's netlist.
 
         The flow is configured by ``spec`` (:class:`repro.flow.FlowSpec`;
@@ -110,19 +105,17 @@ class AddressGeneratorDesign(abc.ABC):
         with span("flow.elaborate"):
             netlist = self.netlist
         self.invalidate()
-        info: Dict[str, object] = {
-            "style": self.style,
-            "workload": self.sequence.name,
-            "rows": self.sequence.rows,
-            "cols": self.sequence.cols,
-            "accesses": self.sequence.length,
-        }
-        info.update(metadata or {})
         return _synthesize(
             netlist,
             spec=spec,
             golden=netlist.clone() if spec.verify else None,
             name=self.name,
-            metadata=info,
+            metadata={
+                "style": self.style,
+                "workload": self.sequence.name,
+                "rows": self.sequence.rows,
+                "cols": self.sequence.cols,
+                "accesses": self.sequence.length,
+            },
             lint_context=self.lint_context() if spec.lint else None,
         )

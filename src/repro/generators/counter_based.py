@@ -60,7 +60,6 @@ class CounterBasedAddressGenerator(AddressGeneratorDesign):
         *,
         include_decoders: bool = True,
         use_concatenation: bool = True,
-        name: Optional[str] = None,
     ):
         self.use_concatenation = use_concatenation
         for loop in pattern.loops:
@@ -74,10 +73,8 @@ class CounterBasedAddressGenerator(AddressGeneratorDesign):
         self.pattern = pattern
         self.include_decoders = include_decoders
         sequence = pattern.to_sequence()
-        label = name or (
-            f"cntag_{pattern.name}" if include_decoders else f"cntag_nodec_{pattern.name}"
-        )
-        super().__init__(sequence, name=label)
+        label = f"cntag_{pattern.name}" if include_decoders else f"cntag_nodec_{pattern.name}"
+        super().__init__(sequence, label)
         self.row_width = _address_width(pattern.rows)
         self.col_width = _address_width(pattern.cols)
         self.address_encoding = AddressEncoding(
@@ -262,7 +259,6 @@ class CounterBasedAddressGenerator(AddressGeneratorDesign):
             self.pattern,
             include_decoders=False,
             use_concatenation=self.use_concatenation,
-            name=f"{self.name}_counter",
         )
         return counter_only.synthesize(spec=FlowSpec(library=library))
 

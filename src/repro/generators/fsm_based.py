@@ -33,15 +33,12 @@ class FsmAddressGenerator(AddressGeneratorDesign):
         *,
         encoding: str = "binary",
         output_style: str = "select_lines",
-        name: Optional[str] = None,
     ):
         if output_style not in _OUTPUT_STYLES:
             raise ValueError(
                 f"output_style must be one of {_OUTPUT_STYLES}, got {output_style!r}"
             )
-        super().__init__(
-            sequence, name=name or f"fsm_{encoding}_{sequence.name}"
-        )
+        super().__init__(sequence, f"fsm_{encoding}_{sequence.name}")
         self.encoding = encoding
         self.output_style = output_style
         self._synthesis_result: Optional[FsmSynthesisResult] = None

@@ -14,8 +14,6 @@ lists as the motivation for the SRAG.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.generators.base import AddressGeneratorDesign
 from repro.hdl.components.shift_register import build_token_shift_register
 from repro.hdl.netlist import Netlist, NetlistError, sanitise_name
@@ -30,13 +28,13 @@ class SfmPointerGenerator(AddressGeneratorDesign):
 
     style = "SFM"
 
-    def __init__(self, sequence: AddressSequence, *, name: Optional[str] = None):
+    def __init__(self, sequence: AddressSequence):
         if not sequence.is_incremental():
             raise NetlistError(
                 "the SFM is a FIFO memory and only supports incremental "
                 f"access; sequence {sequence.name!r} is not incremental"
             )
-        super().__init__(sequence, name=name or f"sfm_{sequence.name}")
+        super().__init__(sequence, f"sfm_{sequence.name}")
         self.depth = sequence.length
         # The address is the cell the head (read) pointer selects.
         self.address_encoding = AddressEncoding((("head_sel", self.depth),), onehot=True)

@@ -8,8 +8,6 @@ against the baselines through one interface.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.addm_generator import SragAddressGenerator
 from repro.generators.base import AddressGeneratorDesign
 from repro.hdl.netlist import Netlist, sanitise_name
@@ -29,8 +27,8 @@ class SragDesign(AddressGeneratorDesign):
 
     style = "SRAG"
 
-    def __init__(self, sequence: AddressSequence, *, name: Optional[str] = None):
-        super().__init__(sequence, name=sanitise_name(name or f"srag_{sequence.name}"))
+    def __init__(self, sequence: AddressSequence):
+        super().__init__(sequence, sanitise_name(f"srag_{sequence.name}"))
         # Mapping happens eagerly so that unmappable sequences fail fast with
         # a MappingError, mirroring how the SRAdGen tool behaves.
         self._generator = SragAddressGenerator.from_sequence(sequence, name=self.name)

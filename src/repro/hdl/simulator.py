@@ -189,11 +189,11 @@ class Simulator:
         for port, value in previous.items():
             self.poke(port, value)
 
-    def reset(self, reset_port: str = "reset", cycles: int = 1) -> None:
-        """Pulse a synchronous reset input for ``cycles`` clock edges."""
-        self.poke(reset_port, 1)
-        self.step(cycles)
-        self.poke(reset_port, 0)
+    def reset(self) -> None:
+        """Pulse the synchronous ``reset`` input for one clock edge."""
+        self.poke("reset", 1)
+        self.step()
+        self.poke("reset", 0)
         self.settle()
 
     # ------------------------------------------------------------ conveniences

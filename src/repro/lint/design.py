@@ -59,6 +59,7 @@ from repro.lint.core import (
     Rule,
 )
 from repro.obs import metrics, span
+from repro.synth.fsm.fsm import RESET_STATE
 
 __all__ = [
     "DESIGN_RULES",
@@ -353,8 +354,8 @@ class FsmUnreachableRule(DesignRule):
         fsm = ctx.fsm
         if fsm is None:
             return
-        reached = {fsm.initial_state}
-        frontier = [fsm.initial_state]
+        reached = {RESET_STATE}
+        frontier = [RESET_STATE]
         while frontier:
             nxt = fsm.next_state[frontier.pop()]
             if nxt not in reached:
@@ -365,7 +366,7 @@ class FsmUnreachableRule(DesignRule):
             shown = ", ".join(str(s) for s in unreachable[:8])
             yield self.finding(
                 f"{len(unreachable)} FSM state(s) unreachable from reset "
-                f"state {fsm.initial_state}: {shown}"
+                f"state {RESET_STATE}: {shown}"
                 f"{'...' if len(unreachable) > 8 else ''}",
                 location=ctx.location(getattr(fsm, 'name', 'fsm')),
             )

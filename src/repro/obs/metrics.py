@@ -71,9 +71,9 @@ class MetricsRegistry:
             "gauges": dict(sorted(self._gauges.items())),
         }
 
-    def to_json(self, *, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """Canonical JSON dump of :meth:`as_dict`."""
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
     def describe(self) -> str:
         """Human-readable multi-line listing (counters, then gauges)."""

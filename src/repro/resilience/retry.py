@@ -61,14 +61,13 @@ class RetryPolicy:
 
     ``max_retries`` counts *re*-tries: 0 disables retrying, 2 allows three
     total attempts.  The wait before retry ``n`` (1-based) is
-    ``base_backoff_s * multiplier ** (n - 1)``, capped at ``max_backoff_s``
-    -- deterministic by design (no jitter), so recovery schedules replay
+    ``base_backoff_s * 2 ** (n - 1)``, capped at ``max_backoff_s`` --
+    deterministic by design (no jitter), so recovery schedules replay
     identically under a seeded fault plan.
     """
 
     max_retries: int = 2
     base_backoff_s: float = 0.05
-    multiplier: float = 2.0
     max_backoff_s: float = 2.0
 
     def __post_init__(self):
@@ -76,17 +75,12 @@ class RetryPolicy:
             raise ValueError("max_retries must be >= 0")
         if self.base_backoff_s < 0 or self.max_backoff_s < 0:
             raise ValueError("backoff times must be >= 0")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1.0")
 
     def backoff_s(self, attempt: int) -> float:
         """Seconds to wait before retry number ``attempt`` (1-based)."""
         if attempt < 1:
             return 0.0
-        return min(
-            self.base_backoff_s * self.multiplier ** (attempt - 1),
-            self.max_backoff_s,
-        )
+        return min(self.base_backoff_s * 2 ** (attempt - 1), self.max_backoff_s)
 
     def should_retry(self, error: BaseException, attempt: int) -> bool:
         """Whether retry number ``attempt`` (1-based) is allowed for ``error``."""

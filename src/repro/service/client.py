@@ -228,7 +228,6 @@ class ServiceClient:
         campaign: Campaign,
         *,
         force: bool = False,
-        timeout: Optional[float] = None,
         on_record: Optional[RecordCallback] = None,
     ) -> CampaignResult:
         """Run a local :class:`Campaign` object remotely.
@@ -288,10 +287,7 @@ class ServiceClient:
                 await asyncio.sleep(policy.backoff_s(error_rounds))
             try:
                 await self.run_jobs(
-                    [job_to_wire(job) for job in pending],
-                    force=force,
-                    timeout=timeout,
-                    on_record=collect,
+                    [job_to_wire(job) for job in pending], force=force, on_record=collect
                 )
             except ServiceUnavailable as error:
                 reconnects += 1
@@ -329,7 +325,6 @@ def run_campaign_remote(
     campaign: Campaign,
     *,
     force: bool = False,
-    timeout: Optional[float] = None,
     progress: Optional[Callable[[EvalRecord, int, int], None]] = None,
     retry_policy: Optional[RetryPolicy] = None,
 ) -> CampaignResult:
@@ -350,8 +345,6 @@ def run_campaign_remote(
                 def on_record(event: Dict[str, Any]) -> None:
                     progress(_record_from_event(event), event["done"], event["total"])
 
-            return await client.run_campaign(
-                campaign, force=force, timeout=timeout, on_record=on_record
-            )
+            return await client.run_campaign(campaign, force=force, on_record=on_record)
 
     return asyncio.run(_run())

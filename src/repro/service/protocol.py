@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 #: Bump on incompatible wire changes; ``ping`` reports it.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Hard per-line bound (requests *and* responses).  A whole smoke campaign
 #: serialises to a few KiB; 1 MiB leaves two orders of magnitude of headroom

@@ -65,10 +65,10 @@ class CampaignService:
         scenario the sharded-segment backend exists for (another process
         -- a CLI run, a compaction -- may be appending to the same
         directory).
-    workers / retry_policy / rebuild_budget:
-        Forwarded to the private :class:`Scheduler` (``retry_policy`` /
-        ``rebuild_budget`` are the self-healing knobs from
-        :mod:`repro.resilience`).
+    workers / retry_policy:
+        Forwarded to the private :class:`Scheduler` (``retry_policy`` is
+        the self-healing knob from :mod:`repro.resilience`; a broken pool is
+        rebuilt up to the scheduler's default budget of two).
     heartbeat_interval:
         Seconds of per-request silence before the server emits a
         ``heartbeat`` event.  Heartbeats keep long evaluations from looking
@@ -88,15 +88,9 @@ class CampaignService:
         cache: Optional[ResultCache] = None,
         workers: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        rebuild_budget: Optional[int] = None,
         heartbeat_interval: float = 5.0,
     ):
-        self._scheduler = Scheduler(
-            cache,
-            workers=workers,
-            retry_policy=retry_policy,
-            rebuild_budget=2 if rebuild_budget is None else rebuild_budget,
-        )
+        self._scheduler = Scheduler(cache, workers=workers, retry_policy=retry_policy)
         self.heartbeat_interval = heartbeat_interval
         self._server: Optional[asyncio.AbstractServer] = None
         self._requests: "set[asyncio.Task]" = set()

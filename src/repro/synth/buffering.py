@@ -22,10 +22,14 @@ from typing import List, Tuple
 from repro.hdl.netlist import Cell, Net, Netlist
 from repro.hdl.primitives import SEQUENTIAL
 
-__all__ = ["insert_buffer_trees"]
+__all__ = ["MAX_FANOUT", "insert_buffer_trees"]
+
+#: The flow's buffering threshold: no driver keeps more than this many loads.
+#: Every job key records it (``EvalJob.to_spec``), so changing it moves keys.
+MAX_FANOUT = 8
 
 
-def insert_buffer_trees(netlist: Netlist, max_fanout: int = 8) -> int:
+def insert_buffer_trees(netlist: Netlist, max_fanout: int = MAX_FANOUT) -> int:
     """Insert balanced buffer trees on every net whose fanout exceeds ``max_fanout``.
 
     Loads are re-distributed so that no driver (original or inserted buffer)

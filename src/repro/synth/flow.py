@@ -20,7 +20,7 @@ from repro.flow import DEFAULT_SPEC, FlowSpec
 from repro.hdl.netlist import Netlist
 from repro.obs import span
 from repro.synth.area import area_report
-from repro.synth.buffering import insert_buffer_trees
+from repro.synth.buffering import MAX_FANOUT, insert_buffer_trees
 from repro.synth.opt import optimize_netlist
 from repro.synth.report import SynthesisResult
 from repro.synth.timing import timing_report
@@ -48,11 +48,12 @@ def run_synthesis_flow(
     spec:
         The flow configuration (:class:`repro.flow.FlowSpec`); defaults to
         an all-defaults spec.  ``spec.library`` picks the standard-cell
-        characterisation, ``spec.max_fanout`` the buffering threshold and
-        ``spec.opt_level`` the logic-optimization effort (0 reports on the
-        raw generated netlist, exactly as before optimization existed; 1
-        runs the full :mod:`repro.synth.opt` pipeline before buffering and
-        timing, the way a real synthesis tool always would).
+        characterisation and ``spec.opt_level`` the logic-optimization
+        effort (0 reports on the raw generated netlist, exactly as before
+        optimization existed; 1 runs the full :mod:`repro.synth.opt`
+        pipeline before buffering and timing, the way a real synthesis tool
+        always would).  Buffering always uses
+        :data:`~repro.synth.buffering.MAX_FANOUT`.
     name:
         Report name; defaults to the netlist name.
     metadata:
@@ -93,7 +94,7 @@ def _synthesize(
             # garbage.
             netlist.validate()
     with span("flow.buffer"):
-        buffers = insert_buffer_trees(netlist, max_fanout=spec.max_fanout)
+        buffers = insert_buffer_trees(netlist)
     with span("flow.timing"):
         timing = timing_report(netlist, cell_library)
     with span("flow.area"):
@@ -109,7 +110,7 @@ def _synthesize(
             lint_report = lint_netlist(
                 netlist,
                 library=cell_library,
-                max_fanout=spec.max_fanout,
+                max_fanout=MAX_FANOUT,
                 fsm=(lint_context or {}).get("fsm"),
                 rules=rules_for_level(spec.lint),
             )

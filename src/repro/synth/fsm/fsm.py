@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-__all__ = ["FiniteStateMachine"]
+__all__ = ["FiniteStateMachine", "RESET_STATE"]
+
+#: The state every machine enters on reset.
+RESET_STATE = 0
 
 
 @dataclass
@@ -34,8 +37,8 @@ class FiniteStateMachine:
         ``i``.  All vectors must have the same width.
     output_names:
         Optional names for the output bits (defaults to ``out_<k>``).
-    initial_state:
-        State entered on reset.
+
+    State 0 is the state entered on reset (:data:`RESET_STATE`).
     """
 
     name: str
@@ -43,7 +46,6 @@ class FiniteStateMachine:
     next_state: List[int]
     outputs: List[Tuple[int, ...]]
     output_names: List[str] = field(default_factory=list)
-    initial_state: int = 0
 
     def __post_init__(self) -> None:
         if self.num_states < 1:
@@ -63,8 +65,6 @@ class FiniteStateMachine:
         widths = {len(v) for v in self.outputs}
         if len(widths) > 1:
             raise ValueError(f"inconsistent output widths: {sorted(widths)}")
-        if not (0 <= self.initial_state < self.num_states):
-            raise ValueError(f"invalid initial state {self.initial_state}")
         if not self.output_names:
             self.output_names = [f"out_{k}" for k in range(self.output_width)]
         elif len(self.output_names) != self.output_width:
@@ -175,7 +175,7 @@ class FiniteStateMachine:
     # ------------------------------------------------------------- behaviour
     def simulate(self, steps: int, *, advance: bool = True) -> List[Tuple[int, ...]]:
         """Return the output vectors observed over ``steps`` clock cycles."""
-        state = self.initial_state
+        state = RESET_STATE
         observed: List[Tuple[int, ...]] = []
         for _ in range(steps):
             observed.append(self.outputs[state])

@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence
 from repro.hdl.components.gates import build_or_tree
 from repro.hdl.netlist import Net, Netlist
 from repro.synth.fsm.encoding import encoding_by_name
-from repro.synth.fsm.fsm import FiniteStateMachine
+from repro.synth.fsm.fsm import RESET_STATE, FiniteStateMachine
 from repro.synth.logic.minimize import MinimizationStats, minimize
 from repro.synth.logic.synthesize import sop_to_netlist
 from repro.synth.logic.truth_table import TruthTable
@@ -202,7 +202,7 @@ def synthesize_fsm(
 
     # State register with enable on `next` and synchronous reset to the
     # initial state's code (set for 1-bits, reset for 0-bits).
-    initial_code = codes[fsm.initial_state]
+    initial_code = codes[RESET_STATE]
     for bit in range(width):
         starts_high = bool((initial_code >> bit) & 1)
         netlist.add_cell(
@@ -256,7 +256,7 @@ def _synthesize_structural_onehot(
             d_net = build_or_tree(
                 netlist, [state_bits[i] for i in preds], prefix=f"ns{j}_or"
             )
-        is_initial = j == fsm.initial_state
+        is_initial = j == RESET_STATE
         netlist.add_cell(
             "DFF_EN_SET" if is_initial else "DFF_EN_RST",
             name=f"state_ff{j}",

@@ -6,8 +6,8 @@ folding creates wire-throughs that sharing then merges, sharing strands
 cells that dead-cell elimination then removes).  ``opt_level`` is the
 knob the synthesis flow, the campaign engine and the CLI all thread
 through: level 0 is the identity (and the default everywhere, so existing
-cache keys and figures are untouched), level 1 and above run the full
-pipeline.
+cache keys and figures are untouched) and level 1 runs the full
+pipeline.  There is no other level.
 """
 
 from __future__ import annotations
@@ -125,15 +125,15 @@ class PassManager:
 
 
 def passes_for_level(opt_level: int) -> List[object]:
-    """The pass pipeline ``opt_level`` selects (empty for level 0).
+    """The pass pipeline ``opt_level`` (0 or 1) selects (empty for level 0).
 
     Order matters: constant folding first (it creates wire-throughs and
     inverters), then sharing (decoder subtree merging), then the chain
     collapses, and dead-cell elimination last to sweep whatever the earlier
     passes stranded.
     """
-    if opt_level < 0:
-        raise ValueError(f"opt_level must be >= 0, got {opt_level}")
+    if opt_level not in (0, 1):
+        raise ValueError(f"opt_level must be 0 or 1, got {opt_level}")
     if opt_level == 0:
         return []
     return [

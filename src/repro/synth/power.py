@@ -50,6 +50,9 @@ FEMTOFARAD_PER_CAP_UNIT = 2.0
 #: equivalent capacitance (in library cap units) switched at the supply.
 FLOP_CLOCK_CAP_UNITS = 1.0
 
+#: Clock frequency assumed when converting energy to average power (MHz).
+CLOCK_FREQUENCY_MHZ = 100.0
+
 
 @dataclass
 class PowerReport:
@@ -65,15 +68,14 @@ class PowerReport:
         Total net-switching energy over the simulated window, femtojoules.
     clock_energy_fj:
         Total flip-flop clock-pin energy over the window, femtojoules.
-    frequency_mhz:
-        Clock frequency assumed when converting energy to average power.
+
+    Average power assumes :data:`CLOCK_FREQUENCY_MHZ`.
     """
 
     cycles: int
     toggle_counts: Dict[str, int] = field(default_factory=dict)
     switching_energy_fj: float = 0.0
     clock_energy_fj: float = 0.0
-    frequency_mhz: float = 100.0
 
     @property
     def total_energy_fj(self) -> float:
@@ -87,9 +89,9 @@ class PowerReport:
 
     @property
     def average_power_uw(self) -> float:
-        """Average dynamic power in microwatts at ``frequency_mhz``."""
+        """Average dynamic power in microwatts at :data:`CLOCK_FREQUENCY_MHZ`."""
         # fJ per cycle * cycles per second = fJ/s; 1 fJ * 1 MHz = 1 nW.
-        return self.energy_per_access_fj * self.frequency_mhz * 1e-3
+        return self.energy_per_access_fj * CLOCK_FREQUENCY_MHZ * 1e-3
 
     @property
     def total_toggles(self) -> int:
@@ -100,7 +102,7 @@ class PowerReport:
         """One-line summary used by benchmarks and the explorer."""
         return (
             f"energy/access = {self.energy_per_access_fj:8.1f} fJ   "
-            f"avg power @ {self.frequency_mhz:.0f} MHz = {self.average_power_uw:7.2f} uW   "
+            f"avg power @ {CLOCK_FREQUENCY_MHZ:.0f} MHz = {self.average_power_uw:7.2f} uW   "
             f"toggles = {self.total_toggles}"
         )
 
@@ -108,7 +110,7 @@ class PowerReport:
 def _reset_and_advance(simulator):
     """Reset through ``reset`` and hold ``next`` high, where those ports exist."""
     if "reset" in simulator.netlist.inputs:
-        simulator.reset("reset")
+        simulator.reset()
     if "next" in simulator.netlist.inputs:
         simulator.poke("next", 1)
     return simulator

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Tuple
 
-from repro.memory.layout import DataLayout, ROW_MAJOR
 from repro.workloads.sequences import AddressSequence
 
 __all__ = ["Loop", "AffineExpression", "AffineAccessPattern"]
@@ -155,28 +154,22 @@ class AffineAccessPattern:
             for binding in self.iterate()
         ]
 
-    def to_sequence(self, layout: DataLayout = ROW_MAJOR) -> AddressSequence:
-        """Materialise the address sequence under a data organisation.
+    def to_sequence(self) -> AddressSequence:
+        """Materialise the row-major address sequence.
 
-        The result is memoised per layout: materialisation walks the whole
-        loop nest, every consumer (generator factories, campaign jobs, the
-        explorer) needs the same sequence, and neither patterns nor
-        sequences are mutated after construction.
+        The result is memoised: materialisation walks the whole loop nest,
+        every consumer (generator factories, campaign jobs, the explorer)
+        needs the same sequence, and neither patterns nor sequences are
+        mutated after construction.  :meth:`AddressSequence.with_layout`
+        re-places it under another data organisation.
         """
-        cache = getattr(self, "_sequence_cache", None)
-        if cache is None:
-            cache = {}
-            self._sequence_cache = cache
-        # DataLayout is not hashable; key by identity and pin the layout
-        # object in the entry so its id cannot be recycled while cached.
-        entry = cache.get(id(layout))
-        if entry is None:
+        sequence = getattr(self, "_sequence", None)
+        if sequence is None:
             sequence = AddressSequence.from_indices(
-                self.name, self.indices(), self.rows, self.cols, layout
+                self.name, self.indices(), self.rows, self.cols
             )
-            cache[id(layout)] = (layout, sequence)
-            return sequence
-        return entry[1]
+            self._sequence = sequence
+        return sequence
 
     def describe(self) -> str:
         """Human-readable loop-nest summary."""

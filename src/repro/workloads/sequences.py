@@ -91,10 +91,9 @@ class AddressSequence:
         addresses: Iterable[int],
         rows: int,
         cols: int,
-        layout: DataLayout = ROW_MAJOR,
     ) -> "AddressSequence":
         """Build from a linear address list."""
-        return cls(name=name, linear=list(addresses), rows=rows, cols=cols, layout=layout)
+        return cls(name=name, linear=list(addresses), rows=rows, cols=cols)
 
     @classmethod
     def from_rowcol(

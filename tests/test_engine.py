@@ -37,7 +37,9 @@ def test_job_key_distinguishes_every_axis():
         EvalJob("fifo", 4, 8, "SRAG", "two-hot"),
         EvalJob("fifo", 4, 4, "CntAG", "decoders"),
         EvalJob("fifo", 4, 4, "SRAG", "two-hot", FlowSpec(library="std018_lp")),
-        EvalJob("fifo", 4, 4, "SRAG", "two-hot", FlowSpec(max_fanout=4)),
+        EvalJob("fifo", 4, 4, "SRAG", "two-hot", FlowSpec(opt_level=1)),
+        EvalJob("fifo", 4, 4, "SRAG", "two-hot", FlowSpec(power_cycles=64)),
+        EvalJob("fifo", 4, 4, "SRAG", "two-hot", FlowSpec(max_fsm_states=1024)),
     ]
     keys = {base.key} | {job.key for job in variants}
     assert len(keys) == len(variants) + 1
@@ -484,11 +486,10 @@ def test_importing_sweep_builds_no_campaigns(monkeypatch):
     assert set(sweep_module.available_campaigns()) == set(available_campaigns())
 
 
-def test_campaign_descriptions_are_registered_and_stamped():
+def test_campaign_descriptions_are_registered():
     for name in available_campaigns():
-        description = campaign_description(name)
-        assert description, f"campaign {name!r} registered without a description"
-        assert build_campaign(name).description == description
+        assert campaign_description(name), f"campaign {name!r} registered without a description"
+    assert campaign_description("no_such_campaign") == ""
 
 
 def test_build_campaign_rejects_name_mismatch(monkeypatch):

@@ -28,6 +28,7 @@ from repro.flow import DEFAULT_SPEC, FlowSpec, opt_label_suffix
 from repro.generators.srag_design import SragDesign
 from repro.synth.cell_library import STD018, get_library
 from repro.synth.flow import run_synthesis_flow
+from repro.synth.opt import passes_for_level
 from repro.workloads.fifo import fifo_pattern, incremental_sequence
 from repro.workloads.motion_estimation import read_sequence
 
@@ -39,7 +40,7 @@ from repro.workloads.motion_estimation import read_sequence
 def test_spec_defaults_and_immutability():
     spec = FlowSpec()
     assert spec == DEFAULT_SPEC
-    assert (spec.library, spec.max_fanout, spec.max_fsm_states) == ("std018", 8, 512)
+    assert (spec.library, spec.max_fsm_states) == ("std018", 512)
     assert spec.opt_level == 0 and spec.power_cycles == 0
     assert spec.lint == 0 and spec.verify == 0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -52,13 +53,13 @@ def test_spec_defaults_and_immutability():
     "bad",
     [
         dict(library="no_such_library"),
-        dict(max_fanout=1),
+        dict(opt_level=2),
         dict(opt_level=-1),
         dict(power_cycles=-5),
         dict(max_fsm_states=0),
         dict(lint=-1),
         dict(opt_level=True),
-        dict(max_fanout="8"),
+        dict(max_fsm_states="8"),
         dict(library=3.14),
     ],
 )
@@ -89,13 +90,11 @@ def test_spec_registers_unseen_library_objects_under_qualified_names():
 def test_to_spec_omits_post_seed_fields_at_their_defaults():
     assert FlowSpec().to_spec() == {
         "library": "std018",
-        "max_fanout": 8,
         "max_fsm_states": 512,
     }
     loaded = FlowSpec(opt_level=1, power_cycles=64, lint=1, verify=1)
     assert loaded.to_spec() == {
         "library": "std018",
-        "max_fanout": 8,
         "max_fsm_states": 512,
         "opt_level": 1,
         "power_cycles": 64,
@@ -110,7 +109,7 @@ def test_to_spec_omits_post_seed_fields_at_their_defaults():
 def test_from_spec_round_trips_and_rejects_unknown_fields():
     for spec in (
         FlowSpec(),
-        FlowSpec(library="std018_fast", max_fanout=4),
+        FlowSpec(library="std018_fast"),
         FlowSpec(opt_level=1, power_cycles=256, max_fsm_states=64),
         FlowSpec(lint=1, verify=2),
     ):
@@ -171,11 +170,11 @@ def test_golden_key_fully_loaded_job():
     """Every optional knob engaged: the omit-at-default fields all appear."""
     job = EvalJob(
         "motion_est_read", 16, 16, "FSM", "gray",
-        FlowSpec(library="std018_lp", max_fanout=4, max_fsm_states=1024,
+        FlowSpec(library="std018_lp", max_fsm_states=1024,
                  power_cycles=128, opt_level=1),
     )
     assert job.key == (
-        "206dcc12212e7b9bbb89c3675d115664b13a9821a372ec270b9a138c064d0913"
+        "ff768c3c365debbb9a9a7e658f34f1d20656ca7711af2d033a46a21222227fd0"
     )
 
 
@@ -269,7 +268,7 @@ def test_eval_job_legacy_keywords():
                   FlowSpec(library="std018_lp", power_cycles=64, opt_level=1))
     spec = job.spec
     assert (spec.library, spec.power_cycles, spec.opt_level) == ("std018_lp", 64, 1)
-    assert spec.max_fanout == 8 and spec.max_fsm_states == 512
+    assert spec.max_fsm_states == 512
 
 
 def test_legacy_keywords_layer_on_top_of_an_explicit_spec():
@@ -291,14 +290,14 @@ def test_eval_job_pickles_without_warning(recwarn):
     assert not recwarn.list
     # The spec's knobs survive the round trip.
     spec = clone.spec
-    assert (spec.library, spec.max_fanout, spec.max_fsm_states,
-            spec.power_cycles, spec.opt_level) == ("std018_lp", 8, 512, 64, 1)
+    assert (spec.library, spec.max_fsm_states,
+            spec.power_cycles, spec.opt_level) == ("std018_lp", 512, 64, 1)
 
 
 def test_synthesize_accepts_a_positional_spec():
     design = SragDesign(incremental_sequence(32))
-    positional = design.synthesize(FlowSpec(max_fanout=4))
-    keyword = design.synthesize(spec=FlowSpec(max_fanout=4))
+    positional = design.synthesize(FlowSpec(opt_level=1))
+    keyword = design.synthesize(spec=FlowSpec(opt_level=1))
     assert (positional.area_cells, positional.delay_ns) == (keyword.area_cells, keyword.delay_ns)
     with pytest.raises(TypeError, match="spec"):
         design.synthesize(FlowSpec(), spec=FlowSpec())
@@ -333,6 +332,20 @@ def test_cli_rejects_garbage_max_fsm_states(value, capsys):
         )
     err = capsys.readouterr().err
     assert "--max-fsm-states" in err
+
+
+@pytest.mark.parametrize("level", [2, 7])
+def test_opt_levels_above_one_are_rejected_not_aliased_to_o1(level, capsys):
+    """Level 2 and up used to run the O1 pipeline under a new key and label."""
+    with pytest.raises(ValueError, match="opt_level must be 0 or 1"):
+        FlowSpec(opt_level=level)
+    with pytest.raises(ValueError, match="opt_level must be 0 or 1"):
+        passes_for_level(level)
+    with pytest.raises(SystemExit) as raised:
+        main(["--workload", "fifo", "--rows", "4", "--cols", "4", "--explore",
+              "--opt-level", str(level)])
+    assert raised.value.code == 2
+    assert "argument --opt-level: invalid choice" in capsys.readouterr().err
 
 
 def test_cli_max_fsm_states_bounds_exploration(capsys):

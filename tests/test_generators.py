@@ -131,12 +131,6 @@ def test_arithmetic_generator_variable_stride():
     assert design.verify()
 
 
-def test_arithmetic_generator_with_decoders():
-    design = ArithmeticAddressGenerator(fifo.fifo_sequence(4, 4), include_decoders=True)
-    assert any(name.startswith("rs_") for name in design.netlist.outputs)
-    assert design.verify()
-
-
 def test_arithmetic_generator_requires_power_of_two_array():
     sequence = fifo.fifo_sequence(3, 3)
     with pytest.raises(NetlistError):
@@ -197,11 +191,10 @@ def test_designs_share_the_common_interface():
         SfmPointerGenerator(fifo.incremental_sequence(16)),
     ]
     for design in designs:
-        result = design.synthesize(metadata={"test": True})
+        result = design.synthesize()
         assert result.delay_ns > 0
         assert result.area_cells > 0
         assert result.metadata["style"] == design.style
-        assert result.metadata["test"] is True
 
 
 def test_netlist_cache_and_invalidate():
@@ -284,7 +277,7 @@ class _ConstantLines(AddressGeneratorDesign):
     style = "Const"
 
     def __init__(self, encoding, levels):
-        super().__init__(fifo.fifo_sequence(2, 2))
+        super().__init__(fifo.fifo_sequence(2, 2), "const_lines")
         self.address_encoding = encoding
         self.levels = levels
 

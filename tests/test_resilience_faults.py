@@ -274,8 +274,6 @@ def test_backoff_schedule_is_deterministic_and_capped():
 def test_policy_validation():
     with pytest.raises(ValueError, match="max_retries"):
         RetryPolicy(max_retries=-1)
-    with pytest.raises(ValueError, match="multiplier"):
-        RetryPolicy(multiplier=0.5)
     with pytest.raises(ValueError, match="backoff"):
         RetryPolicy(base_backoff_s=-0.1)
 

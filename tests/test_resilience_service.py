@@ -313,8 +313,6 @@ def test_cli_connect_retry_flags_arm_the_client_policy(capsys):
             f"127.0.0.1:{port}",
             "--retry-max",
             "2",
-            "--retry-backoff",
-            "0.01",
             "--quiet",
         ]
     )

@@ -277,7 +277,7 @@ def test_bad_requests_keep_the_connection_usable():
     assert "malformed" in errors[1]["error"]
     assert "unknown op: 'campaign'" in errors[2]["error"]
     assert "bad job spec" in errors[3]["error"]
-    assert pong["ok"] and pong["protocol"] == 2
+    assert pong["ok"] and pong["protocol"] == 3
 
 
 def test_request_ids_are_echoed_on_every_event(counted_eval):

@@ -63,11 +63,6 @@ def test_generate_rejects_unmappable_sequence():
         generate(patterns.serpentine_sequence(4, 4))
 
 
-def test_generate_custom_name_used_in_hdl():
-    result = generate(motion_estimation.read_sequence(4, 4, 2, 2), name="my_srag")
-    assert "entity my_srag is" in result.vhdl
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -142,6 +137,28 @@ def test_cli_rejects_non_positive_dimensions_as_usage_error(flag, value, capsys)
         main(argv)
     assert raised.value.code == 2
     assert f"{flag}: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--workers", "--retry-max"])
+def test_cli_rejects_negative_counts_as_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["--campaign", "smoke", "--quiet", flag, "-3"])
+    assert raised.value.code == 2
+    assert f"{flag}: must be >= 0, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("port", ["70000", "-5"])
+def test_cli_rejects_out_of_range_serve_port_as_usage_error(port, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["--serve", "--port", port])
+    assert raised.value.code == 2
+    assert "argument --port: must be" in capsys.readouterr().err
+
+
+def test_cli_rejects_out_of_range_connect_port_in_one_line():
+    with pytest.raises(SystemExit) as raised:
+        main(["--campaign", "smoke", "--connect", "127.0.0.1:70000"])
+    assert str(raised.value) == "--connect expects a port from 0 to 65535, got '70000'"
 
 
 def test_cli_explore(capsys):
