@@ -17,11 +17,9 @@ import pytest
 
 from repro.analysis.explorer import explore
 from repro.analysis.reporting import format_table
-from repro.generators import (
-    CounterBasedAddressGenerator,
-    FsmAddressGenerator,
-    SragDesign,
-)
+from repro.generators.counter_based import CounterBasedAddressGenerator
+from repro.generators.fsm_based import FsmAddressGenerator
+from repro.generators.srag_design import SragDesign
 from repro.memory.layout import BlockedLayout
 from repro.workloads import motion_estimation
 

@@ -13,7 +13,9 @@ import time
 
 import pytest
 
-from repro.engine import CampaignRunner, ResultCache, build_campaign
+from repro.engine.cache import ResultCache
+from repro.engine.runner import CampaignRunner
+from repro.engine.sweep import build_campaign
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,9 @@ Run with::
 
 import sys
 
-from repro.engine import Campaign, CampaignRunner, ResultCache
+from repro.engine.cache import ResultCache
+from repro.engine.jobs import Campaign
+from repro.engine.runner import CampaignRunner
 
 
 def main() -> None:

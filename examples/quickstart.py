@@ -15,7 +15,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro.core import generate
+from repro.core.sradgen import generate
 from repro.workloads import motion_estimation
 
 

@@ -21,36 +21,12 @@ The package is organised in layers (README.md's subsystem map lists them all):
 Quickstart::
 
     from repro.workloads import motion_estimation
-    from repro.core import generate
+    from repro.core.sradgen import generate
 
     sequence = motion_estimation.read_sequence(16, 16, 2, 2)
     result = generate(sequence, synthesize=True)
     print(result.describe())
+
+No package root re-exports names: import each one from its defining
+submodule, so a ``sradgen`` process loads only the layers its mode runs.
 """
-
-from repro.core import (
-    MappingError,
-    SragAddressGenerator,
-    SragFunctionalModel,
-    SragMapping,
-    generate,
-    map_address_sequence,
-    map_sequence,
-)
-from repro.flow import FlowSpec
-from repro.workloads import AddressSequence
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "AddressSequence",
-    "FlowSpec",
-    "MappingError",
-    "SragAddressGenerator",
-    "SragFunctionalModel",
-    "SragMapping",
-    "generate",
-    "map_address_sequence",
-    "map_sequence",
-]

@@ -6,29 +6,7 @@
   exploration with Pareto filtering (the paper's stated future-work goal).
 * :mod:`repro.analysis.reporting` -- plain-text table/series formatting used
   by the benchmark harnesses.
+
+The package root imports nothing: import each name from its defining
+submodule, so a process loads only the layers it runs.
 """
-
-from repro.analysis.explorer import ExplorationResult, explore
-from repro.analysis.reporting import format_figure, format_series, format_table
-from repro.analysis.tradeoff import (
-    GeneratorMetrics,
-    TradeoffRecord,
-    average_factors,
-    compare_generators,
-    evaluate_cntag,
-    evaluate_srag,
-)
-
-__all__ = [
-    "ExplorationResult",
-    "explore",
-    "format_figure",
-    "format_series",
-    "format_table",
-    "GeneratorMetrics",
-    "TradeoffRecord",
-    "average_factors",
-    "compare_generators",
-    "evaluate_cntag",
-    "evaluate_srag",
-]

@@ -12,7 +12,7 @@ one is evaluated by :func:`repro.engine.runner.evaluate_point`, so the
 explorer and the batch campaign engine (:mod:`repro.engine`) agree on the
 design space, the figures and the skip rules; for grid-scale exploration
 with caching and parallelism use ``sradgen --campaign`` or
-:class:`repro.engine.CampaignRunner` directly.
+:class:`repro.engine.runner.CampaignRunner` directly.
 """
 
 from __future__ import annotations

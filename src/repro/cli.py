@@ -45,24 +45,23 @@ import os
 import sys
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.analysis.explorer import explore
-from repro.core.mapping_params import MappingError
-from repro.core.sradgen import generate
-from repro.engine.cache import CacheLockTimeout, ResultCache
-from repro.flow import FlowSpec, cli_overrides
-from repro.obs import enable_tracing, get_tracer, metrics, render_spans, span
-from repro.engine.runner import CampaignRunner, EvalRecord
+# Module level holds only what build_parser and every mode need.  Each mode
+# imports the stack it runs inside its own branch, so ``--list-campaigns``
+# never loads the generators and ``--report`` never loads the engine.
 from repro.engine.sweep import (
     CAMPAIGNS,
     available_campaigns,
     build_campaign,
     campaign_description,
 )
-from repro.workloads.loopnest import AffineAccessPattern
+from repro.flow import FlowSpec, cli_overrides
+from repro.obs import enable_tracing, get_tracer, metrics, render_spans, span
 from repro.workloads.registry import WORKLOADS, build_pattern
 from repro.workloads.sequences import AddressSequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.cache import ResultCache
+    from repro.engine.runner import EvalRecord
     from repro.resilience.retry import RetryPolicy
 
 __all__ = ["main", "build_parser"]
@@ -311,8 +310,7 @@ def _read_address_file(path: str) -> List[int]:
 
 def _load_sequence(args: argparse.Namespace) -> AddressSequence:
     if args.workload:
-        pattern: AffineAccessPattern = build_pattern(args.workload, args.rows, args.cols)
-        return pattern.to_sequence()
+        return build_pattern(args.workload, args.rows, args.cols).to_sequence()
     addresses = _read_address_file(args.input)
     try:
         return AddressSequence.from_linear(
@@ -358,6 +356,8 @@ def _compact_cache(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     Compaction takes the directory's lock file, so it is safe to run while
     a service (or another CLI run using the sharded backend) is appending.
     """
+    from repro.engine.cache import CacheLockTimeout, ResultCache
+
     if not args.cache_dir:
         parser.error("--compact-cache requires --cache-dir")
     cache = ResultCache(args.cache_dir)
@@ -380,6 +380,8 @@ def _compact_cache(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 def _cache_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Print cache health figures: entries, stale lines, status mix."""
+    from repro.engine.cache import ResultCache
+
     if not args.cache_dir:
         parser.error("--cache-stats requires --cache-dir")
     cache = ResultCache(args.cache_dir)
@@ -411,10 +413,12 @@ def _cache_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _parse_address(text: str) -> tuple:
-    """Split a ``HOST:PORT`` --connect argument."""
+    """Split a ``HOST:PORT`` --connect argument (``[HOST]:PORT`` for IPv6)."""
     host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise SystemExit(f"--connect expects HOST:PORT, got {text!r}")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+    if not sep or not host or "[" in host or "]" in host:
+        raise SystemExit(f"--connect expects HOST:PORT or [HOST]:PORT, got {text!r}")
     try:
         return host, _port(port)
     except argparse.ArgumentTypeError:
@@ -471,6 +475,9 @@ def _run_campaign(args: argparse.Namespace) -> int:
             )
             return 3
     else:
+        from repro.engine.cache import ResultCache
+        from repro.engine.runner import CampaignRunner
+
         cache = ResultCache(args.cache_dir)
         workers = 0 if args.serial else args.workers
         print(
@@ -564,6 +571,7 @@ def _serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
+    from repro.engine.cache import ResultCache
     from repro.service.server import CampaignService
 
     service = CampaignService(
@@ -676,9 +684,14 @@ def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.explore:
         if not args.workload:
             parser.error("--explore requires --workload (it needs the loop nest)")
+        from repro.analysis.explorer import explore
+
         result = explore(build_pattern(args.workload, args.rows, args.cols), spec=spec)
         print(result.describe())
         return _report_records(args, result.points + result.skipped)
+
+    from repro.core.mapping_params import MappingError
+    from repro.core.sradgen import generate
 
     try:
         result = generate(

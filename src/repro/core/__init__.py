@@ -10,33 +10,7 @@
 * :mod:`repro.core.two_hot` -- two-hot encoding helpers.
 * :mod:`repro.core.sradgen` -- the end-to-end SRAdGen tool flow (sequence in,
   VHDL/Verilog + synthesis report out).
+
+The package root imports nothing: import each name from its defining
+submodule, so a process loads only the layers it runs.
 """
-
-from repro.core.addm_generator import SragAddressGenerator
-from repro.core.mapper import map_address_sequence, map_sequence
-from repro.core.mapping_params import MappingError, SragMapping
-from repro.core.srag import SragFunctionalModel, SragPorts, build_srag
-from repro.core.sradgen import SRAdGenResult, generate
-from repro.core.two_hot import (
-    encode_two_hot,
-    is_valid_two_hot,
-    one_hot_width,
-    two_hot_width,
-)
-
-__all__ = [
-    "SragAddressGenerator",
-    "map_address_sequence",
-    "map_sequence",
-    "MappingError",
-    "SragMapping",
-    "SragFunctionalModel",
-    "SragPorts",
-    "build_srag",
-    "SRAdGenResult",
-    "generate",
-    "encode_two_hot",
-    "is_valid_two_hot",
-    "one_hot_width",
-    "two_hot_width",
-]

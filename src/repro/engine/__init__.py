@@ -21,46 +21,7 @@ package is the scaffolding for that exploration at scale:
   Figure 8/10 axes (whole-netlist figures) plus new cross-workload grids;
 * :mod:`repro.engine.pareto` -- the O(n log n) Pareto sweep shared with the
   interactive explorer.
+
+The package root imports nothing: import each name from its defining
+submodule, so a process loads only the layers it runs.
 """
-
-from repro.engine.cache import ResultCache
-from repro.engine.jobs import (
-    Campaign,
-    EvalJob,
-    STYLE_VARIANTS,
-    build_design,
-    candidate_factories,
-)
-from repro.engine.pareto import pareto_indices, pareto_min
-from repro.engine.runner import CampaignResult, CampaignRunner, EvalRecord, evaluate_job
-from repro.engine.scheduler import Scheduler, SchedulerTimeout, Submission
-from repro.engine.sweep import (
-    CAMPAIGNS,
-    available_campaigns,
-    build_campaign,
-    campaign_description,
-    register_campaign,
-)
-
-__all__ = [
-    "CAMPAIGNS",
-    "Campaign",
-    "CampaignResult",
-    "CampaignRunner",
-    "EvalJob",
-    "EvalRecord",
-    "ResultCache",
-    "STYLE_VARIANTS",
-    "Scheduler",
-    "SchedulerTimeout",
-    "Submission",
-    "available_campaigns",
-    "build_campaign",
-    "build_design",
-    "campaign_description",
-    "candidate_factories",
-    "evaluate_job",
-    "pareto_indices",
-    "pareto_min",
-    "register_campaign",
-]

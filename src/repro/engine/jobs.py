@@ -19,19 +19,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.flow import DEFAULT_SPEC, FlowSpec
-from repro.generators.arithmetic import ArithmeticAddressGenerator
-from repro.generators.base import AddressGeneratorDesign
-from repro.generators.counter_based import CounterBasedAddressGenerator
-from repro.generators.fsm_based import FsmAddressGenerator
-from repro.generators.sfm_pointer import SfmPointerGenerator
-from repro.generators.srag_design import SragDesign
 from repro.synth.buffering import MAX_FANOUT
 from repro.synth.cell_library import library_fingerprint
 from repro.workloads.loopnest import AffineAccessPattern
 from repro.workloads.registry import build_pattern
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.generators.base import AddressGeneratorDesign
 
 __all__ = [
     "Campaign",
@@ -85,6 +82,14 @@ def candidate_factories(
     ``max_fsm_states`` to keep evaluation time bounded (the blow-up itself is
     measured by the synthesis-effort benchmark instead).
     """
+    # Imported here, not at module top, so the campaign registry (and with
+    # it ``sradgen --list-campaigns``) never loads the FSM/QM stack.
+    from repro.generators.arithmetic import ArithmeticAddressGenerator
+    from repro.generators.counter_based import CounterBasedAddressGenerator
+    from repro.generators.fsm_based import FsmAddressGenerator
+    from repro.generators.sfm_pointer import SfmPointerGenerator
+    from repro.generators.srag_design import SragDesign
+
     sequence = pattern.to_sequence()
     candidates: List[Tuple[str, str, Callable[[], AddressGeneratorDesign]]] = [
         ("SRAG", "two-hot", lambda: SragDesign(sequence)),

@@ -26,6 +26,17 @@ from repro.engine.cache import ResultCache
 from repro.engine.jobs import Campaign, EvalJob, build_design
 from repro.engine.pareto import pareto_min
 from repro.flow import FlowSpec, opt_label_suffix
+
+# Every architecture build_design can return, loaded with the runner so a
+# process that evaluates jobs has them before its pool forks: workers
+# inherit them instead of importing them on their first job.
+from repro.generators import (  # sradlint: disable=ast.dead-import -- loaded for the fork
+    arithmetic,
+    counter_based,
+    fsm_based,
+    sfm_pointer,
+    srag_design,
+)
 from repro.hdl.netlist import NetlistError
 from repro.obs import (
     NULL_SPAN,

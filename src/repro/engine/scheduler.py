@@ -190,7 +190,8 @@ class Scheduler:
         to a fresh in-memory cache (no persistence).
     workers:
         Worker process count.  ``None`` picks ``min(cpu_count, 8)``;
-        ``0``/``1`` evaluates serially in the consuming thread.
+        ``0``/``1`` evaluates serially in the consuming thread; a negative
+        count raises ``ValueError``.
     retry_policy:
         When set, jobs whose records come back transient (``error``) are
         re-evaluated after the policy's deterministic backoff, up to its
@@ -220,7 +221,9 @@ class Scheduler:
         self.cache = cache if cache is not None else ResultCache()
         if workers is None:
             workers = min(os.cpu_count() or 1, 8)
-        self.workers = max(0, workers)
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
+        self.workers = workers
         self.retry_policy = retry_policy
         if rebuild_budget < 0:
             raise ValueError(f"rebuild_budget must be >= 0, got {rebuild_budget}")

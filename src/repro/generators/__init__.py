@@ -13,26 +13,7 @@ interface (elaborate / simulate / verify / synthesize):
   state machine baseline of Section 3.
 * :class:`~repro.generators.sfm_pointer.SfmPointerGenerator` -- Aloqeely's
   Sequential FIFO Memory pointer pair (prior art, FIFO-only).
+
+The package root imports nothing: import each name from its defining
+submodule, so a process loads only the layers it runs.
 """
-
-from repro.generators.arithmetic import ArithmeticAddressGenerator
-from repro.generators.base import AddressGeneratorDesign
-from repro.generators.counter_based import (
-    CounterBasedAddressGenerator,
-    build_standalone_decoder,
-    standalone_decoder_report,
-)
-from repro.generators.fsm_based import FsmAddressGenerator
-from repro.generators.sfm_pointer import SfmPointerGenerator
-from repro.generators.srag_design import SragDesign
-
-__all__ = [
-    "AddressGeneratorDesign",
-    "ArithmeticAddressGenerator",
-    "CounterBasedAddressGenerator",
-    "FsmAddressGenerator",
-    "SfmPointerGenerator",
-    "SragDesign",
-    "build_standalone_decoder",
-    "standalone_decoder_report",
-]

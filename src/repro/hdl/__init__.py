@@ -21,23 +21,7 @@ reproduction is built on:
 The netlist layer is deliberately technology-agnostic: cells are referenced
 by type name only.  Area and delay live in :mod:`repro.synth.cell_library`,
 which maps the same type names onto a 0.18 um-class standard-cell model.
+
+The package root imports nothing: import each name from its defining
+submodule, so a process loads only the layers it runs.
 """
-
-from repro.hdl.compiled import CompiledSimulator
-from repro.hdl.netlist import Bus, Cell, Net, Netlist, NetlistError
-from repro.hdl.primitives import CellSpec, PRIMITIVES, is_sequential
-from repro.hdl.simulator import Simulator, SimulationError
-
-__all__ = [
-    "Bus",
-    "Cell",
-    "Net",
-    "Netlist",
-    "NetlistError",
-    "CellSpec",
-    "PRIMITIVES",
-    "is_sequential",
-    "CompiledSimulator",
-    "Simulator",
-    "SimulationError",
-]

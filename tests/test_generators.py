@@ -5,14 +5,12 @@ import pytest
 from repro.core.mapping_params import MappingError
 from repro.engine.jobs import candidate_factories
 from repro.flow import FlowSpec
-from repro.generators import (
-    ArithmeticAddressGenerator,
-    CounterBasedAddressGenerator,
-    FsmAddressGenerator,
-    SfmPointerGenerator,
-    SragDesign,
-)
+from repro.generators.arithmetic import ArithmeticAddressGenerator
 from repro.generators.base import AddressGeneratorDesign
+from repro.generators.counter_based import CounterBasedAddressGenerator
+from repro.generators.fsm_based import FsmAddressGenerator
+from repro.generators.sfm_pointer import SfmPointerGenerator
+from repro.generators.srag_design import SragDesign
 from repro.hdl.netlist import Netlist, NetlistError
 from repro.hdl.simulator import AddressEncoding, SimulationError
 from repro.workloads import dct, fifo, motion_estimation, zoom

@@ -8,11 +8,9 @@ the quantities the benchmark harness then reports numerically.
 
 from repro.analysis.tradeoff import average_factors, compare_generators
 from repro.core.sradgen import generate
-from repro.generators import (
-    CounterBasedAddressGenerator,
-    FsmAddressGenerator,
-    SragDesign,
-)
+from repro.generators.counter_based import CounterBasedAddressGenerator
+from repro.generators.fsm_based import FsmAddressGenerator
+from repro.generators.srag_design import SragDesign
 from repro.synth.fsm import FiniteStateMachine, synthesize_fsm
 from repro.synth.flow import run_synthesis_flow
 from repro.workloads import dct, fifo, motion_estimation, zoom

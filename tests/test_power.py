@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.addm_generator import SragAddressGenerator
-from repro.generators import CounterBasedAddressGenerator
+from repro.generators.counter_based import CounterBasedAddressGenerator
 from repro.hdl.components import build_binary_counter
 from repro.hdl.netlist import Netlist
 from repro.synth.power import PowerReport, estimate_power

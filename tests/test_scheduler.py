@@ -43,6 +43,28 @@ def counted_eval(monkeypatch):
     return calls
 
 
+# ---------------------------------------------------------- worker counts
+def _scheduler_of(owner, workers):
+    """The scheduler behind each public constructor that takes ``workers``."""
+    from repro.service.server import CampaignService
+
+    if owner == "runner":
+        return CampaignRunner(ResultCache(None), workers=workers).scheduler
+    if owner == "service":
+        return CampaignService(cache=ResultCache(None), workers=workers)._scheduler
+    return Scheduler(ResultCache(None), workers=workers)
+
+
+@pytest.mark.parametrize("owner", ["scheduler", "runner", "service"])
+def test_negative_worker_count_raises_and_zero_is_serial(owner, counted_eval):
+    with pytest.raises(ValueError, match="workers must be >= 0, got -3"):
+        _scheduler_of(owner, -3)
+    with _scheduler_of(owner, 0) as scheduler:
+        records = list(scheduler.submit([JOB_A, JOB_B]).results())
+        assert scheduler.workers == 0 and scheduler._pool is None
+    assert len(records) == 2 and len(counted_eval) == 2
+
+
 # ------------------------------------------------------------------- dedup
 def test_two_identical_submissions_share_one_evaluation(counted_eval):
     scheduler = Scheduler(ResultCache(None), workers=0)

@@ -1,5 +1,6 @@
 """Tests for the SRAdGen flow facade and the sradgen command-line tool."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import _parse_address, build_parser, main
 from repro.core.mapping_params import MappingError
 from repro.core.sradgen import generate
 from repro.workloads import motion_estimation, patterns
@@ -161,6 +162,21 @@ def test_cli_rejects_out_of_range_connect_port_in_one_line():
     assert str(raised.value) == "--connect expects a port from 0 to 65535, got '70000'"
 
 
+@pytest.mark.parametrize(
+    "text, address",
+    [("[::1]:7341", ("::1", 7341)), ("::1:7341", ("::1", 7341)), ("localhost:0", ("localhost", 0))],
+)
+def test_connect_address_strips_ipv6_brackets(text, address):
+    assert _parse_address(text) == address
+
+
+@pytest.mark.parametrize("text", ["[::1:7341", "::1]:7341", "[::1]7341", "[]:7341", "7341"])
+def test_connect_address_rejects_unbalanced_brackets_in_one_line(text):
+    with pytest.raises(SystemExit) as raised:
+        _parse_address(text)
+    assert str(raised.value) == f"--connect expects HOST:PORT or [HOST]:PORT, got {text!r}"
+
+
 def test_cli_explore(capsys):
     exit_code = main(["--workload", "fifo", "--rows", "4", "--cols", "4", "--explore"])
     captured = capsys.readouterr()
@@ -305,23 +321,59 @@ def test_cli_power_campaign_end_to_end(tmp_path, capsys):
     assert "cache hits 36/36" in warm
 
 
+#: Loaded only by the modes that evaluate jobs (``--campaign``, ``--serve``,
+#: ``--explore``) or maintain a cache.
+_ENGINE_STACK = (
+    "repro.engine.runner", "repro.engine.scheduler", "repro.engine.cache",
+    "repro.service", "repro.analysis", "multiprocessing",
+    "concurrent.futures.process", "asyncio", "uuid",
+)
+#: The non-SRAG architectures, then the FSM/QM synthesis they need.
+_BASELINE_GENERATORS = (
+    "repro.generators.fsm_based", "repro.generators.arithmetic",
+    "repro.generators.counter_based", "repro.generators.sfm_pointer",
+)
+_FSM_QM = ("repro.synth.fsm", "repro.synth.logic")
+_CHECKERS = ("repro.lint", "repro.verify")
+
+
 def test_cli_import_loads_neither_lint_nor_verify():
-    """Start-up stays lean: the design checker and the SAT-based verifier
-    load only when a run asks for ``--lint``/``--verify`` -- neither on
-    ``import repro.cli`` nor during a lint-off, verify-off campaign run."""
+    """Start-up stays lean: each mode loads only the stack it runs.
+
+    ``import repro.cli`` and ``--list-campaigns`` load no design code;
+    ``--report`` adds the SRAG and its synthesis flow but no engine and no
+    baseline generator; a campaign loads every generator.  The design
+    checker and the SAT-based verifier load only when a run asks for
+    ``--lint``/``--verify``.  One fresh interpreter runs the modes in turn
+    and prints its loaded modules after each."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     script = (
-        "import contextlib, io, sys, repro.cli\n"
-        "def loaded():\n"
-        "    return sorted(m for m in sys.modules\n"
-        "                  if m.startswith(('repro.lint', 'repro.verify')))\n"
-        "print(loaded())\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = repro.cli.main(['--campaign', 'smoke', '--serial', '--quiet'])\n"
-        "print(code, loaded())\n"
+        "import contextlib, io, json, sys, repro.cli\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert repro.cli.main(argv.split()) == 0\n"
+        "    print(json.dumps(sorted(sys.modules)))\n"
     )
+    modes = [
+        "--list-campaigns",
+        "--workload fifo --rows 4 --cols 4 --report",
+        "--campaign smoke --serial --quiet",
+    ]
     env = dict(os.environ, PYTHONPATH=src)
     lines = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script, *modes],
+        env=env, capture_output=True, text=True, check=True,
     ).stdout.splitlines()
-    assert lines == ["[]", "0 []"]
+    imported, listed, reported, campaigned = (json.loads(line) for line in lines)
+
+    def loaded(modules, prefixes):
+        return [name for name in modules if name.startswith(prefixes)]
+
+    no_design = ("repro.core", "repro.generators") + _FSM_QM + _ENGINE_STACK + _CHECKERS
+    assert loaded(imported, no_design) == []
+    assert loaded(listed, no_design) == []
+    assert loaded(reported, _BASELINE_GENERATORS + _FSM_QM + _ENGINE_STACK + _CHECKERS) == []
+    assert "repro.core.sradgen" in reported
+    assert loaded(campaigned, _CHECKERS) == []
+    assert set(_BASELINE_GENERATORS + _FSM_QM) <= set(campaigned)
