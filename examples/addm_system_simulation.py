@@ -19,7 +19,7 @@ Run with::
 
 from repro.core.addm_generator import SragAddressGenerator
 from repro.hdl.simulator import Simulator
-from repro.memory import AddressDecoderDecoupledMemory
+from repro.memory.addm import AddressDecoderDecoupledMemory
 from repro.workloads import fifo, zoom
 
 SRC_WIDTH = 4

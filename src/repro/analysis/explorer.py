@@ -22,7 +22,8 @@ from typing import List, Optional
 
 from repro.engine.jobs import candidate_factories
 from repro.engine.pareto import pareto_min
-from repro.engine.runner import OK, SKIPPED, EvalRecord, evaluate_point
+from repro.engine.records import OK, SKIPPED, EvalRecord
+from repro.engine.runner import evaluate_point
 from repro.flow import DEFAULT_SPEC, FlowSpec
 from repro.workloads.loopnest import AffineAccessPattern
 

@@ -16,7 +16,6 @@ from typing import Dict, Sequence, Tuple
 from repro.flow import FlowSpec
 from repro.generators.counter_based import CounterBasedAddressGenerator
 from repro.generators.srag_design import SragDesign
-from repro.synth.cell_library import CellLibrary, STD018
 from repro.synth.report import SynthesisResult
 from repro.workloads.loopnest import AffineAccessPattern
 
@@ -82,7 +81,7 @@ class TradeoffRecord:
 
 
 def evaluate_srag(
-    pattern: AffineAccessPattern, library: CellLibrary = STD018
+    pattern: AffineAccessPattern, library: str = "std018"
 ) -> GeneratorMetrics:
     """Synthesise the SRAG for ``pattern`` and return its metrics."""
     design = SragDesign(pattern.to_sequence())
@@ -97,7 +96,7 @@ def evaluate_srag(
 
 
 def evaluate_cntag(
-    pattern: AffineAccessPattern, library: CellLibrary = STD018
+    pattern: AffineAccessPattern, library: str = "std018"
 ) -> GeneratorMetrics:
     """Synthesise the CntAG for ``pattern`` and return its metrics.
 
@@ -125,7 +124,7 @@ def evaluate_cntag(
 def compare_generators(
     workload: str,
     pattern: AffineAccessPattern,
-    library: CellLibrary = STD018,
+    library: str = "std018",
 ) -> TradeoffRecord:
     """Build the SRAG/CntAG trade-off record for one access pattern."""
     return TradeoffRecord(

@@ -54,14 +54,14 @@ from repro.engine.sweep import (
     build_campaign,
     campaign_description,
 )
-from repro.flow import FlowSpec, cli_overrides
+from repro.flow import DEFAULT_SPEC, cli_overrides
 from repro.obs import enable_tracing, get_tracer, metrics, render_spans, span
 from repro.workloads.registry import WORKLOADS, build_pattern
 from repro.workloads.sequences import AddressSequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.cache import ResultCache
-    from repro.engine.runner import EvalRecord
+    from repro.engine.records import EvalRecord
     from repro.resilience.retry import RetryPolicy
 
 __all__ = ["main", "build_parser"]
@@ -292,7 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_address_file(path: str) -> List[int]:
     addresses: List[int] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except OSError as error:
+        raise SystemExit(f"{path}: {error.strerror}") from None
+    with handle:
         for line_number, line in enumerate(handle, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -306,6 +310,32 @@ def _read_address_file(path: str) -> List[int]:
     if not addresses:
         raise SystemExit(f"{path}: no addresses found")
     return addresses
+
+
+def _check_output_path(path: str) -> None:
+    """Refuse, before any work runs, an output file in a missing directory."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise SystemExit(f"{path}: no such directory: {directory}")
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as error:
+        raise SystemExit(f"{path}: {error.strerror}") from None
+
+
+def _existing_cache_dir(
+    args: argparse.Namespace, parser: argparse.ArgumentParser, flag: str
+) -> str:
+    """The --cache-dir a cache maintenance mode reads; it must already exist."""
+    if not args.cache_dir:
+        parser.error(f"{flag} requires --cache-dir")
+    if not os.path.isdir(args.cache_dir):
+        raise SystemExit(f"{args.cache_dir}: no such cache directory")
+    return args.cache_dir
 
 
 def _load_sequence(args: argparse.Namespace) -> AddressSequence:
@@ -358,9 +388,7 @@ def _compact_cache(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     """
     from repro.engine.cache import CacheLockTimeout, ResultCache
 
-    if not args.cache_dir:
-        parser.error("--compact-cache requires --cache-dir")
-    cache = ResultCache(args.cache_dir)
+    cache = ResultCache(_existing_cache_dir(args, parser, "--compact-cache"))
     path = cache.path
     before = _count_cache_lines(cache)
     segments = sum(1 for p in cache.data_paths() if p != path)
@@ -382,9 +410,7 @@ def _cache_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     """Print cache health figures: entries, stale lines, status mix."""
     from repro.engine.cache import ResultCache
 
-    if not args.cache_dir:
-        parser.error("--cache-stats requires --cache-dir")
-    cache = ResultCache(args.cache_dir)
+    cache = ResultCache(_existing_cache_dir(args, parser, "--cache-stats"))
     path = cache.path
     total_lines = _count_cache_lines(cache)
     live = len(cache)
@@ -437,7 +463,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
         campaign = dataclasses.replace(
             campaign,
             jobs=[
-                dataclasses.replace(job, spec=job.spec.with_overrides(**overrides))
+                dataclasses.replace(job, spec=dataclasses.replace(job.spec, **overrides))
                 for job in campaign.jobs
             ],
         )
@@ -638,6 +664,9 @@ def _retry_policy(args: argparse.Namespace) -> Optional["RetryPolicy"]:
 def _dispatch(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for path in (args.vhdl, args.verilog, args.metrics_out):
+        if path:
+            _check_output_path(path)
     if args.trace:
         enable_tracing()
     try:
@@ -651,8 +680,7 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
             if rendered:
                 print(rendered, file=sys.stderr)
         if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                handle.write(metrics.to_json() + "\n")
+            _write_text(args.metrics_out, metrics.to_json() + "\n")
 
 
 def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -676,10 +704,9 @@ def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     if args.rows is None or args.cols is None:
         parser.error("--rows and --cols are required with --input/--workload")
-    sequence = _load_sequence(args)
     # The CLI builds exactly one FlowSpec and hands it down; every flow flag
     # is one namespace attribute named after its spec field.
-    spec = FlowSpec.from_cli_args(args)
+    spec = dataclasses.replace(DEFAULT_SPEC, **cli_overrides(args))
 
     if args.explore:
         if not args.workload:
@@ -693,6 +720,7 @@ def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.core.mapping_params import MappingError
     from repro.core.sradgen import generate
 
+    sequence = _load_sequence(args)
     try:
         result = generate(
             sequence,
@@ -733,12 +761,10 @@ def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 )
                 verify_failed = True
     if args.vhdl:
-        with open(args.vhdl, "w", encoding="utf-8") as handle:
-            handle.write(result.vhdl or "")
+        _write_text(args.vhdl, result.vhdl or "")
         print(f"wrote VHDL to {args.vhdl}")
     if args.verilog:
-        with open(args.verilog, "w", encoding="utf-8") as handle:
-            handle.write(result.verilog or "")
+        _write_text(args.verilog, result.verilog or "")
         print(f"wrote Verilog to {args.verilog}")
     # Proven inequivalence outranks everything: exit 2 > 1 > 0.
     if verify_failed:

@@ -14,9 +14,11 @@ package is the scaffolding for that exploration at scale:
   submissions by content hash (two clients asking for the same grid point
   share one in-flight evaluation);
 * :mod:`repro.engine.runner` -- :class:`CampaignRunner`, the thin
-  synchronous scheduler client: submits a campaign, streams
-  :class:`EvalRecord` results back in campaign order, and merges
-  campaign-level Pareto fronts;
+  synchronous scheduler client: submits a campaign and streams its
+  records back in campaign order;
+* :mod:`repro.engine.records` -- :class:`EvalRecord`, one job's outcome,
+  and :class:`CampaignResult`, which merges campaign-level Pareto fronts
+  (plain data: reading records loads no evaluation code);
 * :mod:`repro.engine.sweep` -- built-in campaigns along the paper's
   Figure 8/10 axes (whole-netlist figures) plus new cross-workload grids;
 * :mod:`repro.engine.pareto` -- the O(n log n) Pareto sweep shared with the

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.flow import DEFAULT_SPEC, FlowSpec
+from repro.flow import DEFAULT_SPEC, FlowSpec, opt_label_suffix
 from repro.synth.buffering import MAX_FANOUT
 from repro.synth.cell_library import library_fingerprint
 from repro.workloads.loopnest import AffineAccessPattern
@@ -192,18 +192,15 @@ class EvalJob:
         library's characterisation, so recalibrating a library (or bumping
         ``SPEC_VERSION``) invalidates stale cache entries.
 
-        It is computed once per job object, remembered beside the library
-        object it was computed against and reused only while
-        ``spec.library`` still resolves to that object: recalibrating a
-        library means registering a new (frozen) library object.  The memo
-        is no part of the job's identity and is never pickled.
+        It is computed once per job object: the job is frozen and a
+        library name in the registry stands for one characterisation for
+        the life of the process.  The memo is no part of the job's
+        identity and is never pickled.
         """
-        library = self.spec.resolve_library()
-        memo = self.__dict__.get("_key_memo")
-        if memo is not None and memo[0] is library:
-            return memo[1]
-        key = _spec_digest(self.to_spec())
-        object.__setattr__(self, "_key_memo", (library, key))
+        key = self.__dict__.get("_key_memo")
+        if key is None:
+            key = _spec_digest(self.to_spec())
+            object.__setattr__(self, "_key_memo", key)
         return key
 
     def __getstate__(self) -> dict:
@@ -216,7 +213,8 @@ class EvalJob:
         """Compact display label, e.g. ``fifo 8x8 SRAG[two-hot] @std018 O1``."""
         return (
             f"{self.workload} {self.rows}x{self.cols} "
-            f"{self.style}[{self.variant}] @{self.spec.library}{self.spec.label_suffix}"
+            f"{self.style}[{self.variant}] @{self.spec.library}"
+            f"{opt_label_suffix(self.spec.opt_level)}"
         )
 
     def pattern(self) -> AffineAccessPattern:
@@ -283,7 +281,7 @@ class Campaign:
                 cols=cols,
                 style=style,
                 variant=variant,
-                spec=spec.with_overrides(library=library),
+                spec=replace(spec, library=library),
             )
             for workload in workloads
             for rows, cols in geometries

@@ -9,7 +9,7 @@ asyncio campaign service, several threads of either -- drive concurrently:
 * **submit/stream API keyed by content hash.**  :meth:`Scheduler.submit`
   takes a batch of :class:`~repro.engine.jobs.EvalJob` and returns a
   :class:`Submission` whose :meth:`Submission.results` generator streams
-  :class:`~repro.engine.runner.EvalRecord` back in completion order
+  :class:`~repro.engine.records.EvalRecord` back in completion order
   (cache-served records first, in submission order).
 * **Cross-request dedup.**  Jobs are identified by ``EvalJob.key``.  A key
   already being evaluated for another client is *joined*, not re-evaluated:
@@ -62,7 +62,8 @@ except ImportError:  # pragma: no cover - environment dependent
 from repro.engine import runner as _runner
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import EvalJob
-from repro.engine.runner import ERROR, EvalRecord, _warm_worker, warn_unclosed
+from repro.engine.records import ERROR, EvalRecord
+from repro.engine.runner import _warm_worker, warn_unclosed
 from repro.obs import get_tracer, log, metrics, span, tracing_enabled
 from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy

@@ -17,6 +17,10 @@ Adding a future knob (a synthesis effort tier, a buffering strategy, a
 power-engine selector) is therefore one field here instead of a six-file
 threading exercise.
 
+A spec is a plain value: its cell library is a name registered in
+:data:`repro.synth.cell_library.LIBRARIES`, and a derived spec is
+``dataclasses.replace(spec, ...)``, which re-runs the validation.
+
 Serialisation is canonical and *default-omitting*: fields that post-date the
 seed (``opt_level``, ``power_cycles``, ...) stay out of :meth:`FlowSpec.to_spec`
 at their default values, so every cache key and JSONL record minted before
@@ -29,7 +33,7 @@ is the constant :data:`repro.synth.buffering.MAX_FANOUT`, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping
 
 __all__ = [
@@ -43,8 +47,8 @@ __all__ = [
 def opt_label_suffix(opt_level: int) -> str:
     """Display suffix for an optimization level: ``" O1"``, or ``""`` at O0.
 
-    Shared by :attr:`FlowSpec.label_suffix`, ``EvalJob.label`` and
-    ``EvalRecord.label`` so every report styles the opt axis identically.
+    Shared by ``EvalJob.label`` and ``EvalRecord.label`` so every report
+    styles the opt axis identically.
     """
     return f" O{opt_level}" if opt_level else ""
 
@@ -72,11 +76,10 @@ class FlowSpec:
     Attributes
     ----------
     library:
-        Cell-library name (``repro.synth.cell_library.LIBRARIES``).  A
-        :class:`~repro.synth.cell_library.CellLibrary` instance is also
-        accepted and normalised to its registered name (unregistered
-        libraries are registered under a fingerprint-qualified name so the
-        spec stays serialisable).
+        Name of a library registered in
+        :data:`repro.synth.cell_library.LIBRARIES` (which is filled once, at
+        import).  Only a name is accepted: a spec is plain data that hashes,
+        pickles and crosses the service wire as it is.
     opt_level:
         Logic-optimization effort: 0 = raw netlist, 1 = full
         :mod:`repro.synth.opt` pipeline.  No other value exists.
@@ -112,16 +115,11 @@ class FlowSpec:
 
     # ---------------------------------------------------------- validation
     def __post_init__(self) -> None:
-        from repro.synth.cell_library import CellLibrary, get_library
-
-        if isinstance(self.library, CellLibrary):
-            object.__setattr__(self, "library", _registered_name(self.library))
-        elif isinstance(self.library, str):
-            get_library(self.library)  # raises KeyError listing known names
-        else:
+        if not isinstance(self.library, str):
             raise TypeError(
-                f"library must be a name or a CellLibrary, got {self.library!r}"
+                f"library must be a registered library name, got {self.library!r}"
             )
+        self.resolve_library()  # raises KeyError listing the known names
         self._check_int("opt_level", minimum=0)
         if self.opt_level > 1:
             raise ValueError(f"opt_level must be 0 or 1, got {self.opt_level}")
@@ -172,47 +170,6 @@ class FlowSpec:
             raise ValueError(f"unknown FlowSpec field(s): {', '.join(unknown)}")
         return cls(**dict(spec))
 
-    # ----------------------------------------------------------- derivation
-    def with_overrides(self, **overrides: Any) -> "FlowSpec":
-        """A copy with the given fields replaced.
-
-        ``None`` means "keep the current value" (no field may legitimately
-        be ``None``), which lets optional CLI flags be forwarded wholesale.  Unknown field names raise ``TypeError``.
-        """
-        supplied = {name: value for name, value in overrides.items() if value is not None}
-        if not supplied:
-            return self
-        return replace(self, **supplied)
-
-    @classmethod
-    def from_cli_args(cls, namespace: Any) -> "FlowSpec":
-        """The one spec a CLI invocation describes.
-
-        Reads every attribute of ``namespace`` named after a spec field
-        (``None`` or absent = flag not given, keep the default), so a new
-        flag is wired in by giving it ``dest=<field name>``.
-        """
-        return cls().with_overrides(**cli_overrides(namespace))
-
-    # ------------------------------------------------------------- pickling
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        if "#" in self.library:
-            # Fingerprint-qualified corners exist only in this process's
-            # registry; ship the characterisation itself so worker processes
-            # (spawn-start platforms build a fresh registry) can re-register
-            # it on arrival.
-            state["_ephemeral_library"] = self.resolve_library()
-        return state
-
-    def __setstate__(self, state):
-        library = state.pop("_ephemeral_library", None)
-        if library is not None:
-            from repro.synth.cell_library import LIBRARIES
-
-            LIBRARIES.setdefault(state["library"], library)
-        self.__dict__.update(state)
-
     # ---------------------------------------------------------- conveniences
     def resolve_library(self):
         """The :class:`~repro.synth.cell_library.CellLibrary` this spec names."""
@@ -220,36 +177,13 @@ class FlowSpec:
 
         return get_library(self.library)
 
-    @property
-    def label_suffix(self) -> str:
-        """Suffix distinguishing non-default flows in display labels."""
-        return opt_label_suffix(self.opt_level)
-
-
-def _registered_name(library: Any) -> str:
-    """Name under which ``library`` can be looked up again.
-
-    Registered libraries map to their own name.  An unregistered
-    characterisation (a scaled corner built on the fly, say) is registered
-    under ``"<name>#<fingerprint>"`` so specs referencing it stay
-    serialisable and cannot collide with a different characterisation of the
-    same name.
-    """
-    from repro.synth.cell_library import LIBRARIES, library_fingerprint
-
-    registered = LIBRARIES.get(library.name)
-    if registered is not None and (
-        registered is library
-        or library_fingerprint(registered) == library_fingerprint(library)
-    ):
-        return library.name
-    qualified = f"{library.name}#{library_fingerprint(library)[:8]}"
-    LIBRARIES.setdefault(qualified, library)
-    return qualified
-
 
 def cli_overrides(namespace: Any) -> Dict[str, Any]:
-    """Spec fields explicitly set on an argparse namespace (``None`` = unset)."""
+    """Spec fields explicitly set on an argparse namespace (``None`` = unset).
+
+    Reads every attribute named after a spec field, so a new flag is wired
+    in by giving it ``dest=<field name>``.
+    """
     overrides: Dict[str, Any] = {}
     for spec_field in fields(FlowSpec):
         value = getattr(namespace, spec_field.name, None)

@@ -32,7 +32,6 @@ from repro.hdl.components.decoder import build_decoder
 from repro.hdl.components.gates import build_and_tree
 from repro.hdl.netlist import Bus, Net, Netlist, NetlistError, sanitise_name
 from repro.hdl.simulator import AddressEncoding
-from repro.synth.cell_library import CellLibrary, STD018
 from repro.synth.report import SynthesisResult
 from repro.synth.flow import run_synthesis_flow
 from repro.workloads.loopnest import AffineAccessPattern, AffineExpression
@@ -250,7 +249,7 @@ class CounterBasedAddressGenerator(AddressGeneratorDesign):
         return Bus(bits, name=bus.name)
 
     # ------------------------------------------------------------- components
-    def counter_section_report(self, library: CellLibrary = STD018) -> SynthesisResult:
+    def counter_section_report(self, library: str = "std018") -> SynthesisResult:
         """Area/delay of the counter + address-computation section alone.
 
         This is the "counter" series of the paper's Figure 9.
@@ -263,7 +262,7 @@ class CounterBasedAddressGenerator(AddressGeneratorDesign):
         return counter_only.synthesize(spec=FlowSpec(library=library))
 
     def component_reports(
-        self, library: CellLibrary = STD018
+        self, library: str = "std018"
     ) -> Dict[str, SynthesisResult]:
         """Per-component reports in the style of the paper's Figure 9.
 
@@ -311,7 +310,7 @@ def build_standalone_decoder(address_width: int, num_outputs: int) -> Netlist:
 def standalone_decoder_report(
     address_width: int,
     num_outputs: int,
-    library: CellLibrary = STD018,
+    library: str = "std018",
 ) -> SynthesisResult:
     """Synthesis report for a standalone ``address_width`` -> ``num_outputs`` decoder."""
     netlist = build_standalone_decoder(address_width, num_outputs)

@@ -4,8 +4,10 @@ The ROADMAP north-star is an exploration *service*, not a CLI that owns a
 process pool for the duration of one invocation.  This package provides it
 with nothing beyond the stdlib:
 
-* :mod:`repro.service.protocol` -- the JSON-lines wire format: one JSON
-  object per line, ``jobs`` requests keyed by the same canonical
+* :mod:`repro.service.protocol` -- the JSON-lines wire format
+  (:func:`encode_message`, :func:`decode_message`, :func:`job_to_wire`,
+  :func:`job_from_wire`, :class:`ServiceError`, :class:`ServiceUnavailable`):
+  one JSON object per line, ``jobs`` requests keyed by the same canonical
   :class:`~repro.flow.FlowSpec` dictionaries that make cache keys, records
   streamed back as they complete;
 * :mod:`repro.service.server` -- :class:`CampaignService`, an ``asyncio``
@@ -20,29 +22,8 @@ with nothing beyond the stdlib:
 Start a server with ``sradgen --serve`` and point any number of
 ``sradgen --campaign ... --connect HOST:PORT`` invocations at it; each
 client expands its campaign (flag overrides included) and ships the jobs.
+
+The package root imports nothing: import each name from its defining
+submodule, so a ``--connect`` client loads neither the server nor the
+scheduler and evaluation stack behind it.
 """
-
-from repro.service.client import ServiceClient, run_campaign_remote
-from repro.service.protocol import (
-    MAX_LINE_BYTES,
-    PROTOCOL_VERSION,
-    ServiceError,
-    decode_message,
-    encode_message,
-    job_from_wire,
-    job_to_wire,
-)
-from repro.service.server import CampaignService
-
-__all__ = [
-    "CampaignService",
-    "MAX_LINE_BYTES",
-    "PROTOCOL_VERSION",
-    "ServiceClient",
-    "ServiceError",
-    "decode_message",
-    "encode_message",
-    "job_from_wire",
-    "job_to_wire",
-    "run_campaign_remote",
-]

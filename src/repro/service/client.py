@@ -5,7 +5,7 @@ a time -- the protocol is request/stream/next-request per connection; open
 more clients for concurrency).  :func:`run_campaign_remote` is the
 synchronous convenience the CLI's ``--connect`` path uses: it runs a whole
 :class:`~repro.engine.jobs.Campaign` against a remote server and
-reassembles a :class:`~repro.engine.runner.CampaignResult` with exactly the
+reassembles a :class:`~repro.engine.records.CampaignResult` with exactly the
 semantics of a local
 :meth:`CampaignRunner.run <repro.engine.runner.CampaignRunner.run>` --
 records in campaign order, duplicates resolved to one evaluation,
@@ -29,7 +29,7 @@ import contextlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.jobs import Campaign
-from repro.engine.runner import ERROR, CampaignResult, EvalRecord
+from repro.engine.records import ERROR, CampaignResult, EvalRecord
 from repro.obs import log, metrics
 from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy

@@ -29,7 +29,7 @@ One ``{"event": "accepted", "jobs": N, "unique": U, "cached": C,
 ``{"event": "record", "done": i, "total": U, "cached": bool,
 "record": {...}}`` line per unique job *as each evaluation completes*
 (``record`` is the exact cached dictionary form of
-:meth:`~repro.engine.runner.EvalRecord.to_dict`; a freshly linted or
+:meth:`~repro.engine.records.EvalRecord.to_dict`; a freshly linted or
 verified record adds ``"lint_findings": [...]`` / ``"verify_result": {...}``
 beside it), then one
 ``{"event": "end", "ok": true, "records": U, "wall_s": ...}`` line.

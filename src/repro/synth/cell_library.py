@@ -72,9 +72,10 @@ class CellCharacteristics:
 class CellLibrary:
     """A named collection of cell characteristics plus global constants.
 
-    Frozen: job keys remember the library object they were computed
-    against (:attr:`repro.engine.jobs.EvalJob.key`), so a recalibration is
-    a new object, never an edit.
+    Frozen, and registered by name in :data:`LIBRARIES` at import: a spec
+    names its library (:attr:`repro.flow.FlowSpec.library`) and each job
+    key embeds the named library's :func:`library_fingerprint`, so a
+    recalibration is an edit to this module, never to a live object.
 
     Attributes
     ----------
@@ -256,10 +257,11 @@ def _build_std018() -> CellLibrary:
 #: reproduction.
 STD018: CellLibrary = _build_std018()
 
-#: Named library registry used by campaign specs (which refer to libraries by
-#: name so that jobs stay serialisable).  ``std018_fast`` models a
-#: high-performance corner (faster, cells up-sized); ``std018_lp`` a low-power
-#: corner (slower, denser).
+#: Named library registry used by every spec (which refers to a library by
+#: name so that jobs stay serialisable).  Filled here, at import, and never
+#: written afterwards.  ``std018_fast`` models a high-performance corner
+#: (faster, cells up-sized); ``std018_lp`` a low-power corner (slower,
+#: denser).
 LIBRARIES: Dict[str, CellLibrary] = {
     "std018": STD018,
     "std018_fast": STD018.scaled("std018_fast", area_scale=1.15, delay_scale=0.8),

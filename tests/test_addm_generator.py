@@ -13,7 +13,7 @@ from repro.core.two_hot import (
 )
 from repro.generators.srag_design import SragDesign
 from repro.hdl.simulator import Simulator
-from repro.memory import AddressDecoderDecoupledMemory
+from repro.memory.addm import AddressDecoderDecoupledMemory
 from repro.workloads import dct, fifo, motion_estimation, patterns, zoom
 
 

@@ -8,7 +8,8 @@ from repro.cli import main
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import Campaign, EvalJob, STYLE_VARIANTS, build_design
 from repro.engine.pareto import pareto_indices, pareto_min
-from repro.engine.runner import CampaignRunner, EvalRecord, evaluate_job, evaluate_point
+from repro.engine.records import EvalRecord
+from repro.engine.runner import CampaignRunner, evaluate_job, evaluate_point
 from repro.flow import FlowSpec
 from repro.engine.sweep import (
     available_campaigns,
@@ -46,14 +47,14 @@ def test_job_key_distinguishes_every_axis():
 
 
 def test_job_key_covers_library_characterisation(monkeypatch):
-    """Recalibrating a library must invalidate its cached results."""
+    """Recalibrating a library must invalidate its cached results: a job
+    built against the recalibrated registry gets a different key."""
     from repro.synth import cell_library
 
-    job = EvalJob("fifo", 4, 4, "SRAG", "two-hot")
-    key_before = job.key
+    key_before = EvalJob("fifo", 4, 4, "SRAG", "two-hot").key
     scaled = cell_library.STD018.scaled("std018", area_scale=2.0)
     monkeypatch.setitem(cell_library.LIBRARIES, "std018", scaled)
-    assert job.key != key_before
+    assert EvalJob("fifo", 4, 4, "SRAG", "two-hot").key != key_before
 
 
 def test_grid_expansion_covers_cross_product():

@@ -13,6 +13,7 @@ Three contracts matter here:
   ``TypeError`` on every entry point.
 """
 
+import argparse
 import dataclasses
 import json
 import pickle
@@ -23,10 +24,10 @@ from repro.analysis.explorer import explore
 from repro.cli import build_parser, main
 from repro.core.sradgen import generate
 from repro.engine.jobs import Campaign, EvalJob
-from repro.engine.runner import EvalRecord
-from repro.flow import DEFAULT_SPEC, FlowSpec, opt_label_suffix
+from repro.engine.records import EvalRecord
+from repro.flow import DEFAULT_SPEC, FlowSpec, cli_overrides, opt_label_suffix
 from repro.generators.srag_design import SragDesign
-from repro.synth.cell_library import STD018, get_library
+from repro.synth.cell_library import LIBRARIES, STD018, get_library
 from repro.synth.flow import run_synthesis_flow
 from repro.synth.opt import passes_for_level
 from repro.workloads.fifo import fifo_pattern, incremental_sequence
@@ -68,19 +69,27 @@ def test_spec_rejects_invalid_values(bad):
         FlowSpec(**bad)
 
 
-def test_spec_accepts_a_library_object_and_normalises_to_its_name():
-    assert FlowSpec(library=STD018).library == "std018"
-    assert FlowSpec(library=get_library("std018_lp")).library == "std018_lp"
-
-
-def test_spec_registers_unseen_library_objects_under_qualified_names():
-    """An ad-hoc characterisation stays serialisable and collision-proof."""
+def test_spec_takes_only_registered_library_names():
+    """A library is a registered name, never an object, and no spec, job or
+    pickle writes the registry: ``LIBRARIES`` is filled once, at import."""
+    registered = list(LIBRARIES)
     corner = STD018.scaled("flow_spec_test_corner", area_scale=2.0)
-    spec = FlowSpec(library=corner)
-    assert spec.library.startswith("flow_spec_test_corner#")
-    assert spec.resolve_library() is corner
-    # Round-tripping through the canonical dict finds the same library.
+    for library in (STD018, get_library("std018_lp"), corner):
+        with pytest.raises(TypeError, match="registered library name"):
+            FlowSpec(library=library)
+        with pytest.raises(TypeError, match="registered library name"):
+            dataclasses.replace(DEFAULT_SPEC, library=library)
+    with pytest.raises(KeyError, match="flow_spec_test_corner"):
+        FlowSpec(library=corner.name)
+    spec = FlowSpec(library=get_library("std018_lp").name)
+    assert spec.resolve_library() is get_library("std018_lp")
     assert FlowSpec.from_spec(spec.to_spec()) == spec
+    # A job ships the name alone and resolves it again after unpickling.
+    job = EvalJob("fifo", 4, 4, "SRAG", "two-hot", spec)
+    clone = pickle.loads(pickle.dumps(job))
+    assert clone.key == job.key
+    assert clone.spec.resolve_library() is get_library("std018_lp")
+    assert list(LIBRARIES) == registered
 
 
 # ---------------------------------------------------------------------------
@@ -119,32 +128,41 @@ def test_from_spec_round_trips_and_rejects_unknown_fields():
 
 
 def test_with_overrides_skips_none_and_rejects_unknown_fields():
+    """A derived spec is ``dataclasses.replace`` (the removed
+    ``FlowSpec.with_overrides``): unset flags never reach it, because
+    ``cli_overrides`` drops them, and it re-runs the validation."""
     spec = FlowSpec(opt_level=1)
-    assert spec.with_overrides(opt_level=None, library=None) is spec
-    derived = spec.with_overrides(library="std018_lp", power_cycles=32)
+    unset = argparse.Namespace(opt_level=None, library=None)
+    assert cli_overrides(unset) == {}
+    assert dataclasses.replace(spec, **cli_overrides(unset)) == spec
+    derived = dataclasses.replace(spec, library="std018_lp", power_cycles=32)
     assert (derived.library, derived.power_cycles, derived.opt_level) == (
         "std018_lp", 32, 1,
     )
     with pytest.raises(TypeError):
-        spec.with_overrides(effort_tier="high")
+        dataclasses.replace(spec, effort_tier="high")
+    with pytest.raises(KeyError):
+        dataclasses.replace(spec, library="no_such_library")
 
 
 def test_from_cli_args_reads_namespace_fields():
+    """The CLI's one spec is ``replace(DEFAULT_SPEC, **cli_overrides(args))``."""
     parser = build_parser()
     args = parser.parse_args(
         ["--workload", "fifo", "--rows", "4", "--cols", "4",
          "--opt-level", "1", "--max-fsm-states", "99"]
     )
-    spec = FlowSpec.from_cli_args(args)
+    assert cli_overrides(args) == {"opt_level": 1, "max_fsm_states": 99}
+    spec = dataclasses.replace(DEFAULT_SPEC, **cli_overrides(args))
     assert spec == FlowSpec(opt_level=1, max_fsm_states=99)
     defaults = parser.parse_args(["--workload", "fifo", "--rows", "4", "--cols", "4"])
-    assert FlowSpec.from_cli_args(defaults) == FlowSpec()
+    assert dataclasses.replace(DEFAULT_SPEC, **cli_overrides(defaults)) == FlowSpec()
 
 
 def test_opt_label_suffix_shared_by_jobs_and_records():
     assert opt_label_suffix(0) == ""
     assert opt_label_suffix(1) == " O1"
-    assert FlowSpec(opt_level=1).label_suffix == " O1"
+    assert opt_label_suffix(FlowSpec(opt_level=1).opt_level) == " O1"
     job = EvalJob("fifo", 4, 4, "SRAG", "two-hot", FlowSpec(opt_level=1))
     assert job.label.endswith(" O1")
 
@@ -243,9 +261,9 @@ def test_synthesize_positional_library_warns_and_matches():
     design = SragDesign(incremental_sequence(32))
     with pytest.raises(TypeError, match="spec must be a FlowSpec"):
         design.synthesize(get_library("std018_lp"))
-    by_object = design.synthesize(FlowSpec(library=get_library("std018_lp")))
+    by_position = design.synthesize(FlowSpec(library="std018_lp"))
     by_name = design.synthesize(spec=FlowSpec(library="std018_lp"))
-    assert (by_object.area_cells, by_object.delay_ns, by_object.buffers_inserted) == (
+    assert (by_position.area_cells, by_position.delay_ns, by_position.buffers_inserted) == (
         by_name.area_cells, by_name.delay_ns, by_name.buffers_inserted,
     )
 
@@ -272,11 +290,11 @@ def test_eval_job_legacy_keywords():
 
 
 def test_legacy_keywords_layer_on_top_of_an_explicit_spec():
-    """Overrides layer onto a spec through FlowSpec.with_overrides, not EvalJob."""
+    """Overrides layer onto a spec through dataclasses.replace, not EvalJob."""
     spec = FlowSpec(library="std018_lp", opt_level=1)
     with pytest.raises(TypeError):
         EvalJob("fifo", 4, 4, "SRAG", "two-hot", spec, power_cycles=16)
-    job = EvalJob("fifo", 4, 4, "SRAG", "two-hot", spec.with_overrides(power_cycles=16))
+    job = EvalJob("fifo", 4, 4, "SRAG", "two-hot", dataclasses.replace(spec, power_cycles=16))
     assert (job.spec.library, job.spec.opt_level, job.spec.power_cycles) == (
         "std018_lp", 1, 16
     )
@@ -303,23 +321,8 @@ def test_synthesize_accepts_a_positional_spec():
         design.synthesize(FlowSpec(), spec=FlowSpec())
 
 
-def test_ephemeral_library_specs_survive_pickling_into_fresh_registries(monkeypatch):
-    """Worker processes on spawn-start platforms build their registry from
-    scratch; a spec naming an ad-hoc corner must carry it along."""
-    from repro.synth.cell_library import LIBRARIES
-
-    corner = STD018.scaled("pickle_test_corner", area_scale=1.5)
-    job = EvalJob("fifo", 4, 4, "SRAG", "two-hot", FlowSpec(library=corner))
-    payload = pickle.dumps(job)
-    # Simulate the fresh process: the qualified name is unknown there.
-    monkeypatch.delitem(LIBRARIES, job.spec.library)
-    clone = pickle.loads(payload)
-    assert clone.key == job.key  # key needs the fingerprint -> the library
-    assert clone.spec.resolve_library().cells == corner.cells
-
-
 # ---------------------------------------------------------------------------
-# CLI integration: --max-fsm-states routed through FlowSpec.from_cli_args
+# CLI integration: --max-fsm-states routed through cli_overrides
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("value", ["banana", "0", "-3", "2.5"])

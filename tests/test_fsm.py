@@ -159,7 +159,8 @@ def test_state_register_above_table_width_is_rejected_not_relabelled(monkeypatch
     """Binary/gray machines too wide for truth tables raise; they must not
     come back as a one-hot netlist still labelled with the requested encoding."""
     import repro.synth.fsm.synthesis as synthesis
-    from repro.engine.runner import SKIPPED, evaluate_point
+    from repro.engine.records import SKIPPED
+    from repro.engine.runner import evaluate_point
     from repro.flow import DEFAULT_SPEC
     from repro.workloads.fifo import fifo_pattern
 

@@ -1,7 +1,7 @@
 """The job key is computed once per job object; records serialise directly.
 
-``EvalJob.key`` remembers its digest together with the cell library it was
-computed against, and ``EvalRecord.to_dict`` builds the cached dictionary
+``EvalJob.key`` remembers its digest on the job object, and
+``EvalRecord.to_dict`` builds the cached dictionary
 from a fixed field list.  These tests pin that both are invisible: every key
 equals a fresh digest of the job's canonical spec, the memo never travels
 in a pickle or takes part in a job's identity, and ``to_dict`` gives
@@ -20,7 +20,7 @@ import pytest
 
 from repro.engine import jobs as jobs_module
 from repro.engine.jobs import EvalJob
-from repro.engine.runner import EvalRecord
+from repro.engine.records import EvalRecord
 from repro.engine.sweep import available_campaigns, build_campaign
 from repro.flow import FlowSpec
 from repro.service.protocol import job_to_wire
@@ -94,9 +94,7 @@ def test_replace_gives_a_fresh_key():
     assert moved.key == _fresh_key(EvalJob("fifo", 8, 4, "SRAG", "two-hot", FlowSpec(opt_level=1)))
 
 
-def test_a_job_is_hashed_once_per_library_object(monkeypatch):
-    from repro.synth import cell_library
-
+def test_a_job_is_hashed_once_per_job_object(monkeypatch):
     calls = []
     digest = jobs_module._spec_digest
     monkeypatch.setattr(
@@ -106,13 +104,11 @@ def test_a_job_is_hashed_once_per_library_object(monkeypatch):
     for _ in range(5):
         job.key
     assert len(calls) == 1
-    # A recalibration is a new library object under the same name.
-    monkeypatch.setitem(
-        cell_library.LIBRARIES, "std018", cell_library.STD018.scaled("std018")
-    )
-    job.key
-    job.key
-    assert len(calls) == 2
+    # An equal job is another object: it hashes once of its own.
+    twin = _fresh_job(JOB)
+    twin.key
+    twin.key
+    assert len(calls) == 2 and twin.key == job.key
 
 
 # ------------------------------------------------------ record serialisation

@@ -8,7 +8,8 @@ import pytest
 
 from repro.cli import main
 from repro.engine.jobs import EvalJob
-from repro.engine.runner import EvalRecord, evaluate_job
+from repro.engine.records import EvalRecord
+from repro.engine.runner import evaluate_job
 from repro.flow import FlowSpec
 from repro.generators.fsm_based import FsmAddressGenerator
 from repro.synth.flow import run_synthesis_flow

@@ -5,16 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.two_hot import encode_two_hot
-from repro.memory import (
-    AddressDecoderDecoupledMemory,
-    BlockedLayout,
-    COLUMN_MAJOR,
-    ConventionalRAM,
-    MemoryCellArray,
-    MultipleSelectError,
-    ROW_MAJOR,
-    SequentialFifoMemory,
-)
+from repro.memory.addm import AddressDecoderDecoupledMemory
+from repro.memory.cell_array import MemoryCellArray, MultipleSelectError
+from repro.memory.layout import COLUMN_MAJOR, ROW_MAJOR, BlockedLayout
+from repro.memory.ram import ConventionalRAM
+from repro.memory.sfm import SequentialFifoMemory
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.engine import runner as runner_module
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import EvalJob
-from repro.engine.runner import EvalRecord
+from repro.engine.records import EvalRecord
 from repro.engine.scheduler import Scheduler
 from repro.obs import metrics
 from repro.resilience.faults import FaultPlan, FaultRule, clear_plan, install_plan

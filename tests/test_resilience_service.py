@@ -12,7 +12,8 @@ import pytest
 from repro.engine import runner as runner_module
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import Campaign, EvalJob
-from repro.engine.runner import CampaignRunner, EvalRecord
+from repro.engine.records import EvalRecord
+from repro.engine.runner import CampaignRunner
 from repro.obs import metrics
 from repro.resilience.faults import FaultPlan, FaultRule, clear_plan, install_plan
 from repro.resilience.retry import RetryPolicy

@@ -7,7 +7,8 @@ import pytest
 from repro.engine import runner as runner_module
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import EvalJob
-from repro.engine.runner import CampaignRunner, EvalRecord
+from repro.engine.records import EvalRecord
+from repro.engine.runner import CampaignRunner
 from repro.engine.scheduler import Scheduler, SchedulerTimeout
 from repro.obs import metrics
 

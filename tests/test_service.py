@@ -13,7 +13,8 @@ from repro.engine import jobs as jobs_module
 from repro.engine import runner as runner_module
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import Campaign, EvalJob
-from repro.engine.runner import CampaignRunner, EvalRecord
+from repro.engine.records import EvalRecord
+from repro.engine.runner import CampaignRunner
 from repro.engine.sweep import build_campaign
 from repro.flow import FlowSpec
 from repro.service.client import ServiceClient, run_campaign_remote
@@ -206,7 +207,7 @@ def test_remote_campaign_with_spec_override_matches_local_serial_run():
     campaign = replace(
         smoke,
         jobs=[
-            replace(job, spec=job.spec.with_overrides(opt_level=1))
+            replace(job, spec=replace(job.spec, opt_level=1))
             for job in smoke.jobs
         ],
     )

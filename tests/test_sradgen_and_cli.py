@@ -129,6 +129,53 @@ def test_cli_rejects_address_outside_array_in_one_line(tmp_path, address):
     )
 
 
+@pytest.mark.parametrize("name, message", [("missing.txt", "No such file or directory"),
+                                           (".", "Is a directory")])
+def test_cli_reports_an_unreadable_input_file_in_one_line(tmp_path, name, message):
+    path = tmp_path / name
+    with pytest.raises(SystemExit) as raised:
+        main(["--input", str(path), "--rows", "4", "--cols", "4"])
+    assert raised.value.code == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("flag", ["--vhdl", "--verilog", "--metrics-out"])
+def test_cli_refuses_an_output_file_in_a_missing_directory_before_any_work(
+    tmp_path, flag, capsys
+):
+    target = tmp_path / "missing" / "out.txt"
+    with pytest.raises(SystemExit) as raised:
+        main(["--workload", "fifo", "--rows", "4", "--cols", "4", "--report",
+              flag, str(target)])
+    assert raised.value.code == f"{target}: no such directory: {target.parent}"
+    assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit) as raised:
+        main(["--workload", "fifo", "--rows", "4", "--cols", "4", flag, str(tmp_path)])
+    assert raised.value.code == f"{tmp_path}: Is a directory"
+
+
+@pytest.mark.parametrize("mode", ["--cache-stats", "--compact-cache"])
+def test_cli_cache_maintenance_needs_an_existing_cache_dir(tmp_path, mode, capsys):
+    missing = tmp_path / "no_cache"
+    with pytest.raises(SystemExit) as raised:
+        main([mode, "--cache-dir", str(missing)])
+    assert raised.value.code == f"{missing}: no such cache directory"
+    assert capsys.readouterr().out == "" and not missing.exists()
+    # A campaign still creates the cache directory it is given.
+    assert main(["--campaign", "smoke", "--serial", "--quiet",
+                 "--cache-dir", str(missing)]) == 0
+    capsys.readouterr()
+    assert main([mode, "--cache-dir", str(missing)]) == 0
+    assert "16 live record" in capsys.readouterr().out
+
+
+def test_cli_explore_refuses_an_input_file_before_reading_it(tmp_path, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["--input", str(tmp_path / "missing.txt"), "--rows", "4", "--cols", "4",
+              "--explore"])
+    assert raised.value.code == 2
+    assert "--explore requires --workload" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--rows", "--cols"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_cli_rejects_non_positive_dimensions_as_usage_error(flag, value, capsys):
@@ -221,7 +268,7 @@ def test_cli_report_opt_level_shrinks_area(capsys):
 # ---------------------------------------------------------------------------
 
 def _record(status, note="", **extra):
-    from repro.engine.runner import EvalRecord
+    from repro.engine.records import EvalRecord
 
     return EvalRecord(
         workload="fifo", rows=4, cols=4, style="SRAG", variant="two-hot",
@@ -335,6 +382,16 @@ _BASELINE_GENERATORS = (
 )
 _FSM_QM = ("repro.synth.fsm", "repro.synth.logic")
 _CHECKERS = ("repro.lint", "repro.verify")
+#: The memory models; the workloads need only ``repro.memory.layout``.
+_MEMORY_MODELS = (
+    "repro.memory.cell_array", "repro.memory.ram", "repro.memory.addm",
+    "repro.memory.sfm",
+)
+#: What a ``--connect`` client never runs: it only ships jobs and reads records.
+_EVALUATION = (
+    "repro.engine.runner", "repro.engine.scheduler", "repro.generators.",
+    "repro.hdl.simulator", "repro.hdl.compiled",
+) + _FSM_QM
 
 
 def test_cli_import_loads_neither_lint_nor_verify():
@@ -345,7 +402,8 @@ def test_cli_import_loads_neither_lint_nor_verify():
     baseline generator; a campaign loads every generator.  The design
     checker and the SAT-based verifier load only when a run asks for
     ``--lint``/``--verify``.  One fresh interpreter runs the modes in turn
-    and prints its loaded modules after each."""
+    and prints its loaded modules after each; another imports the
+    ``--connect`` client alone, which loads no evaluation code."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     script = (
         "import contextlib, io, json, sys, repro.cli\n"
@@ -366,12 +424,18 @@ def test_cli_import_loads_neither_lint_nor_verify():
         env=env, capture_output=True, text=True, check=True,
     ).stdout.splitlines()
     imported, listed, reported, campaigned = (json.loads(line) for line in lines)
+    client = json.loads(subprocess.run(
+        [sys.executable, "-c", "import json, sys, repro.service.client\n"
+         "print(json.dumps(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout)
 
     def loaded(modules, prefixes):
         return [name for name in modules if name.startswith(prefixes)]
 
     no_design = ("repro.core", "repro.generators") + _FSM_QM + _ENGINE_STACK + _CHECKERS
-    assert loaded(imported, no_design) == []
+    assert loaded(imported, no_design + _MEMORY_MODELS) == []
+    assert loaded(client, _EVALUATION) == []
     assert loaded(listed, no_design) == []
     assert loaded(reported, _BASELINE_GENERATORS + _FSM_QM + _ENGINE_STACK + _CHECKERS) == []
     assert "repro.core.sradgen" in reported

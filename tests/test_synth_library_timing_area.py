@@ -49,7 +49,7 @@ def test_scaled_library():
 
 
 def test_library_is_frozen():
-    """Job keys remember their library object, so a library never changes in place."""
+    """A registered name stands for one characterisation: no library changes in place."""
     with pytest.raises(FrozenInstanceError):
         STD018.tau = 0.04
     assert STD018.tau == 0.02

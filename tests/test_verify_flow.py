@@ -9,7 +9,8 @@ import pytest
 
 from repro.cli import main
 from repro.engine.jobs import EvalJob
-from repro.engine.runner import EvalRecord, evaluate_job
+from repro.engine.records import EvalRecord
+from repro.engine.runner import evaluate_job
 from repro.flow import FlowSpec
 from repro.workloads.registry import build_pattern
 
