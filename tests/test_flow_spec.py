@@ -69,22 +69,39 @@ def test_spec_rejects_invalid_values(bad):
         FlowSpec(**bad)
 
 
-def test_spec_takes_only_registered_library_names():
-    """A library is a registered name, never an object, and no spec, job or
-    pickle writes the registry: ``LIBRARIES`` is filled once, at import."""
-    registered = list(LIBRARIES)
-    corner = STD018.scaled("flow_spec_test_corner", area_scale=2.0)
-    for library in (STD018, get_library("std018_lp"), corner):
+def test_spec_accepts_a_library_object_and_normalises_to_its_name():
+    """A library is a registered name, never an object: ``FlowSpec`` and
+    ``dataclasses.replace`` refuse a ``CellLibrary`` (the removed
+    normalisation to its name), and the name resolves to that object."""
+    for library in (STD018, get_library("std018_lp")):
         with pytest.raises(TypeError, match="registered library name"):
             FlowSpec(library=library)
         with pytest.raises(TypeError, match="registered library name"):
             dataclasses.replace(DEFAULT_SPEC, library=library)
+        assert FlowSpec(library=library.name).resolve_library() is library
+
+
+def test_spec_registers_unseen_library_objects_under_qualified_names():
+    """No spec writes the registry (the removed ``name#fingerprint``
+    registration): an ad-hoc corner is refused as an object and unknown by
+    name, and ``LIBRARIES`` keeps the keys it was filled with at import."""
+    registered = list(LIBRARIES)
+    corner = STD018.scaled("flow_spec_test_corner", area_scale=2.0)
+    with pytest.raises(TypeError, match="registered library name"):
+        FlowSpec(library=corner)
+    with pytest.raises(TypeError, match="registered library name"):
+        dataclasses.replace(DEFAULT_SPEC, library=corner)
     with pytest.raises(KeyError, match="flow_spec_test_corner"):
         FlowSpec(library=corner.name)
-    spec = FlowSpec(library=get_library("std018_lp").name)
-    assert spec.resolve_library() is get_library("std018_lp")
+    assert list(LIBRARIES) == registered
+
+
+def test_ephemeral_library_specs_survive_pickling_into_fresh_registries():
+    """A job ships its library's name alone (the removed custom pickling
+    shipped ad-hoc libraries) and resolves it again after unpickling."""
+    registered = list(LIBRARIES)
+    spec = FlowSpec(library="std018_lp")
     assert FlowSpec.from_spec(spec.to_spec()) == spec
-    # A job ships the name alone and resolves it again after unpickling.
     job = EvalJob("fifo", 4, 4, "SRAG", "two-hot", spec)
     clone = pickle.loads(pickle.dumps(job))
     assert clone.key == job.key
