@@ -131,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--compact-cache",
         action="store_true",
         help=(
-            "rewrite the --cache-dir result file keeping only the latest "
-            "entry per key, then exit"
+            "merge the --cache-dir writer segments into its base file, "
+            "keeping only the latest entry per key, then exit"
         ),
     )
     source.add_argument(
@@ -293,20 +293,22 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_address_file(path: str) -> List[int]:
     addresses: List[int] = []
     try:
-        handle = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as error:
         raise SystemExit(f"{path}: {error.strerror}") from None
-    with handle:
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            try:
-                addresses.append(int(stripped, 0))
-            except ValueError:
-                raise SystemExit(
-                    f"{path}:{line_number}: not an address: {stripped!r}"
-                ) from None
+    except UnicodeDecodeError:
+        raise SystemExit(f"{path}: not UTF-8 text") from None
+    for line_number, line in enumerate(text.split("\n"), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        try:
+            addresses.append(int(stripped, 0))
+        except ValueError:
+            raise SystemExit(
+                f"{path}:{line_number}: not an address: {stripped!r}"
+            ) from None
     if not addresses:
         raise SystemExit(f"{path}: no addresses found")
     return addresses
@@ -338,9 +340,29 @@ def _existing_cache_dir(
     return args.cache_dir
 
 
-def _load_sequence(args: argparse.Namespace) -> AddressSequence:
+def _open_cache(directory: Optional[str]) -> ResultCache:
+    """The result cache --campaign and --serve write; a file path is one line."""
+    from repro.engine.cache import ResultCache
+
+    try:
+        return ResultCache(directory)
+    except NotADirectoryError as error:
+        raise SystemExit(str(error)) from None
+
+
+def _build_pattern(args: argparse.Namespace, parser: argparse.ArgumentParser):
+    """The --workload pattern; an array it cannot tile is a usage error."""
+    try:
+        return build_pattern(args.workload, args.rows, args.cols)
+    except ValueError as error:
+        parser.error(f"--workload {args.workload}: {error}")
+
+
+def _load_sequence(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> AddressSequence:
     if args.workload:
-        return build_pattern(args.workload, args.rows, args.cols).to_sequence()
+        return _build_pattern(args, parser).to_sequence()
     addresses = _read_address_file(args.input)
     try:
         return AddressSequence.from_linear(
@@ -383,8 +405,8 @@ def _count_cache_lines(cache: ResultCache) -> int:
 def _compact_cache(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Merge segments and drop superseded lines; report the shrink.
 
-    Compaction takes the directory's lock file, so it is safe to run while
-    a service (or another CLI run using the sharded backend) is appending.
+    Compaction takes the directory's lock file, which every append also
+    takes, so it is safe to run while a campaign or a service is appending.
     """
     from repro.engine.cache import CacheLockTimeout, ResultCache
 
@@ -501,10 +523,9 @@ def _run_campaign(args: argparse.Namespace) -> int:
             )
             return 3
     else:
-        from repro.engine.cache import ResultCache
         from repro.engine.runner import CampaignRunner
 
-        cache = ResultCache(args.cache_dir)
+        cache = _open_cache(args.cache_dir)
         workers = 0 if args.serial else args.workers
         print(
             f"campaign {args.campaign!r}: {len(campaign)} jobs, "
@@ -597,11 +618,10 @@ def _serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.engine.cache import ResultCache
     from repro.service.server import CampaignService
 
     service = CampaignService(
-        cache=ResultCache(args.cache_dir, backend="sharded"),
+        cache=_open_cache(args.cache_dir),
         workers=0 if args.serial else args.workers,
         retry_policy=_retry_policy(args),
     )
@@ -713,14 +733,14 @@ def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             parser.error("--explore requires --workload (it needs the loop nest)")
         from repro.analysis.explorer import explore
 
-        result = explore(build_pattern(args.workload, args.rows, args.cols), spec=spec)
+        result = explore(_build_pattern(args, parser), spec=spec)
         print(result.describe())
         return _report_records(args, result.points + result.skipped)
 
     from repro.core.mapping_params import MappingError
     from repro.core.sradgen import generate
 
-    sequence = _load_sequence(args)
+    sequence = _load_sequence(args, parser)
     try:
         result = generate(
             sequence,

@@ -6,33 +6,27 @@ content hash (:attr:`repro.engine.jobs.EvalJob.key`).  Re-running a campaign
 then only evaluates points whose spec changed -- new workloads, new
 geometries, a recalibrated library -- and everything else is a cache hit.
 
-The store is a directory of append-only JSON-lines files.  *Reading* is
-layout-agnostic: every cache loads the base ``results.jsonl`` plus any
-``segments/*.jsonl`` shard files, so a directory written by either layout
-(or by several writers) loads unchanged.  *Writing* follows the
-``backend`` name given to :class:`ResultCache`:
-
-* ``"jsonl"`` (the default, and the seed format) appends every record to the
-  single base file.  Atomic enough for the single-writer model of
-  ``sradgen --campaign``; the format stays greppable and diffable.
-* ``"sharded"`` gives every cache instance its own segment file under
-  ``segments/``, so any number of concurrent processes (the campaign
-  service, parallel CLI invocations) can append without interleaving a
-  single file.  Appends hold the directory :class:`CacheLock` briefly, and
-  segments are folded back into the base file by merge-on-compact.
+The store is a directory of append-only JSON-lines files.  Every cache
+instance appends only to a segment file of its own,
+``segments/seg-<pid>-<token>.jsonl``, and holds the directory
+:class:`CacheLock` while it does, so any number of concurrent writers (the
+campaign service, parallel CLI runs) never interleave one file.
+``results.jsonl`` is the compacted base: only :meth:`ResultCache.compact`
+writes it.  Reading loads the base, then every segment, so a directory whose
+base file an older version appended to loads unchanged.
 
 Re-putting a key appends a new line that supersedes the old one on the next
 load; :meth:`ResultCache.compact` re-reads every data file *from disk* under
-the directory-level :class:`CacheLock` (so a concurrent writer can neither
-be torn nor lost), rewrites the base file with only live entries and removes
-the segment files it merged.  Every key and record stays byte-identical to
-the seed format in either layout.
+the lock (so a concurrent writer can neither be torn nor lost), rewrites the
+base file with only live entries and removes the segment files it merged.
+Every key and record stays byte-identical to the seed format.
 
 Crash safety (PR 10) completes the torn-*read* tolerance with torn-*write*
 tolerance.  Appends are atomic from the reader's point of view: the line is
 written, flushed and fsynced **before** the in-memory index acknowledges the
-key, a torn tail left by a killed writer is newline-sealed before the next
-append (so the fragment cannot glue onto a live record), and transient
+key, a torn tail left in a segment by a failed write is newline-sealed
+before the retry appends (so the fragment cannot glue onto a live record;
+a killed writer's segment is never appended to again), and transient
 append failures are retried under a bounded
 :class:`~repro.resilience.retry.RetryPolicy`.  ``compact()`` commits through
 a temp file + ``os.replace``, so a kill at any point leaves either the old
@@ -49,7 +43,7 @@ import json
 import os
 import time
 import uuid
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional
 
 from repro.obs import log, metrics
 from repro.resilience.faults import FaultInjected, fault_data, fault_point
@@ -74,13 +68,12 @@ class CacheLockTimeout(TimeoutError):
 
 
 class CacheLock:
-    """Advisory inter-process lock file guarding cache compaction.
+    """Advisory inter-process lock file guarding appends and compaction.
 
     Acquisition atomically creates ``cache.lock`` in the cache directory
-    (``O_CREAT | O_EXCL``) with the holder's pid inside.  Compaction (of
-    either layout) and sharded-segment appends take this lock, so rewriting
-    the base file can never race a writer into losing records -- the fix for
-    ``sradgen --compact-cache`` racing a running service.
+    (``O_CREAT | O_EXCL``) with the holder's pid inside.  Every append and
+    every compaction takes this lock, so rewriting the base file can never
+    race a writer into losing records.
 
     A lock whose holder died (pid gone, or the file is older than
     ``stale_after_s``) is broken and re-acquired, so a crashed compaction
@@ -176,35 +169,26 @@ class ResultCache:
     ----------
     directory:
         Cache directory; created on first write.  ``None`` gives a purely
-        in-memory cache (useful for tests and one-shot runs).
+        in-memory cache (useful for tests and one-shot runs).  A path that
+        exists but is not a directory raises ``NotADirectoryError``.
     backend:
-        Where ``put`` appends: ``"jsonl"`` (default; the seed single-writer
-        ``results.jsonl``) or ``"sharded"`` (a
-        ``segments/seg-<pid>-<token>.jsonl`` file this instance owns,
-        appended under the cache lock, safe for concurrent writers).
-        Anything else raises ``ValueError``.  Reading always covers both
-        layouts, so the backend can be switched freely over an existing
-        directory.
+        Accepts only ``"sharded"``, the one write path; anything else
+        raises ``ValueError``.
     """
 
-    def __init__(self, directory: Optional[str] = None, *, backend: str = "jsonl"):
-        if backend == "jsonl":
-            append_name = _RESULTS_FILE
-        elif backend == "sharded":
-            token = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
-            append_name = os.path.join(_SEGMENTS_DIR, f"seg-{token}.jsonl")
-        else:
-            raise ValueError(
-                f"unknown cache backend {backend!r}; available: jsonl, sharded"
-            )
+    def __init__(self, directory: Optional[str] = None, *, backend: str = "sharded"):
+        if backend != "sharded":
+            raise ValueError(f"unknown cache backend {backend!r}; available: sharded")
+        if directory and os.path.exists(directory) and not os.path.isdir(directory):
+            raise NotADirectoryError(f"{directory}: not a directory")
         self.directory = directory
-        self.backend = backend
-        self._append_name = append_name
+        token = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
+        self._segment_name = os.path.join(_SEGMENTS_DIR, f"seg-{token}.jsonl")
         self._records: Dict[str, dict] = {}
         self._loaded = directory is None
-        # Paths whose tail this instance has verified ends in a newline; a
-        # write failure invalidates the entry so the next append re-seals.
-        self._sealed: Set[str] = set()
+        # Whether this instance has verified its segment ends in a newline; a
+        # write failure clears it so the next append re-seals.
+        self._sealed = False
 
     # ------------------------------------------------------------------- io
     @property
@@ -312,15 +296,12 @@ class ResultCache:
         if self.directory is None:
             return
         fault_point("cache.append")
-        path = os.path.join(self.directory, self._append_name)
+        path = os.path.join(self.directory, self._segment_name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         line = json.dumps({"key": key, "record": record}, sort_keys=True) + "\n"
 
         def attempt() -> None:
-            if self.backend == "sharded":
-                with self.lock():
-                    self._write_line(path, line)
-            else:
+            with self.lock():
                 self._write_line(path, line)
 
         call_with_retry(
@@ -338,7 +319,7 @@ class ResultCache:
         reader can never observe a key whose record is not on disk.
         """
         payload = fault_data("cache.append.write", line)
-        if path not in self._sealed:
+        if not self._sealed:
             self._seal_tail(path)
         try:
             with open(path, "a", encoding="utf-8") as handle:
@@ -346,20 +327,20 @@ class ResultCache:
                 handle.flush()
                 os.fsync(handle.fileno())
         except Exception:
-            self._sealed.discard(path)
+            self._sealed = False
             raise
         fault_point("cache.append.flush")
         if payload is not line:
             # An injected torn write left a fragment on disk, exactly as a
             # kill mid-write would.  Fail the append (it was never acked);
             # the retry re-seals the fragment and lands the full line.
-            self._sealed.discard(path)
+            self._sealed = False
             raise FaultInjected(f"torn append left {len(payload)} bytes in {path}")
 
     def _seal_tail(self, path: str) -> None:
         """Newline-terminate a torn trailing line before appending to it.
 
-        A writer killed mid-append leaves a partial last line; appending
+        A write that failed midway leaves a partial last line; appending
         straight after it would glue the new record onto the fragment and
         corrupt *both*.  Sealing turns the fragment into its own (skipped,
         ``cache.torn_lines``) line so the new record stays intact.
@@ -367,7 +348,7 @@ class ResultCache:
         try:
             size = os.path.getsize(path)
         except OSError:
-            self._sealed.add(path)  # file does not exist yet
+            self._sealed = True  # file does not exist yet
             return
         if size:
             with open(path, "rb+") as handle:
@@ -382,10 +363,10 @@ class ResultCache:
                         component="cache",
                         path=path,
                     )
-        self._sealed.add(path)
+        self._sealed = True
 
     def lock(self) -> CacheLock:
-        """The directory-level lock guarding compaction and sharded appends."""
+        """The directory-level lock guarding appends and compaction."""
         if self.directory is None:
             raise ValueError("in-memory caches have no lock")
         return CacheLock(self.directory)
@@ -477,20 +458,3 @@ class ResultCache:
         # Adopt the merged view: it may contain other writers' records.
         self._records = merged
         metrics.gauge("cache.entries", len(self._records))
-
-    def clear(self) -> None:
-        """Drop every record (truncate the base file, remove segments)."""
-        self._load()
-        self._records.clear()
-        path = self.path
-        if path is None:
-            return
-        for source in self.data_paths():
-            if source == path:
-                with open(source, "w", encoding="utf-8"):
-                    pass
-            else:
-                try:
-                    os.unlink(source)
-                except OSError:  # sradlint: disable=ast.silent-except -- segment gone already; clear() is idempotent
-                    pass

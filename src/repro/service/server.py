@@ -60,11 +60,9 @@ class CampaignService:
     ----------
     cache:
         The :class:`ResultCache` every request reads and populates;
-        defaults to a fresh in-memory cache.  ``sradgen --serve`` opens a
-        ``sharded`` one: the service is exactly the concurrent-writer
-        scenario the sharded-segment backend exists for (another process
-        -- a CLI run, a compaction -- may be appending to the same
-        directory).
+        defaults to a fresh in-memory cache.  Like every writer, the
+        service appends to a segment of its own under the cache lock, so
+        a CLI run or a compaction may share its directory.
     workers / retry_policy:
         Forwarded to the private :class:`Scheduler` (``retry_policy`` is
         the self-healing knob from :mod:`repro.resilience`; a broken pool is

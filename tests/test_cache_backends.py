@@ -1,4 +1,4 @@
-"""Cache backends: torn-line recovery, sharded segments, locking, stress."""
+"""Result cache: torn-line recovery, writer segments, locking, stress."""
 
 import json
 import multiprocessing
@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.engine import cache as cache_module
 from repro.engine.cache import CacheLock, CacheLockTimeout, ResultCache
 from repro.obs import metrics
 
@@ -22,7 +23,8 @@ def test_truncated_trailing_line_keeps_live_prefix(tmp_path, capsys):
     """A crash mid-append must not poison the whole cache."""
     cache = ResultCache(str(tmp_path))
     _fill(cache, 3)
-    with open(cache.path, "a", encoding="utf-8") as handle:
+    [segment] = cache.data_paths()  # the writer's own segment
+    with open(segment, "a", encoding="utf-8") as handle:
         handle.write('{"key": "k3", "record": {"val')  # torn append
 
     reloaded = ResultCache(str(tmp_path))
@@ -37,9 +39,10 @@ def test_truncated_trailing_line_keeps_live_prefix(tmp_path, capsys):
 def test_torn_line_mid_file_skips_only_that_line(tmp_path):
     cache = ResultCache(str(tmp_path))
     _fill(cache, 2)
-    lines = open(cache.path, encoding="utf-8").read().splitlines()
+    [segment] = cache.data_paths()
+    lines = open(segment, encoding="utf-8").read().splitlines()
     lines.insert(1, "{nonsense")
-    with open(cache.path, "w", encoding="utf-8") as handle:
+    with open(segment, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
     before = metrics.counter("cache.torn_lines")
     reloaded = ResultCache(str(tmp_path))
@@ -47,10 +50,10 @@ def test_torn_line_mid_file_skips_only_that_line(tmp_path):
     assert metrics.counter("cache.torn_lines") == before + 1
 
 
-# ----------------------------------------------------------------- backends
+# ----------------------------------------------------------------- segments
 def test_sharded_backend_writes_per_writer_segments(tmp_path):
-    a = ResultCache(str(tmp_path), backend="sharded")
-    b = ResultCache(str(tmp_path), backend="sharded")
+    a = ResultCache(str(tmp_path))
+    b = ResultCache(str(tmp_path))
     a.put("ka", {"v": 1})
     a.put("ka2", {"v": 3})
     b.put("kb", {"v": 2})
@@ -59,10 +62,12 @@ def test_sharded_backend_writes_per_writer_segments(tmp_path):
     assert len(segments) == 2
     assert all(name.startswith(f"seg-{os.getpid()}-") for name in segments)
     assert all(name.endswith(".jsonl") for name in segments)
-    assert not os.path.exists(tmp_path / "results.jsonl")
-    with pytest.raises(ValueError, match="unknown cache backend"):
-        ResultCache(str(tmp_path), backend="bogus")
-    # A fresh cache -- regardless of its own write backend -- reads both.
+    assert not os.path.exists(tmp_path / "results.jsonl")  # only compact() writes it
+    assert ResultCache(str(tmp_path), backend="sharded").get("ka") == {"v": 1}
+    for backend in ("jsonl", "bogus"):  # the single-file append mode is gone
+        with pytest.raises(ValueError, match="unknown cache backend"):
+            ResultCache(str(tmp_path), backend=backend)
+    # A fresh cache reads every writer's segment.
     reader = ResultCache(str(tmp_path))
     assert reader.get("ka") == {"v": 1}
     assert reader.get("kb") == {"v": 2}
@@ -70,30 +75,39 @@ def test_sharded_backend_writes_per_writer_segments(tmp_path):
 
 def test_segment_record_format_matches_base_format(tmp_path):
     """Same JSON line layout in segments as in the seed results.jsonl."""
-    jsonl_dir, sharded_dir = tmp_path / "a", tmp_path / "b"
-    ResultCache(str(jsonl_dir)).put("k", {"status": "ok", "delay_ns": 1.5})
-    ResultCache(str(sharded_dir), backend="sharded").put(
-        "k", {"status": "ok", "delay_ns": 1.5}
-    )
-    base_line = open(jsonl_dir / "results.jsonl", encoding="utf-8").read()
-    seg_file = next((sharded_dir / "segments").iterdir())
-    assert open(seg_file, encoding="utf-8").read() == base_line
+    cache = ResultCache(str(tmp_path))
+    cache.put("k", {"status": "ok", "delay_ns": 1.5})
+    [segment] = cache.data_paths()
+    segment_text = open(segment, encoding="utf-8").read()
+    assert segment_text == '{"key": "k", "record": {"delay_ns": 1.5, "status": "ok"}}\n'
+    cache.compact()  # the base file takes the segment's line verbatim
+    assert open(tmp_path / "results.jsonl", encoding="utf-8").read() == segment_text
 
 
 def test_existing_jsonl_directory_loads_under_sharded_backend(tmp_path):
-    """Switching backend over an existing cache dir keeps every record."""
-    old = ResultCache(str(tmp_path))
-    _fill(old, 4)
-    new = ResultCache(str(tmp_path), backend="sharded")
-    assert len(new) == 4
-    new.put("extra", {"value": 99})
-    # And back again: the jsonl-backend reader sees the segment write too.
-    assert ResultCache(str(tmp_path)).get("extra") == {"value": 99}
+    """A base file an older version appended to loads, then takes segment writes."""
+    legacy = tmp_path / "results.jsonl"
+    legacy.write_text(
+        "".join(
+            json.dumps({"key": f"k{i}", "record": {"value": i}}, sort_keys=True) + "\n"
+            for i in range(4)
+        )
+        + '{"key": "k0", "record": {"value": 10}}\n',  # a superseding append
+        encoding="utf-8",
+    )
+    legacy_bytes = legacy.read_bytes()
+    cache = ResultCache(str(tmp_path))
+    assert len(cache) == 4 and cache.get("k0") == {"value": 10}
+    cache.put("extra", {"value": 99})
+    assert legacy.read_bytes() == legacy_bytes  # appends go to a segment
+    reader = ResultCache(str(tmp_path))
+    assert len(reader) == 5 and reader.get("extra") == {"value": 99}
+    assert reader.get("k3") == {"value": 3}
 
 
 def test_compact_merges_segments_into_base(tmp_path):
-    a = ResultCache(str(tmp_path), backend="sharded")
-    b = ResultCache(str(tmp_path), backend="sharded")
+    a = ResultCache(str(tmp_path))
+    b = ResultCache(str(tmp_path))
     _fill(a, 3, prefix="a")
     _fill(b, 3, prefix="b")
     a.put("shared", {"value": 1})
@@ -117,7 +131,7 @@ def test_compact_preserves_records_from_unseen_writers(tmp_path):
     mine = ResultCache(str(tmp_path))
     _fill(mine, 2)
     # Another process appends after this instance loaded its view.
-    other = ResultCache(str(tmp_path), backend="sharded")
+    other = ResultCache(str(tmp_path))
     other.put("theirs", {"value": 42})
     assert "theirs" not in mine._records  # never seen by `mine`
     mine.compact()
@@ -145,6 +159,44 @@ def test_cache_lock_breaks_stale_holder(tmp_path, capsys):
     assert "breaking stale cache lock" in capsys.readouterr().err
 
 
+def test_put_waits_for_a_running_compaction(tmp_path, monkeypatch):
+    """A put racing compact() waits for the lock, so its record is not lost.
+
+    The compactor is held between its merge snapshot and the rewrite of the
+    base file; an append that skipped the lock would land in a file the
+    rewrite then replaces without it.
+    """
+    compactor = ResultCache(str(tmp_path))
+    compactor.put("k1", {"value": 1})
+    at_merge, resume = threading.Event(), threading.Event()
+    real_fault_point = cache_module.fault_point
+
+    def gate(site):
+        if site == "cache.compact.merge":
+            at_merge.set()
+            assert resume.wait(10)
+        real_fault_point(site)
+
+    monkeypatch.setattr(cache_module, "fault_point", gate)
+    compaction = threading.Thread(target=compactor.compact)
+    compaction.start()
+    assert at_merge.wait(10)
+    writer = threading.Thread(
+        target=ResultCache(str(tmp_path)).put, args=("k2", {"value": 2})
+    )
+    writer.start()
+    writer.join(0.2)
+    blocked = writer.is_alive()
+    resume.set()
+    compaction.join(10)
+    writer.join(10)
+    assert blocked  # the put waited on the compactor's lock
+    assert not writer.is_alive()
+    reloaded = ResultCache(str(tmp_path))
+    assert reloaded.get("k1") == {"value": 1}
+    assert reloaded.get("k2") == {"value": 2}
+
+
 def test_compact_waits_for_lock_release(tmp_path):
     cache = ResultCache(str(tmp_path))
     _fill(cache, 2)
@@ -170,7 +222,7 @@ def test_multi_writer_thread_stress(tmp_path):
     per_writer = 25
 
     def work(index):
-        cache = ResultCache(str(tmp_path), backend="sharded")
+        cache = ResultCache(str(tmp_path))
         for i in range(per_writer):
             cache.put(f"w{index}-k{i}", {"writer": index, "i": i})  # disjoint
             cache.put("overlap", {"value": "same"})  # overlapping
@@ -191,7 +243,7 @@ def test_multi_writer_thread_stress(tmp_path):
 
 
 def _process_writer(directory, index, per_writer):
-    cache = ResultCache(directory, backend="sharded")
+    cache = ResultCache(directory)
     for i in range(per_writer):
         cache.put(f"p{index}-k{i}", {"writer": index, "i": i})
         cache.put(f"shared-{i % 3}", {"value": i % 3})
@@ -225,7 +277,7 @@ def test_multi_writer_process_stress(tmp_path):
 
 
 def _slow_process_writer(directory, index, per_writer):
-    cache = ResultCache(directory, backend="sharded")
+    cache = ResultCache(directory)
     for i in range(per_writer):
         cache.put(f"p{index}-k{i}", {"writer": index, "i": i})
         time.sleep(0.002)  # stretch the run so compactions overlap appends
@@ -235,7 +287,7 @@ def _killed_compactor(directory, site):
     from repro.resilience.faults import FaultPlan, FaultRule, install_plan
 
     install_plan(FaultPlan([FaultRule(site=site, action="exit")]))
-    ResultCache(directory, backend="sharded").compact()
+    ResultCache(directory).compact()
 
 
 def test_concurrent_writers_survive_killed_compactions(tmp_path):

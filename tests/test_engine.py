@@ -123,8 +123,10 @@ def test_cache_last_write_wins_and_compact(tmp_path):
     cache.put("k", {"value": 1})
     cache.put("k", {"value": 2})
     assert ResultCache(str(tmp_path)).get("k") == {"value": 2}
-    assert sum(1 for _ in open(cache.path)) == 2
+    [segment] = cache.data_paths()  # appends land in the writer's segment
+    assert sum(1 for _ in open(segment)) == 2
     cache.compact()
+    assert cache.data_paths() == [cache.path]
     assert sum(1 for _ in open(cache.path)) == 1
     assert ResultCache(str(tmp_path)).get("k") == {"value": 2}
 

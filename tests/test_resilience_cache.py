@@ -1,5 +1,6 @@
 """Crash-safe cache: torn-write healing, kill-anywhere compaction, locks."""
 
+import json
 import multiprocessing
 import os
 import time
@@ -45,19 +46,26 @@ def test_torn_append_self_heals_without_losing_the_record(tmp_path):
 
 
 def test_append_after_another_writers_torn_tail(tmp_path):
-    """A fragment left by a killed foreign writer is sealed, not glued onto."""
+    """A fragment a killed writer left in its segment is skipped at load and
+    never touches a new writer's records, which land in a segment of their own."""
     cache = ResultCache(str(tmp_path))
     cache.put("live", {"value": 1})
-    with open(cache.path, "a", encoding="utf-8") as handle:
+    [foreign] = cache.data_paths()
+    with open(foreign, "a", encoding="utf-8") as handle:
         handle.write('{"key": "torn", "record": {"va')  # no trailing newline
+    torn = metrics.counter("cache.torn_lines")
     sealed = metrics.counter("cache.sealed_tails")
     fresh = ResultCache(str(tmp_path))
     fresh.put("after", {"value": 2})
-    assert metrics.counter("cache.sealed_tails") == sealed + 1
+    assert metrics.counter("cache.torn_lines") == torn + 1
+    assert metrics.counter("cache.sealed_tails") == sealed  # nothing to seal
     reloaded = ResultCache(str(tmp_path))
     assert reloaded.get("live") == {"value": 1}
     assert reloaded.get("after") == {"value": 2}
     assert "torn" not in reloaded
+    [own] = [path for path in reloaded.data_paths() if path != foreign]
+    with open(own, encoding="utf-8") as handle:
+        assert [json.loads(line)["key"] for line in handle] == ["after"]
 
 
 def test_put_is_not_acknowledged_until_durable(tmp_path):
@@ -100,7 +108,7 @@ def test_failure_after_durability_is_benign(tmp_path):
 def test_transient_lock_contention_on_sharded_append_is_retried(tmp_path):
     install_plan(FaultPlan([FaultRule(site="cache.lock.acquire")]))
     retries = metrics.counter("cache.append_retries")
-    cache = ResultCache(str(tmp_path), backend="sharded")
+    cache = ResultCache(str(tmp_path))
     cache.put("k", {"value": 1})
     assert metrics.counter("cache.append_retries") == retries + 1
     assert ResultCache(str(tmp_path)).get("k") == {"value": 1}
@@ -110,17 +118,22 @@ def test_transient_lock_contention_on_sharded_append_is_retried(tmp_path):
 def _compact_with_kill(directory, site):
     """Child body: die (os._exit) exactly at ``site`` during compact()."""
     install_plan(FaultPlan([FaultRule(site=site, action="exit")]))
-    ResultCache(directory, backend="sharded").compact()
+    ResultCache(directory).compact()
 
 
 def _seed_sharded(tmp_path):
-    base = ResultCache(str(tmp_path))
-    for i in range(3):
-        base.put(f"base{i}", {"value": i})
-    shard = ResultCache(str(tmp_path), backend="sharded")
+    expected = {f"base{i}": {"value": i} for i in range(3)}
+    # A base file as an earlier compaction leaves it.
+    (tmp_path / "results.jsonl").write_text(
+        "".join(
+            json.dumps({"key": key, "record": record}, sort_keys=True) + "\n"
+            for key, record in expected.items()
+        ),
+        encoding="utf-8",
+    )
+    shard = ResultCache(str(tmp_path))
     for i in range(3):
         shard.put(f"seg{i}", {"value": 10 + i})
-    expected = {f"base{i}": {"value": i} for i in range(3)}
     expected.update({f"seg{i}": {"value": 10 + i} for i in range(3)})
     return expected
 

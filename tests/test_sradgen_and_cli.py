@@ -138,6 +138,40 @@ def test_cli_reports_an_unreadable_input_file_in_one_line(tmp_path, name, messag
     assert raised.value.code == f"{path}: {message}"
 
 
+def test_cli_reports_a_non_utf8_input_file_in_one_line(tmp_path):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe1\x00")
+    with pytest.raises(SystemExit) as raised:
+        main(["--input", str(path), "--rows", "4", "--cols", "4"])
+    assert raised.value.code == f"{path}: not UTF-8 text"
+
+
+@pytest.mark.parametrize("argv", [
+    "--workload strided --rows 5 --cols 8 --report",
+    "--workload motion_est_read --rows 1 --cols 4",
+    "--workload block_raster --rows 1 --cols 4 --explore",
+])
+def test_cli_workload_that_cannot_tile_the_array_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(argv.split())
+    assert raised.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: --workload {argv.split()[1]}: " in err
+    assert "does not" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["--campaign smoke --serial", "--serve --port 0"])
+def test_cli_cache_dir_naming_a_file_is_refused_before_any_job(tmp_path, mode, capsys):
+    path = tmp_path / "afile"
+    path.write_text("")
+    with pytest.raises(SystemExit) as raised:
+        main(mode.split() + ["--cache-dir", str(path)])
+    assert raised.value.code == f"{path}: not a directory"
+    captured = capsys.readouterr()
+    assert "[" not in captured.out and captured.err == ""
+    assert path.read_text() == ""
+
+
 @pytest.mark.parametrize("flag", ["--vhdl", "--verilog", "--metrics-out"])
 def test_cli_refuses_an_output_file_in_a_missing_directory_before_any_work(
     tmp_path, flag, capsys
@@ -329,21 +363,27 @@ def test_cli_campaign_opt_level_override(capsys):
 
 
 def test_cli_compact_cache_drops_superseded_lines(tmp_path, capsys):
-    """--compact-cache rewrites the JSONL file to one line per live key."""
+    """--compact-cache merges the runs' segments into one line per live key."""
     cache_dir = str(tmp_path / "cache")
     results = tmp_path / "cache" / "results.jsonl"
+    segments = tmp_path / "cache" / "segments"
+
+    def segment_lines():
+        return sum(len(path.read_text().splitlines()) for path in segments.iterdir())
+
     base = ["--campaign", "smoke", "--cache-dir", cache_dir, "--serial", "--quiet"]
     assert main(base) == 0
-    lines_after_first = len(results.read_text().splitlines())
-    # --force appends a superseding line for every key.
+    lines_after_first = segment_lines()
+    # --force appends a superseding line for every key (in a second segment).
     assert main(base + ["--force"]) == 0
     capsys.readouterr()
-    lines_before = len(results.read_text().splitlines())
-    assert lines_before == 2 * lines_after_first
+    lines_before = segment_lines()
+    assert lines_before == 2 * lines_after_first and not results.exists()
 
     assert main(["--compact-cache", "--cache-dir", cache_dir]) == 0
     out = capsys.readouterr().out
     assert f"{lines_before} -> {lines_after_first} lines" in out
+    assert "2 segment(s) merged" in out and not any(segments.iterdir())
     assert len(results.read_text().splitlines()) == lines_after_first
     # The compacted cache still serves every record.
     assert main(base) == 0
