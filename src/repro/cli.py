@@ -35,6 +35,19 @@ Usage examples::
     # scheduler, cache and in-flight dedup table
     sradgen --serve --cache-dir .svc_cache --port 8787
     sradgen --campaign smoke --connect 127.0.0.1:8787
+
+Exit status:
+
+* 0: a result (report, HDL, exploration, campaign, listing, cache figures,
+  or a service stopped with Ctrl-C).
+* 1: error records or lint errors (``--campaign``, ``--explore``,
+  ``--lint``); a mapping failure (one line and a hint); or one stderr line
+  for a bad input file, output path, ``--connect`` address or cache
+  directory, or a compaction that could not take the cache lock.  A closed
+  stdout pipe also exits 1, quietly.
+* 2: a usage error (argparse), or a proven inequivalence under ``--verify``,
+  which outranks 1.
+* 3: ``--connect`` found no campaign service.
 """
 
 from __future__ import annotations

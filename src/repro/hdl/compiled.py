@@ -1,11 +1,10 @@
 """Compiled netlist simulator: the reproduction's simulation fast path.
 
-The reference :class:`~repro.hdl.simulator.Simulator` re-evaluates every
-combinational cell once per clock edge, each through its truth-table model
-on a pin-name dictionary, which makes it too slow for campaigns that
-measure switching activity (256 cycles per design point).
-:class:`CompiledSimulator` levelises the netlist **once** at construction
-into a flat evaluation program:
+The reference :class:`~repro.hdl.simulator.Simulator` is the oracle: it
+re-evaluates every combinational cell at every settle and counts no
+toggles.  Campaigns that measure switching activity (256 cycles per design
+point) run :class:`CompiledSimulator`, which levelises the netlist **once**
+at construction into a flat evaluation program:
 
 * every net gets an integer slot in one flat value list,
 * every combinational cell becomes a pre-specialised closure (see
@@ -15,12 +14,14 @@ into a flat evaluation program:
 
 Settling is event-driven: a cell is only re-evaluated when one of its input
 nets actually changed, so quiescent logic cones (most of an SRAG, where a
-single token moves per access) are skipped entirely.  :meth:`run` steps many
-cycles in a batch with per-net toggle counting fused into the loop, using
-the same cycle-boundary snapshot semantics as the reference power estimator
--- the compiled simulator is bit-for-bit compatible with the reference
-``Simulator``; ``tests/test_hdl_compiled.py`` checks the equivalence on
-every built-in workload.
+single token moves per access) are skipped entirely.  Every flop is evaluated
+at every edge, which is the part the reference skips for flops whose inputs
+and state did not move.  :meth:`run` steps many cycles in a batch with
+per-net toggle counting fused into the loop, using the same cycle-boundary
+snapshot semantics as the reference power estimator -- the compiled
+simulator is bit-for-bit compatible with the reference ``Simulator``;
+``tests/test_hdl_compiled.py`` checks the equivalence on every built-in
+workload.
 """
 
 from __future__ import annotations

@@ -1,17 +1,28 @@
 """Cycle-accurate two-phase simulator for primitive-cell netlists.
 
 The simulator evaluates the combinational cells of a :class:`~repro.hdl.netlist.Netlist`
-in topological order, then updates every flip-flop simultaneously on a
+in topological order, then updates the flip-flops simultaneously on a
 simulated rising clock edge.  It is used throughout the reproduction to check
 that elaborated address generators (SRAG, CntAG, FSM-based, SFM pointers)
 actually produce the address or select-line sequence the paper expects before
 their area and delay are measured.
+
+It is the oracle for :class:`~repro.hdl.compiled.CompiledSimulator` and
+shares none of its evaluation code: every cell is evaluated through its
+:attr:`~repro.hdl.primitives.CellSpec.eval_fn` model on a pin-name dict, and
+every settle evaluates the whole topological order, where the compiled
+engine's settle is event-driven.  An edge evaluates only the flip-flops whose
+input nets or own state changed since their last evaluation, where the
+compiled engine evaluates every flop: a skipped flop sees the inputs and
+state of an evaluation that left its state unchanged, so by induction on the
+edges its next state is its current state.  Each engine thus checks the part
+that the other one shortcuts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.hdl.netlist import Net, Netlist
 from repro.obs import metrics
@@ -44,11 +55,15 @@ class Simulator:
     * All nets start at 0 and all flip-flops start in state 0; use
       :meth:`poke` to drive inputs (for example a ``reset`` input) before the
       first clock edge.
-    * Pin-to-net bindings are resolved once at construction, since they
-      never change.  Every cell is still evaluated through its truth-table
-      model :attr:`~repro.hdl.primitives.CellSpec.eval_fn` on a pin-name
-      dict, and every settle re-evaluates the whole topological order, so
-      this simulator stays an oracle independent of the compiled engine.
+    * Pin-to-net bindings are resolved once at construction.  Every cell is
+      evaluated through its truth-table model
+      :attr:`~repro.hdl.primitives.CellSpec.eval_fn` on a pin-name dict,
+      and every settle re-evaluates the whole topological order.
+    * An edge evaluates only the flip-flops marked since their last
+      evaluation (all of them after construction): :meth:`poke`,
+      :meth:`poke_bus` and :meth:`settle` mark the flops reading each net
+      whose value they change, and a flop whose state changed marks itself
+      and writes its ``Q`` net in the next settle.
     * A settle is a pure function of the input values and the flop state,
       so :meth:`step` skips the pre-edge settle when nothing was poked
       since the last one: one settle per clock edge in steady state.
@@ -57,36 +72,51 @@ class Simulator:
     def __init__(self, netlist: Netlist):
         netlist.validate()
         self.netlist = netlist
-        # (eval_fn, ((pin, net), ...), ((out_pin, net), ...)) in topological
-        # order; only connected pins are bound.
+        flops = netlist.sequential_cells()
+        # Flop indices reading each net.
+        self._watchers: Dict[str, Tuple[int, ...]] = {}
+        for i, cell in enumerate(flops):
+            for net in {net.name for net in cell.input_nets().values()}:
+                self._watchers[net] = self._watchers.get(net, ()) + (i,)
+        # (eval_fn, ((pin, net), ...), ((out_pin, net, flops reading it), ...))
+        # in topological order; only connected pins are bound.
         self._order = [
-            (cell.spec.eval_fn, _bind(cell.input_nets()), _bind(cell.output_nets()))
-            for cell in netlist.topological_combinational_order()
-        ]
-        # (name, eval_fn, ((pin, net), ...), q_net or None)
-        self._flops = [
             (
-                cell.name,
                 cell.spec.eval_fn,
                 _bind(cell.input_nets()),
-                cell.pins["Q"].name if "Q" in cell.pins else None,
+                tuple(
+                    (pin, net.name, self._watchers.get(net.name, ()))
+                    for pin, net in cell.output_nets().items()
+                ),
             )
-            for cell in netlist.sequential_cells()
+            for cell in netlist.topological_combinational_order()
         ]
+        # (eval_fn, ((pin, net), ...)) per flop; its state and Q net share its index.
+        self._flops = [(cell.spec.eval_fn, _bind(cell.input_nets())) for cell in flops]
+        self._q_nets = [cell.pins["Q"].name if "Q" in cell.pins else None for cell in flops]
+        self._flop_index = {cell.name: i for i, cell in enumerate(flops)}
         self._values: Dict[str, int] = {name: 0 for name in netlist.nets}
-        self._state: Dict[str, int] = {name: 0 for name, *_ in self._flops}
+        self._state: List[int] = [0] * len(flops)
+        self._pending: Set[int] = set(range(len(flops)))
+        self._moved: List[int] = []  # flops whose Q net the next settle writes
         self._dirty = True
         self.cycle = 0
         self.settle()
 
     # ------------------------------------------------------------------ I/O
+    def _drive(self, net: str, value: int) -> None:
+        """Write an input net; mark the flops reading it when its value changes."""
+        if self._values[net] != value:
+            self._values[net] = value
+            self._pending.update(self._watchers.get(net, ()))
+        self._dirty = True
+
     def poke(self, port: str, value: int) -> None:
         """Drive a top-level input port with 0 or 1."""
         inputs = self.netlist.inputs
         if port not in inputs:
             raise SimulationError(f"unknown input port {port!r}")
-        self._values[inputs[port].name] = 1 if value else 0
-        self._dirty = True
+        self._drive(inputs[port].name, 1 if value else 0)
 
     def poke_bus(self, bus: Sequence[Net], value: int) -> None:
         """Drive a bus of input nets with the binary encoding of ``value``."""
@@ -95,8 +125,7 @@ class Simulator:
                 raise SimulationError(f"net {net.name!r} is not in the netlist")
             if not net.is_input:
                 raise SimulationError(f"net {net.name!r} is not an input")
-            self._values[net.name] = (value >> i) & 1
-            self._dirty = True
+            self._drive(net.name, (value >> i) & 1)
 
     def peek(self, port_or_net) -> int:
         """Read the current value of a top-level port name or a :class:`Net`."""
@@ -117,11 +146,13 @@ class Simulator:
 
     def peek_bus(self, bus: Sequence[Net]) -> int:
         """Read a bus as an unsigned integer (bit 0 is the LSB)."""
+        values = self._values
         value = 0
-        for i, net in enumerate(bus):
-            if net.name not in self._values:
-                raise SimulationError(f"net {net.name!r} is not in the netlist")
-            value |= self._values[net.name] << i
+        try:
+            for i, net in enumerate(bus):
+                value |= values[net.name] << i
+        except KeyError as exc:
+            raise SimulationError(f"net {exc.args[0]!r} is not in the netlist") from None
         return value
 
     def peek_onehot(self, bus: Sequence[Net]) -> Optional[int]:
@@ -139,9 +170,9 @@ class Simulator:
 
     def flop_state(self, cell_name: str) -> int:
         """Return the current state of the named flip-flop cell."""
-        if cell_name not in self._state:
+        if cell_name not in self._flop_index:
             raise SimulationError(f"unknown flip-flop {cell_name!r}")
-        return self._state[cell_name]
+        return self._state[self._flop_index[cell_name]]
 
     # ------------------------------------------------------------- evaluation
     def settle(self) -> None:
@@ -150,13 +181,18 @@ class Simulator:
         # simulator re-evaluates its whole topological order each settle.
         metrics.incr("sim.reference.settle_events", len(self._order))
         values = self._values
-        state = self._state
-        for name, _, _, q_net in self._flops:
+        pending = self._pending
+        for i in self._moved:
+            q_net = self._q_nets[i]
             if q_net is not None:
-                values[q_net] = state[name]
+                values[q_net] = self._state[i]
+                pending.update(self._watchers.get(q_net, ()))
+        self._moved = []
         for eval_fn, inputs, outputs in self._order:
             result = eval_fn({pin: values[net] for pin, net in inputs})
-            for pin, net in outputs:
+            for pin, net, watchers in outputs:
+                if watchers and values[net] != result[pin]:
+                    pending.update(watchers)
                 values[net] = result[pin]
         self._dirty = False
 
@@ -174,17 +210,30 @@ class Simulator:
             self.poke(port, value)
         values = self._values
         state = self._state
+        flops = self._flops
+        evaluated = 0
         for _ in range(cycles):
             if self._dirty:
                 self.settle()
-            next_state: Dict[str, int] = {}
-            for name, eval_fn, inputs, _ in self._flops:
+            pending, self._pending = self._pending, set()
+            evaluated += len(pending)
+            # Every next state is computed before any is written: the flops
+            # update simultaneously.
+            moved = []
+            for i in pending:
+                eval_fn, inputs = flops[i]
                 pin_values = {pin: values[net] for pin, net in inputs}
-                pin_values["Q"] = state[name]
-                next_state[name] = eval_fn(pin_values)["Q"]
-            state.update(next_state)
+                pin_values["Q"] = state[i]
+                if eval_fn(pin_values)["Q"] != state[i]:
+                    moved.append(i)
+            for i in moved:
+                state[i] ^= 1
+            self._pending.update(moved)
+            self._moved += moved
             self.cycle += 1
             self._dirty = True
+        # One aggregate incr per step, like settle_events per settle.
+        metrics.incr("sim.reference.flop_events", evaluated)
         self.settle()
         for port, value in previous.items():
             self.poke(port, value)

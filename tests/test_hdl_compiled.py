@@ -300,7 +300,7 @@ def test_poke_then_step_without_settle_matches_compiled(style, variant):
         _assert_observably_equal(ref, fast, netlist, (i, method, args))
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(1, 11))
 @pytest.mark.parametrize("style,variant", _GENERATORS)
 def test_random_interleaving_matches_compiled(style, variant, seed):
     """Seeded random poke/settle/step/reset mixes, compared after every call."""
@@ -335,3 +335,47 @@ def test_random_interleaving_matches_compiled(style, variant, seed):
             getattr(sim, op)(*args, **kwargs)
         _assert_observably_equal(ref, fast, netlist, (seed, i, op, args, kwargs))
     assert ref.cycle == fast.cycle
+
+
+# ---------------------------------------------------------------------------
+# The reference simulator evaluates only the flops whose inputs or state moved
+# ---------------------------------------------------------------------------
+
+def test_flop_skip_edge_cases_match_compiled():
+    """A flop seen only through ``flop_state`` (its ``Q`` pin unconnected),
+    and flops whose ``EN`` is a top-level port driven between edges by
+    ``poke`` and for one call by ``step(**ports)``."""
+    netlist = _toggle_flop()
+    clk, en = netlist.inputs["clk"], netlist.add_input("en")
+    q_gated, d_gated = netlist.new_net("q_gated"), netlist.new_net("d_gated")
+    netlist.add_cell("INV", A=q_gated, Y=d_gated)
+    netlist.add_cell("DFF_EN", "gated", D=d_gated, CLK=clk, EN=en, Q=q_gated)
+    netlist.add_output("gated", q_gated)
+    toggling, unread = netlist.outputs["q_out"], netlist.new_net("unread")
+    hidden = netlist.add_cell("DFF_EN", "hidden", D=toggling, CLK=clk, EN=en, Q=unread)
+    del hidden.pins["Q"]
+    ref, fast = Simulator(netlist), CompiledSimulator(netlist)
+    script = [
+        ("step",),
+        ("poke", "en", 1),
+        ("step",),
+        ("step", 2),
+        ("poke", "en", 0),
+        ("step", 3),
+        ("step", 1, {"en": 1}),  # enabled for this call only
+        ("step",),
+        ("poke", "en", 1),
+        ("poke", "en", 0),  # back before any edge
+        ("step", 2),
+        ("poke", "en", 0),  # no change
+        ("step", 2, {"en": 1}),
+        ("poke", "en", 1),
+        ("step", 1, {"en": 0}),
+        ("step", 2),
+    ]
+    for i, (method, *args) in enumerate(script):
+        kwargs = args.pop() if args and isinstance(args[-1], dict) else {}
+        for sim in (ref, fast):
+            getattr(sim, method)(*args, **kwargs)
+        # Compares every flop's state, the unconnected one's included.
+        _assert_observably_equal(ref, fast, netlist, (i, method, args, kwargs))

@@ -198,6 +198,32 @@ def test_sample_addresses_settles_once_per_clock_edge(cycles):
     assert metrics.counter("sim.reference.cycles") - edges == cycles + 1
 
 
+def test_sample_addresses_evaluates_only_the_flops_whose_inputs_moved():
+    """An edge evaluates a flop only after one of its inputs or its state moved.
+
+    The SRAG moves one token per ring per access, so one period of
+    ``motion_est_read`` 4x4 (16 samples, 17 edges with the reset edge, 13
+    flops) evaluates 198 flops instead of 221, and ``dct`` 64x64 fewer than
+    10% of edges times flops.
+    """
+    from repro.generators.srag_design import SragDesign
+    from repro.hdl.simulator import sample_addresses
+    from repro.obs import metrics
+    from repro.workloads.registry import build_pattern
+
+    def flops_evaluated(workload, size):
+        sequence = build_pattern(workload, size, size).to_sequence()
+        design = SragDesign(sequence)
+        before = metrics.counter("sim.reference.flop_events")
+        sample_addresses(design.netlist, design.address_encoding, sequence.length)
+        evaluated = metrics.counter("sim.reference.flop_events") - before
+        return evaluated, (sequence.length + 1) * len(design.netlist.sequential_cells())
+
+    assert flops_evaluated("motion_est_read", 4) == (198, 221)
+    evaluated, bound = flops_evaluated("dct", 64)
+    assert evaluated < 0.1 * bound
+
+
 def test_step_settles_before_the_edge_only_after_a_poke():
     from repro.obs import metrics
 
