@@ -3,13 +3,16 @@
 ``estimate_power`` simulates 256 cycles per design point.  The reference
 simulator re-evaluates every cell through its truth-table model on each
 settle; the compiled engine is levelised and event-driven.  This benchmark
-measures the same measurement -- energy per access of a 16x16 SRAG --
-through both engines, checks they agree bit-for-bit, and asserts the
-compiled engine's >= 3x speedup.
+times the oracle's toggle count on the reference simulator
+(``oracles.power._reference_toggles``) against the whole of
+``estimate_power`` -- toggles and energy -- on a 16x16 SRAG, checks the
+toggle counts agree net for net, and asserts the compiled engine's >= 3x
+speedup.
 """
 
 import time
 
+from oracles.power import _reference_toggles
 from repro.analysis.reporting import format_table
 from repro.generators.srag_design import SragDesign
 from repro.synth.power import estimate_power
@@ -37,9 +40,7 @@ def _time(fn, repeats=7):
 def test_power_vs_compiled(benchmark, print_report):
     netlist = _srag_netlist(16)
 
-    ref_s, reference = _time(
-        lambda: estimate_power(netlist, cycles=CYCLES, engine="reference")
-    )
+    ref_s, reference = _time(lambda: _reference_toggles(netlist, CYCLES))
     cmp_s, compiled = _time(lambda: estimate_power(netlist, cycles=CYCLES))
     speedup = ref_s / cmp_s
 
@@ -53,8 +54,7 @@ def test_power_vs_compiled(benchmark, print_report):
         format_table(
             ["engine", "time (ms)", "energy/access (fJ)", "toggles"],
             [
-                ["reference", ref_s * 1e3, reference.energy_per_access_fj,
-                 reference.total_toggles],
+                ["reference", ref_s * 1e3, "-", sum(reference.values())],
                 ["compiled", cmp_s * 1e3, compiled.energy_per_access_fj,
                  compiled.total_toggles],
                 ["speedup", speedup, 1.0, 1],
@@ -63,9 +63,8 @@ def test_power_vs_compiled(benchmark, print_report):
         )
     )
 
-    # Same measurement...
-    assert compiled.toggle_counts == reference.toggle_counts
-    assert compiled.switching_energy_fj == reference.switching_energy_fj
+    # Same measurement (the energies are sums over these counts)...
+    assert compiled.toggle_counts == reference
     # ...much faster.  The reference now runs one settle per clock edge
     # (pins bound once), which halved its time: measured ~4.8x on a 2-core
     # box, Python 3.11.  3x is the floor enforced here with headroom for

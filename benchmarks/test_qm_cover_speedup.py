@@ -2,8 +2,8 @@
 
 PR 5 rewrote :func:`repro.synth.logic.minimize._select_cover` on integer
 bitsets (AND/popcount instead of per-minterm ``covers()`` rescans); the
-pre-bitset implementation is kept in-tree as ``_select_cover_reference``
-for exactly this comparison.  This benchmark runs both on the same seeded
+pre-bitset implementation is kept as the test oracle
+``oracles.qm._select_cover_reference`` for exactly this comparison.  This benchmark runs both on the same seeded
 dense random 9-input table, checks the covers are element-for-element
 identical, and enforces a >= 3x speedup floor so the win cannot silently
 regress.
@@ -12,12 +12,12 @@ regress.
 import random
 import time
 
+from oracles.qm import _select_cover_reference
 from repro.analysis.reporting import format_table
 from repro.synth.logic.minimize import (
     MinimizationStats,
     _prime_implicants,
     _select_cover,
-    _select_cover_reference,
 )
 from repro.synth.logic.truth_table import TruthTable
 

@@ -7,8 +7,7 @@ The package is organised in layers (README.md's subsystem map lists them all):
   simulator, components, HDL emitters).
 * :mod:`repro.synth` -- standard-cell library, buffering, static timing,
   area accounting, two-level logic minimisation and FSM synthesis.
-* :mod:`repro.memory` -- conventional RAM, address decoder-decoupled memory
-  (ADDM) and Sequential FIFO Memory models.
+* :mod:`repro.memory` -- data layouts: where each word sits in the array.
 * :mod:`repro.workloads` -- the paper's access patterns (motion estimation,
   DCT, zoom, FIFO) and additional synthetic patterns.
 * :mod:`repro.core` -- the paper's contribution: the SRAG architecture, the
@@ -17,6 +16,11 @@ The package is organised in layers (README.md's subsystem map lists them all):
   symbolic FSM, SFM pointers) behind a common interface.
 * :mod:`repro.analysis` -- trade-off records, design-space exploration and
   report formatting.
+
+The package holds only what a ``sradgen`` mode runs.  Test oracles (memory
+models, reference minimiser and toggle counter, the SAT cover check) live
+in ``tests/oracles/``; the repository's own Python lint rules live in
+``tools/``.
 
 Quickstart::
 

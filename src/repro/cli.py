@@ -42,11 +42,11 @@ Exit status:
   or a service stopped with Ctrl-C).
 * 1: error records or lint errors (``--campaign``, ``--explore``,
   ``--lint``); a mapping failure (one line and a hint); or one stderr line
-  for a bad input file, output path, ``--connect`` address or cache
-  directory, or a compaction that could not take the cache lock.  A closed
-  stdout pipe also exits 1, quietly.
-* 2: a usage error (argparse), or a proven inequivalence under ``--verify``,
-  which outranks 1.
+  for a bad input file, output path or cache directory, or a compaction
+  that could not take the cache lock.  A closed stdout pipe also exits 1,
+  quietly.
+* 2: a usage error (argparse, a malformed ``--connect`` address among
+  them), or a proven inequivalence under ``--verify``, which outranks 1.
 * 3: ``--connect`` found no campaign service.
 """
 
@@ -56,7 +56,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 # Module level holds only what build_parser and every mode need.  Each mode
 # imports the stack it runs inside its own branch, so ``--list-campaigns``
@@ -108,6 +108,23 @@ def _port(text: str) -> int:
     if value > _MAX_PORT:
         raise argparse.ArgumentTypeError(f"must be <= {_MAX_PORT}, got {value}")
     return value
+
+
+def _parse_address(text: str) -> Tuple[str, int]:
+    """Argparse type: a ``HOST:PORT`` address (``[HOST]:PORT`` for IPv6)."""
+    host, sep, port = text.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+    if not sep or not host or "[" in host or "]" in host:
+        raise argparse.ArgumentTypeError(
+            f"expects HOST:PORT or [HOST]:PORT, got {text!r}"
+        )
+    try:
+        return host, _port(port)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expects a port from 0 to {_MAX_PORT}, got {port!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine.add_argument(
         "--connect",
+        type=_parse_address,
         metavar="HOST:PORT",
         help=(
             "run --campaign against a remote sradgen --serve instance "
@@ -473,21 +491,6 @@ def _cache_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _parse_address(text: str) -> tuple:
-    """Split a ``HOST:PORT`` --connect argument (``[HOST]:PORT`` for IPv6)."""
-    host, sep, port = text.rpartition(":")
-    if host.startswith("[") and host.endswith("]"):
-        host = host[1:-1]
-    if not sep or not host or "[" in host or "]" in host:
-        raise SystemExit(f"--connect expects HOST:PORT or [HOST]:PORT, got {text!r}")
-    try:
-        return host, _port(port)
-    except argparse.ArgumentTypeError:
-        raise SystemExit(
-            f"--connect expects a port from 0 to {_MAX_PORT}, got {port!r}"
-        ) from None
-
-
 def _run_campaign(args: argparse.Namespace) -> int:
     campaign = build_campaign(args.campaign)
     overrides = cli_overrides(args)
@@ -515,7 +518,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
         # the campaign ran locally.
         from repro.service.client import ServiceUnavailable, run_campaign_remote
 
-        host, port = _parse_address(args.connect)
+        host, port = args.connect
         print(f"campaign {args.campaign!r}: {len(campaign)} jobs, remote {host}:{port}")
         try:
             result = run_campaign_remote(
@@ -702,13 +705,18 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
             _check_output_path(path)
     if args.trace:
         enable_tracing()
+    usage_error = False
     try:
         with span("sradgen", detail=_mode(args)):
             return _execute(args, parser)
+    except SystemExit as exit_:
+        usage_error = exit_.code == 2
+        raise
     finally:
         # Observability output is emitted even when the action fails:
         # a partial trace of a crashed campaign is exactly when you want one.
-        if args.trace:
+        # A usage error ran nothing, so its one line stays the last one.
+        if args.trace and not usage_error:
             rendered = render_spans(get_tracer().roots)
             if rendered:
                 print(rendered, file=sys.stderr)

@@ -7,7 +7,6 @@
   Section 4, as both a behavioural model and a structural elaboration.
 * :mod:`repro.core.addm_generator` -- the complete two-hot generator (row
   SRAG + column SRAG) for an address decoder-decoupled memory.
-* :mod:`repro.core.two_hot` -- two-hot encoding helpers.
 * :mod:`repro.core.sradgen` -- the end-to-end SRAdGen tool flow (sequence in,
   VHDL/Verilog + synthesis report out).
 

@@ -17,10 +17,11 @@ nets actually changed, so quiescent logic cones (most of an SRAG, where a
 single token moves per access) are skipped entirely.  Every flop is evaluated
 at every edge, which is the part the reference skips for flops whose inputs
 and state did not move.  :meth:`run` steps many cycles in a batch with
-per-net toggle counting fused into the loop, using the same cycle-boundary
-snapshot semantics as the reference power estimator -- the compiled
-simulator is bit-for-bit compatible with the reference ``Simulator``;
-``tests/test_hdl_compiled.py`` checks the equivalence on every built-in
+per-net toggle counting fused into the loop; a toggle is a change between
+settled cycle-boundary snapshots.  The compiled simulator is bit-for-bit
+compatible with the reference ``Simulator``: ``tests/test_hdl_compiled.py``
+checks values and toggle counts (the latter against the test oracle, a
+snapshot comparison on the reference simulator) on every built-in
 workload.
 """
 
@@ -204,7 +205,7 @@ class CompiledSimulator:
         with :meth:`toggle_counts` and clear them with :meth:`reset_toggles`.
         A toggle is a net whose settled value at the end of a cycle differs
         from its value at the end of the previous cycle -- the same
-        snapshot-per-cycle semantics the reference power estimator uses.
+        snapshot-per-cycle semantics as the tests' reference toggle count.
         """
         if cycles < 0:
             raise SimulationError(f"cycles must be non-negative, got {cycles}")

@@ -296,18 +296,10 @@ def compile_comb(cell_type: str, in_slots: Sequence[int]) -> Callable[[Sequence[
     """Return ``fn(values) -> bit`` evaluating one combinational cell.
 
     ``in_slots`` are the value-array indices of the cell's input pins in
-    ``spec.inputs`` order.  Cell types without a hand-written specialisation
-    fall back to the generic :attr:`CellSpec.eval_fn` model, so externally
-    registered single-output primitives still compile.
+    ``PRIMITIVES[cell_type].inputs`` order.  Every combinational primitive
+    has a hand-written model here; the tests compile each entry of
+    :data:`PRIMITIVES`.
     """
-    spec = PRIMITIVES[cell_type]
-    if spec.sequential:
-        raise ValueError(f"{cell_type} is sequential; use compile_flop()")
-    if len(spec.outputs) != 1:
-        raise ValueError(
-            f"{cell_type} has {len(spec.outputs)} outputs; the compiled "
-            "simulator only supports single-output combinational primitives"
-        )
     slots = tuple(in_slots)
     if cell_type == "TIE0":
         return lambda v: 0
@@ -370,14 +362,7 @@ def compile_comb(cell_type: str, in_slots: Sequence[int]) -> Callable[[Sequence[
     if cell_type == "OAI21":
         a, b, c = slots
         return lambda v: 1 - ((v[a] | v[b]) & v[c])
-
-    pins = spec.inputs
-    out_pin = spec.outputs[0]
-
-    def generic(v, _fn=spec.eval_fn, _pins=pins, _slots=slots, _out=out_pin):
-        return _bit(_fn({p: v[s] for p, s in zip(_pins, _slots)})[_out])
-
-    return generic
+    raise ValueError(f"no compiled model for {cell_type}")
 
 
 def compile_flop(cell_type: str, slot_of: Mapping[str, int]) -> Callable[[Sequence[int], int], int]:
@@ -386,9 +371,6 @@ def compile_flop(cell_type: str, slot_of: Mapping[str, int]) -> Callable[[Sequen
     ``slot_of`` maps the flop's connected input pin names to value-array
     indices (``CLK`` may be present; it is functionally ignored).
     """
-    spec = PRIMITIVES[cell_type]
-    if not spec.sequential:
-        raise ValueError(f"{cell_type} is combinational; use compile_comb()")
     if cell_type == "DFF":
         d = slot_of["D"]
         return lambda v, q: v[d]
@@ -407,12 +389,4 @@ def compile_flop(cell_type: str, slot_of: Mapping[str, int]) -> Callable[[Sequen
     if cell_type == "DFF_EN_SET":
         d, e, s = slot_of["D"], slot_of["EN"], slot_of["SET"]
         return lambda v, q: 1 if v[s] else (v[d] if v[e] else q)
-
-    items = tuple(slot_of.items())
-
-    def generic(v, q, _fn=spec.eval_fn, _items=items):
-        pins = {p: v[s] for p, s in _items}
-        pins["Q"] = q
-        return _bit(_fn(pins)["Q"])
-
-    return generic
+    raise ValueError(f"no compiled model for {cell_type}")

@@ -1,58 +1,18 @@
-"""Static analysis: design-rule checking and repo-invariant linting.
+"""Static analysis of synthesised netlists.
 
-Two targets share one rule-engine core (:mod:`repro.lint.core`):
-
+* :mod:`repro.lint.core` -- the rule engine: a *rule* has a stable dotted
+  id and a severity, and yields :class:`~repro.lint.core.Finding` objects
+  collected into a :class:`~repro.lint.core.LintReport`.
 * :mod:`repro.lint.design` -- structural design rules over the
   :class:`~repro.hdl.netlist.Netlist` IR (combinational loops, undriven or
   multiply-driven nets, clock-network discipline, FSM reachability), run as
   an optional post-synthesis flow stage (``FlowSpec(lint=1)`` /
   ``sradgen --lint``).
-* :mod:`repro.lint.ast_rules` -- stdlib-AST rules enforcing repo invariants
-  (no blocking calls in async bodies, no prints in library code, no
-  nondeterminism in cache-key paths, no mutable defaults, no dead imports),
-  driven by ``tools/sradlint.py`` in CI.
+
+The repository's own Python rules share the engine but are not part of the
+package: they live in ``tools/sradlint_rules.py``, beside the
+``tools/sradlint.py`` front end that CI runs.
+
+The package root imports nothing: import each name from its defining
+submodule, so ``--lint`` loads only the design checker.
 """
-
-from repro.lint.ast_rules import (
-    AST_RULES,
-    AstRule,
-    ast_rule_catalogue,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
-from repro.lint.core import (
-    ERROR,
-    INFO,
-    WARNING,
-    Finding,
-    LintReport,
-    Rule,
-    severity_rank,
-)
-from repro.lint.design import (
-    DESIGN_RULES,
-    DesignContext,
-    DesignRule,
-    lint_netlist,
-)
-
-__all__ = [
-    "AST_RULES",
-    "AstRule",
-    "DESIGN_RULES",
-    "DesignContext",
-    "DesignRule",
-    "ERROR",
-    "Finding",
-    "INFO",
-    "LintReport",
-    "Rule",
-    "WARNING",
-    "ast_rule_catalogue",
-    "lint_file",
-    "lint_netlist",
-    "lint_paths",
-    "lint_source",
-    "severity_rank",
-]

@@ -2,7 +2,7 @@
 
 One vocabulary serves the design-rule checker over the :class:`Netlist` IR
 (:mod:`repro.lint.design`) and the repo-invariant AST linter
-(:mod:`repro.lint.ast_rules`): a *rule* has a stable dotted id, a severity
+(``tools/sradlint_rules.py``): a *rule* has a stable dotted id, a severity
 and a description; running rules produces :class:`Finding` objects
 (severity, human message, location); a :class:`LintReport` collects the
 findings that survived suppression, knows whether any are errors, and

@@ -22,9 +22,10 @@ generator architectures, mirroring how area and delay are treated elsewhere
 in the reproduction.
 
 The inner loop runs on :class:`~repro.hdl.compiled.CompiledSimulator`, which
-counts toggles inside its levelised event-driven stepping loop; the original
-dict-driven measurement survives as ``engine="reference"`` and is the oracle
-the compiled path is tested against.
+counts toggles inside its levelised event-driven stepping loop.  The tests
+hold it to a toggle count taken on the reference
+:class:`~repro.hdl.simulator.Simulator` through the same
+:func:`_reset_and_advance` protocol.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Dict, Optional
 
 from repro.hdl.compiled import CompiledSimulator
 from repro.hdl.netlist import Netlist
-from repro.hdl.simulator import Simulator
 from repro.synth.cell_library import CellLibrary, STD018, net_load
 
 __all__ = ["PowerReport", "estimate_power"]
@@ -116,76 +116,35 @@ def _reset_and_advance(simulator):
     return simulator
 
 
-def _reference_toggles(netlist: Netlist, cycles: int) -> Dict[str, int]:
-    """Measure per-net toggle counts with the reference truth-table simulator.
-
-    Kept as the oracle the compiled fast path is checked against (and for
-    debugging); campaigns always go through the compiled engine.
-    """
-    simulator = _reset_and_advance(Simulator(netlist))
-
-    previous = {name: simulator.peek(net) for name, net in netlist.nets.items()}
-    toggles: Dict[str, int] = {name: 0 for name in netlist.nets}
-    for _ in range(cycles):
-        simulator.step()
-        for name, net in netlist.nets.items():
-            value = simulator.peek(net)
-            if value != previous[name]:
-                toggles[name] += 1
-                previous[name] = value
-    return {name: count for name, count in toggles.items() if count}
-
-
-def _compiled_toggles(netlist: Netlist, cycles: int) -> Dict[str, int]:
-    """Measure per-net toggle counts with the compiled simulator.
-
-    Same protocol and snapshot-per-cycle toggle semantics as the reference
-    path, but the settle/count loop is the levelised event-driven program of
-    :class:`~repro.hdl.compiled.CompiledSimulator` -- quiescent cones are
-    never re-evaluated and untouched nets are never re-scanned.
-    """
-    simulator = _reset_and_advance(CompiledSimulator(netlist))
-    simulator.reset_toggles()
-    simulator.run(cycles)
-    return simulator.toggle_counts()
-
-
 def estimate_power(
     netlist: Netlist,
     *,
     library: CellLibrary = STD018,
     cycles: Optional[int] = None,
-    engine: str = "compiled",
 ) -> PowerReport:
     """Estimate dynamic power by simulating ``netlist`` for ``cycles`` cycles.
 
     The design is reset through its ``reset`` input, its ``next`` input is
     held high (one address per cycle, the paper's usage model), and every
     net transition is recorded.  A design without one of these ports simply
-    skips that step.  Average power assumes :class:`PowerReport`'s default
-    100 MHz clock.
+    skips that step.  Toggles are counted per cycle, between settled
+    snapshots, by :meth:`~repro.hdl.compiled.CompiledSimulator.run`.
+    Average power assumes :class:`PowerReport`'s default 100 MHz clock.
 
     Parameters
     ----------
     cycles:
         Simulation window; defaults to 256 cycles (or fewer for tiny designs
         is fine -- activities are periodic in the address sequence length).
-    engine:
-        ``"compiled"`` (default) runs the levelised event-driven simulator;
-        ``"reference"`` runs the original dict-driven simulator.  The two
-        produce identical toggle counts -- the reference path exists as the
-        oracle for the compiled one.
     """
     if cycles is None:
         cycles = 256
     if cycles < 1:
         raise ValueError(f"cycles must be positive, got {cycles}")
-    if engine == "compiled":
-        toggles = _compiled_toggles(netlist, cycles)
-    elif engine == "reference":
-        toggles = _reference_toggles(netlist, cycles)
-    else:
-        raise ValueError(f"unknown simulation engine {engine!r}")
+    simulator = _reset_and_advance(CompiledSimulator(netlist))
+    simulator.reset_toggles()
+    simulator.run(cycles)
+    toggles = simulator.toggle_counts()
 
     # Energy: E = C * V^2 per full toggle (charging + discharging averaged to
     # one CV^2 per transition pair; we charge 0.5 C V^2 per transition).

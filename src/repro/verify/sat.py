@@ -1,7 +1,7 @@
 """Deterministic stdlib-only CDCL SAT solver.
 
-The formal-verification layer (:mod:`repro.verify.cec`,
-:mod:`repro.verify.cover`) needs a complete Boolean oracle; this module is a
+The formal-verification layer (:mod:`repro.verify.cec`, and the design
+linter's semantic rules) needs a complete Boolean oracle; this module is a
 small conflict-driven clause-learning solver in the MiniSat lineage:
 
 * two-watched-literal unit propagation,

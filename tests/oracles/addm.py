@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.memory.cell_array import MemoryCellArray
+from oracles.cell_array import MemoryCellArray
 
 __all__ = ["AddressDecoderDecoupledMemory"]
 
@@ -41,7 +41,7 @@ class AddressDecoderDecoupledMemory:
     def read(self, row_select: Sequence[int], col_select: Sequence[int]) -> int:
         """Read the word selected by the two one-hot vectors.
 
-        Raises :class:`~repro.memory.cell_array.MultipleSelectError` when the
+        Raises :class:`~oracles.cell_array.MultipleSelectError` when the
         vectors are not exactly one-hot (no decoder exists to guarantee it).
         """
         return self.array.read_selected(row_select, col_select)

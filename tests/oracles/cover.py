@@ -23,8 +23,7 @@ from typing import List, Optional, Sequence
 
 from repro.synth.logic.minimize import Implicant
 from repro.synth.logic.truth_table import TruthTable
-
-from .sat import SatSolver
+from repro.verify.sat import SatSolver
 
 __all__ = ["CoverVerdict", "verify_cover"]
 

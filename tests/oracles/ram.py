@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.memory.cell_array import MemoryCellArray
+from oracles.cell_array import MemoryCellArray
 
 __all__ = ["ConventionalRAM"]
 

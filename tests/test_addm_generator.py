@@ -5,7 +5,8 @@ import pytest
 from repro.core.addm_generator import SragAddressGenerator
 from repro.core.mapping_params import MappingError
 from repro.core.srag import SragFunctionalModel
-from repro.core.two_hot import (
+from oracles.addm import AddressDecoderDecoupledMemory
+from oracles.two_hot import (
     encode_two_hot,
     is_valid_two_hot,
     one_hot_width,
@@ -13,7 +14,6 @@ from repro.core.two_hot import (
 )
 from repro.generators.srag_design import SragDesign
 from repro.hdl.simulator import Simulator
-from repro.memory.addm import AddressDecoderDecoupledMemory
 from repro.workloads import dct, fifo, motion_estimation, patterns, zoom
 
 

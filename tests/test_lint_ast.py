@@ -7,7 +7,7 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.lint.ast_rules import (
+from sradlint_rules import (
     AST_RULES,
     ast_rule_catalogue,
     iter_python_files,

@@ -8,16 +8,15 @@ from repro.hdl.netlist import Netlist
 from repro.hdl.simulator import Simulator
 from repro.synth.fsm.fsm import FiniteStateMachine
 from repro.synth.fsm.synthesis import next_state_tables
+from oracles.qm import _minimize_reference, _select_cover_reference
 from repro.synth.logic.minimize import (
     Implicant,
     MinimizationStats,
     _cube_inside,
     _greedy_merge,
     _minimize_cached,
-    _minimize_reference,
     _prime_implicants,
     _select_cover,
-    _select_cover_reference,
     minimize,
 )
 from repro.synth.logic.synthesize import sop_to_netlist

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.two_hot import encode_two_hot
-from repro.memory.addm import AddressDecoderDecoupledMemory
-from repro.memory.cell_array import MemoryCellArray, MultipleSelectError
+from oracles.addm import AddressDecoderDecoupledMemory
+from oracles.cell_array import MemoryCellArray, MultipleSelectError
+from oracles.ram import ConventionalRAM
+from oracles.sfm import SequentialFifoMemory
+from oracles.two_hot import encode_two_hot
 from repro.memory.layout import COLUMN_MAJOR, ROW_MAJOR, BlockedLayout
-from repro.memory.ram import ConventionalRAM
-from repro.memory.sfm import SequentialFifoMemory
 
 
 # ---------------------------------------------------------------------------

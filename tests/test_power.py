@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles.power import _reference_toggles
 from repro.core.addm_generator import SragAddressGenerator
 from repro.generators.counter_based import CounterBasedAddressGenerator
 from repro.hdl.components import build_binary_counter
@@ -59,18 +60,19 @@ def test_power_rejects_bad_cycle_count():
 
 
 def test_power_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        estimate_power(_counter_netlist(8), cycles=8, engine="spice")
+    """There is one engine, the compiled one; no ``engine=`` option is taken."""
+    with pytest.raises(TypeError):
+        estimate_power(_counter_netlist(8), cycles=8, engine="reference")
 
 
 def test_power_engines_agree_exactly():
-    """The compiled fast path is bit-for-bit the reference measurement."""
+    """The compiled fast path counts exactly the reference simulator's toggles.
+
+    Both energies are sums over the toggle counts, so equal counts mean
+    equal energies."""
     netlist = _counter_netlist(32)
-    reference = estimate_power(netlist, cycles=96, engine="reference")
-    compiled = estimate_power(netlist, cycles=96, engine="compiled")
-    assert compiled.toggle_counts == reference.toggle_counts
-    assert compiled.switching_energy_fj == reference.switching_energy_fj
-    assert compiled.clock_energy_fj == reference.clock_energy_fj
+    compiled = estimate_power(netlist, cycles=96)
+    assert compiled.toggle_counts == _reference_toggles(netlist, 96)
 
 
 def test_srag_vs_cntag_power_comparison_runs():

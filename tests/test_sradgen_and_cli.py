@@ -237,10 +237,13 @@ def test_cli_rejects_out_of_range_serve_port_as_usage_error(port, capsys):
     assert "argument --port: must be" in capsys.readouterr().err
 
 
-def test_cli_rejects_out_of_range_connect_port_in_one_line():
+def test_cli_rejects_out_of_range_connect_port_in_one_line(capsys):
     with pytest.raises(SystemExit) as raised:
         main(["--campaign", "smoke", "--connect", "127.0.0.1:70000"])
-    assert str(raised.value) == "--connect expects a port from 0 to 65535, got '70000'"
+    assert raised.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "sradgen: error: argument --connect: expects a port from 0 to 65535, got '70000'"
+    )
 
 
 @pytest.mark.parametrize(
@@ -252,10 +255,13 @@ def test_connect_address_strips_ipv6_brackets(text, address):
 
 
 @pytest.mark.parametrize("text", ["[::1:7341", "::1]:7341", "[::1]7341", "[]:7341", "7341"])
-def test_connect_address_rejects_unbalanced_brackets_in_one_line(text):
+def test_connect_address_rejects_unbalanced_brackets_in_one_line(text, capsys):
     with pytest.raises(SystemExit) as raised:
-        _parse_address(text)
-    assert str(raised.value) == f"--connect expects HOST:PORT or [HOST]:PORT, got {text!r}"
+        main(["--campaign", "smoke", "--connect", text])
+    assert raised.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"sradgen: error: argument --connect: expects HOST:PORT or [HOST]:PORT, got {text!r}"
+    )
 
 
 def test_cli_explore(capsys):
@@ -422,10 +428,13 @@ _BASELINE_GENERATORS = (
 )
 _FSM_QM = ("repro.synth.fsm", "repro.synth.logic")
 _CHECKERS = ("repro.lint", "repro.verify")
-#: The memory models; the workloads need only ``repro.memory.layout``.
-_MEMORY_MODELS = (
-    "repro.memory.cell_array", "repro.memory.ram", "repro.memory.addm",
-    "repro.memory.sfm",
+#: Code no mode runs: the test oracles (the memory models among them; the
+#: workloads need only ``repro.memory.layout``), the repository's own AST
+#: lint rules, and the modules those used to be in ``repro``.
+_NEVER_LOADED = (
+    "oracles", "sradlint_rules", "repro.lint.ast_rules", "repro.verify.cover",
+    "repro.core.two_hot", "repro.memory.cell_array", "repro.memory.ram",
+    "repro.memory.addm", "repro.memory.sfm",
 )
 #: What a ``--connect`` client never runs: it only ships jobs and reads records.
 _EVALUATION = (
@@ -441,9 +450,10 @@ def test_cli_import_loads_neither_lint_nor_verify():
     ``--report`` adds the SRAG and its synthesis flow but no engine and no
     baseline generator; a campaign loads every generator.  The design
     checker and the SAT-based verifier load only when a run asks for
-    ``--lint``/``--verify``.  One fresh interpreter runs the modes in turn
-    and prints its loaded modules after each; another imports the
-    ``--connect`` client alone, which loads no evaluation code."""
+    ``--lint``/``--verify``, and then without the AST lint rules or any
+    test oracle.  One fresh interpreter runs the modes in turn and prints
+    its loaded modules after each; another imports the ``--connect`` client
+    alone, which loads no evaluation code."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     script = (
         "import contextlib, io, json, sys, repro.cli\n"
@@ -457,13 +467,16 @@ def test_cli_import_loads_neither_lint_nor_verify():
         "--list-campaigns",
         "--workload fifo --rows 4 --cols 4 --report",
         "--campaign smoke --serial --quiet",
+        "--workload fifo --rows 4 --cols 4 --report --lint --verify",
     ]
     env = dict(os.environ, PYTHONPATH=src)
     lines = subprocess.run(
         [sys.executable, "-c", script, *modes],
         env=env, capture_output=True, text=True, check=True,
     ).stdout.splitlines()
-    imported, listed, reported, campaigned = (json.loads(line) for line in lines)
+    imported, listed, reported, campaigned, checked = (
+        json.loads(line) for line in lines
+    )
     client = json.loads(subprocess.run(
         [sys.executable, "-c", "import json, sys, repro.service.client\n"
          "print(json.dumps(sorted(sys.modules)))"],
@@ -474,10 +487,12 @@ def test_cli_import_loads_neither_lint_nor_verify():
         return [name for name in modules if name.startswith(prefixes)]
 
     no_design = ("repro.core", "repro.generators") + _FSM_QM + _ENGINE_STACK + _CHECKERS
-    assert loaded(imported, no_design + _MEMORY_MODELS) == []
+    assert loaded(imported, no_design + _NEVER_LOADED) == []
     assert loaded(client, _EVALUATION) == []
     assert loaded(listed, no_design) == []
     assert loaded(reported, _BASELINE_GENERATORS + _FSM_QM + _ENGINE_STACK + _CHECKERS) == []
     assert "repro.core.sradgen" in reported
     assert loaded(campaigned, _CHECKERS) == []
     assert set(_BASELINE_GENERATORS + _FSM_QM) <= set(campaigned)
+    assert {"repro.lint.design", "repro.verify.cec"} <= set(checked)
+    assert loaded(checked, _NEVER_LOADED) == []

@@ -7,8 +7,7 @@ from repro.flow import FlowSpec
 from repro.hdl.netlist import Netlist, NetlistError
 from repro.core.mapping_params import MappingError
 from repro.synth.flow import run_synthesis_flow
-from repro.verify import check_equivalence
-from repro.verify.cec import CecResult, Counterexample
+from repro.verify.cec import CecResult, Counterexample, check_equivalence
 from repro.workloads.registry import available_workloads, build_pattern
 
 

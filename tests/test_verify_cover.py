@@ -1,10 +1,10 @@
-"""Tests for the SAT cover-correctness oracle (:mod:`repro.verify.cover`)."""
+"""Tests for the SAT cover-correctness oracle (:mod:`oracles.cover`)."""
 
 import pytest
 
+from oracles.cover import verify_cover
 from repro.synth.logic.minimize import Implicant, minimize
 from repro.synth.logic.truth_table import TruthTable
-from repro.verify import verify_cover
 
 
 def _tables():

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Repo-invariant linter front end (``repro.lint.ast_rules``).
+"""Repo-invariant linter front end (rules in ``tools/sradlint_rules.py``).
 
 Runs the stdlib-AST rule set over the given files/directories and reports
 findings as text or JSON.  Exit status is 1 when any unsuppressed
@@ -26,7 +26,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 )
 
-from repro.lint import AST_RULES, ast_rule_catalogue, lint_paths  # noqa: E402
+from sradlint_rules import AST_RULES, ast_rule_catalogue, lint_paths  # noqa: E402
 
 DEFAULT_PATHS = ["src", "tests", "tools", "benchmarks", "examples"]
 

@@ -28,8 +28,10 @@ id                        severity  catches
 
 Suppression is per line: append ``# sradlint: disable=<rule-id>`` (or
 ``disable=all``) with a comment justifying it.  Scoped rules only fire on
-library code (paths under ``src/repro/``); the CLI front end is
-:mod:`tools.sradlint`.
+library code (paths under ``src/repro/``).  The CLI front end is
+``tools/sradlint.py``; the rules live beside it, outside the ``repro``
+package, because no ``sradgen`` mode runs them.  They share only the rule
+engine, :mod:`repro.lint.core`, with the design linter.
 """
 
 from __future__ import annotations
