@@ -19,7 +19,8 @@ from repro.core.mapper import map_sequence
 from repro.core.srag import build_srag
 from repro.hdl.netlist import Netlist
 from repro.synth.flow import run_synthesis_flow
-from repro.synth.fsm import FiniteStateMachine, synthesize_fsm
+from repro.synth.fsm.fsm import FiniteStateMachine
+from repro.synth.fsm.synthesis import synthesize_fsm
 
 LENGTHS = [8, 16, 32, 64, 128, 256]
 

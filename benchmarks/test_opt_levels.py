@@ -75,7 +75,7 @@ def test_opt_levels_table(benchmark, print_report):
     from repro.synth.opt import optimize_netlist
 
     clone = design.netlist.clone()
-    optimize_netlist(clone, opt_level=1)
-    again = optimize_netlist(clone, opt_level=1)
+    optimize_netlist(clone)
+    again = optimize_netlist(clone)
     assert not again.changed
     assert sum(once.area.cell_counts.values()) >= len(clone.cells)

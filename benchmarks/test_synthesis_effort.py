@@ -16,7 +16,8 @@ from repro.analysis.reporting import format_figure
 from repro.core.mapper import map_sequence
 from repro.core.srag import build_srag
 from repro.hdl.netlist import Netlist
-from repro.synth.fsm import FiniteStateMachine, synthesize_fsm
+from repro.synth.fsm.fsm import FiniteStateMachine
+from repro.synth.fsm.synthesis import synthesize_fsm
 from repro.synth.logic.minimize import _minimize_cached
 
 LENGTHS = [16, 32, 64, 128, 256]

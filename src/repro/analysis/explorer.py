@@ -18,7 +18,7 @@ with caching and parallelism use ``sradgen --campaign`` or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.engine.jobs import candidate_factories
 from repro.engine.pareto import pareto_min
@@ -45,14 +45,6 @@ class ExplorationResult:
     def pareto(self) -> List[EvalRecord]:
         """Pareto-optimal points (minimising both delay and area)."""
         return pareto_min(self.points, key=lambda r: (r.delay_ns, r.area_cells))
-
-    def best_delay(self) -> Optional[EvalRecord]:
-        """The fastest applicable design."""
-        return min(self.points, key=lambda r: r.delay_ns) if self.points else None
-
-    def best_area(self) -> Optional[EvalRecord]:
-        """The smallest applicable design."""
-        return min(self.points, key=lambda r: r.area_cells) if self.points else None
 
     def describe(self) -> str:
         """Multi-line summary of the exploration."""

@@ -46,7 +46,10 @@ Exit status:
   that could not take the cache lock.  A closed stdout pipe also exits 1,
   quietly.
 * 2: a usage error (argparse, a malformed ``--connect`` address among
-  them), or a proven inequivalence under ``--verify``, which outranks 1.
+  them), a flag the selected mode would ignore (``--vhdl``/``--verilog``
+  outside single-design mode, that is ``--input``/``--workload`` without
+  ``--explore``; ``--connect`` without ``--campaign``), or a proven
+  inequivalence under ``--verify``, which outranks 1.
 * 3: ``--connect`` found no campaign service.
 """
 
@@ -700,6 +703,12 @@ def _retry_policy(args: argparse.Namespace) -> Optional["RetryPolicy"]:
 def _dispatch(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A flag the selected mode would ignore is a usage error, not a no-op.
+    single_design = (args.input or args.workload) and not args.explore
+    if (args.vhdl or args.verilog) and not single_design:
+        parser.error("--vhdl/--verilog require --input/--workload without --explore")
+    if args.connect and not args.campaign:
+        parser.error("--connect requires --campaign")
     for path in (args.vhdl, args.verilog, args.metrics_out):
         if path:
             _check_output_path(path)

@@ -7,13 +7,15 @@ experiment harnesses and the design-space explorer can treat them uniformly:
 elaborate, verify by simulation, synthesise, and compare area/delay.  A
 design states only how its output ports encode the address; the one
 gate-level sampling loop (:func:`repro.hdl.simulator.sample_addresses`)
-does the simulating for every architecture.
+does the simulating for every architecture.  The synthesis flow receives
+the netlist and the design's name, nothing else: every figure and
+diagnostic it reports is read off the netlist.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.flow import DEFAULT_SPEC, FlowSpec
 from repro.hdl.netlist import Netlist
@@ -75,15 +77,6 @@ class AddressGeneratorDesign(abc.ABC):
         """Check one simulated pass against the target sequence."""
         return self.sequence.matches(self.simulate())
 
-    def lint_context(self) -> Dict[str, object]:
-        """Extra inputs for the design-rule checker (``spec.lint``).
-
-        Architectures with checkable high-level structure override this;
-        the FSM generator returns ``{"fsm": <FiniteStateMachine>}`` so the
-        reachability rule can run against the symbolic machine.
-        """
-        return {}
-
     def synthesize(self, spec: FlowSpec = DEFAULT_SPEC) -> SynthesisResult:
         """Run the synthesis flow on the design's netlist.
 
@@ -110,12 +103,4 @@ class AddressGeneratorDesign(abc.ABC):
             spec=spec,
             golden=netlist.clone() if spec.verify else None,
             name=self.name,
-            metadata={
-                "style": self.style,
-                "workload": self.sequence.name,
-                "rows": self.sequence.rows,
-                "cols": self.sequence.cols,
-                "accesses": self.sequence.length,
-            },
-            lint_context=self.lint_context() if spec.lint else None,
         )

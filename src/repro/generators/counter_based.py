@@ -314,9 +314,4 @@ def standalone_decoder_report(
 ) -> SynthesisResult:
     """Synthesis report for a standalone ``address_width`` -> ``num_outputs`` decoder."""
     netlist = build_standalone_decoder(address_width, num_outputs)
-    return run_synthesis_flow(
-        netlist,
-        spec=FlowSpec(library=library),
-        name=netlist.name,
-        metadata={"address_width": address_width, "num_outputs": num_outputs},
-    )
+    return run_synthesis_flow(netlist, spec=FlowSpec(library=library))

@@ -5,7 +5,7 @@
   collected into a :class:`~repro.lint.core.LintReport`.
 * :mod:`repro.lint.design` -- structural design rules over the
   :class:`~repro.hdl.netlist.Netlist` IR (combinational loops, undriven or
-  multiply-driven nets, clock-network discipline, FSM reachability), run as
+  multiply-driven nets, clock-network discipline), run as
   an optional post-synthesis flow stage (``FlowSpec(lint=1)`` /
   ``sradgen --lint``).
 

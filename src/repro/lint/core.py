@@ -10,7 +10,7 @@ serialises to JSON for machine consumers (CI artifacts, ``--output``).
 
 Severities are ordered ``error > warning > info``.  Only error-severity
 findings fail builds: warnings are advisory (a fanout the library tolerates,
-an unreachable FSM state that costs area but not correctness).
+a dangling net that costs nothing but clutter).
 """
 
 from __future__ import annotations

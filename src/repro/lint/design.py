@@ -23,7 +23,6 @@ id                        severity  catches
 ``design.fanout-limit``   warning   net whose data fanout exceeds the buffering limit
 ``design.missing-clock``  error     flip-flop whose CLK pin is absent or undriven
 ``design.data-on-clk``    error     cell-driven (data) net loading a flop's CLK pin
-``design.fsm-unreachable``  warning   FSM states BFS cannot reach from reset
 ========================  ========  ==================================================
 
 At lint level >= 2 two SAT-backed semantic rules join in (they prove
@@ -59,7 +58,6 @@ from repro.lint.core import (
     Rule,
 )
 from repro.obs import metrics, span
-from repro.synth.fsm.fsm import RESET_STATE
 
 __all__ = [
     "DESIGN_RULES",
@@ -76,14 +74,12 @@ class DesignContext:
     """Everything a design rule may inspect.
 
     ``library``/``max_fanout`` gate the rules that need them (no library ->
-    no characterisation check); ``fsm`` is supplied only by FSM-style
-    generators via ``AddressGeneratorDesign.lint_context()``.
+    no characterisation check).
     """
 
     netlist: Netlist
     library: Optional[object] = None
     max_fanout: Optional[int] = None
-    fsm: Optional[object] = None
 
     def location(self, element: str) -> str:
         """Finding location string ``<netlist>.<element>``."""
@@ -345,33 +341,6 @@ class DataOnClkRule(DesignRule):
                 )
 
 
-class FsmUnreachableRule(DesignRule):
-    id = "design.fsm-unreachable"
-    severity = WARNING
-    description = "FSM states unreachable from the reset state"
-
-    def check(self, ctx: DesignContext) -> Iterator[Finding]:
-        fsm = ctx.fsm
-        if fsm is None:
-            return
-        reached = {RESET_STATE}
-        frontier = [RESET_STATE]
-        while frontier:
-            nxt = fsm.next_state[frontier.pop()]
-            if nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
-        unreachable = sorted(set(range(fsm.num_states)) - reached)
-        if unreachable:
-            shown = ", ".join(str(s) for s in unreachable[:8])
-            yield self.finding(
-                f"{len(unreachable)} FSM state(s) unreachable from reset "
-                f"state {RESET_STATE}: {shown}"
-                f"{'...' if len(unreachable) > 8 else ''}",
-                location=ctx.location(getattr(fsm, 'name', 'fsm')),
-            )
-
-
 # ---------------------------------------------------------------------------
 # SAT-backed semantic rules (lint level >= 2)
 # ---------------------------------------------------------------------------
@@ -572,7 +541,6 @@ DESIGN_RULES: Tuple[DesignRule, ...] = (
     FanoutLimitRule(),
     MissingClockRule(),
     DataOnClkRule(),
-    FsmUnreachableRule(),
 )
 
 #: SAT-backed semantic rules, active at lint level >= 2 only: they prove
@@ -598,7 +566,6 @@ def lint_netlist(
     *,
     library: Optional[object] = None,
     max_fanout: Optional[int] = None,
-    fsm: Optional[object] = None,
     rules: Optional[Iterable[DesignRule]] = None,
 ) -> LintReport:
     """Run the design rules over ``netlist`` and return a :class:`LintReport`.
@@ -606,9 +573,7 @@ def lint_netlist(
     Never mutates the netlist and never raises on structural problems --
     every violation becomes a finding.
     """
-    ctx = DesignContext(
-        netlist=netlist, library=library, max_fanout=max_fanout, fsm=fsm
-    )
+    ctx = DesignContext(netlist=netlist, library=library, max_fanout=max_fanout)
     with span("lint.design"):
         findings: List[Finding] = []
         for rule in rules if rules is not None else DESIGN_RULES:

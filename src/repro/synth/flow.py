@@ -2,9 +2,10 @@
 
 ``run_synthesis_flow`` is the stand-in for "synthesise this design with
 Design Compiler and read area/delay off the report": it validates the
-netlist, optionally runs logic optimization (``spec.opt_level``), inserts
-buffer trees on high-fanout nets, and runs static timing analysis and area
-accounting against the chosen standard-cell library.
+netlist, runs logic optimization at ``spec.opt_level`` 1, inserts buffer
+trees on high-fanout nets, and runs static timing analysis and area
+accounting against the chosen standard-cell library.  ``spec.lint`` and
+``spec.verify`` attach their diagnostics without moving any figure.
 
 The flow rewrites the netlist it measures.  ``run_synthesis_flow`` runs on
 a clone, leaving its caller's netlist untouched; a design instead hands
@@ -14,7 +15,7 @@ its own netlist to the flow and drops its cache
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.flow import DEFAULT_SPEC, FlowSpec
 from repro.hdl.netlist import Netlist
@@ -33,8 +34,6 @@ def run_synthesis_flow(
     *,
     spec: FlowSpec = DEFAULT_SPEC,
     name: Optional[str] = None,
-    metadata: Optional[Dict[str, object]] = None,
-    lint_context: Optional[Dict[str, object]] = None,
 ) -> SynthesisResult:
     """Optimize, buffer, time and measure ``netlist``; return a :class:`SynthesisResult`.
 
@@ -56,22 +55,12 @@ def run_synthesis_flow(
         :data:`~repro.synth.buffering.MAX_FANOUT`.
     name:
         Report name; defaults to the netlist name.
-    metadata:
-        Extra key/value pairs propagated into the result.
-    lint_context:
-        Extra inputs for the design-rule checker when ``spec.lint`` is set
-        (generators pass ``{"fsm": <FiniteStateMachine>}`` so reachability
-        can be checked).  Ignored when linting is off.
     """
-    return _synthesize(
-        netlist.clone(), spec=spec, golden=netlist, name=name, metadata=metadata,
-        lint_context=lint_context,
-    )
+    return _synthesize(netlist.clone(), spec=spec, golden=netlist, name=name)
 
 
 def _synthesize(
     netlist: Netlist, *, spec: FlowSpec, golden: Optional[Netlist], name: Optional[str],
-    metadata: Optional[Dict[str, object]], lint_context: Optional[Dict[str, object]],
 ) -> SynthesisResult:
     """The flow body: validate ``netlist``, rewrite it in place and measure it.
 
@@ -88,7 +77,7 @@ def _synthesize(
     opt_report = None
     if spec.opt_level:
         with span("flow.opt"):
-            opt_report = optimize_netlist(netlist, opt_level=spec.opt_level)
+            opt_report = optimize_netlist(netlist)
             # Cheap invariant check: optimization must hand buffering/timing
             # a structurally sound netlist or every figure downstream is
             # garbage.
@@ -111,7 +100,6 @@ def _synthesize(
                 netlist,
                 library=cell_library,
                 max_fanout=MAX_FANOUT,
-                fsm=(lint_context or {}).get("fsm"),
                 rules=rules_for_level(spec.lint),
             )
     # Verification shares the lint contract: a default-off diagnostic that
@@ -132,5 +120,4 @@ def _synthesize(
         opt_report=opt_report,
         lint_report=lint_report,
         verify_report=verify_report,
-        metadata=dict(metadata or {}),
     )

@@ -15,17 +15,7 @@ that baseline:
 * :func:`~repro.synth.fsm.synthesis.synthesize_fsm` -- elaborate the encoded
   machine into flip-flops plus minimised two-level next-state and output
   logic, returning the netlist together with effort statistics.
+
+The package root imports nothing, so loading one submodule (the FSM model,
+say) does not load the QM minimiser behind :mod:`repro.synth.fsm.synthesis`.
 """
-
-from repro.synth.fsm.encoding import ENCODINGS, StateEncoding, encoding_by_name
-from repro.synth.fsm.fsm import FiniteStateMachine
-from repro.synth.fsm.synthesis import FsmSynthesisResult, synthesize_fsm
-
-__all__ = [
-    "FiniteStateMachine",
-    "StateEncoding",
-    "ENCODINGS",
-    "encoding_by_name",
-    "FsmSynthesisResult",
-    "synthesize_fsm",
-]

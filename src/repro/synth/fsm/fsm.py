@@ -4,8 +4,7 @@ The machine advances along its transition list whenever the ``next`` input is
 asserted and holds its state otherwise; each state carries a Moore output
 vector.  For an address generator targeting the address decoder-decoupled
 memory the outputs are select lines (one-hot, or two-hot when row and column
-dimensions are combined); for a conventional-RAM generator they are the
-binary address bits.
+dimensions are combined).
 """
 
 from __future__ import annotations
@@ -109,33 +108,6 @@ class FiniteStateMachine:
             next_state=[(i + 1) % n for i in range(n)],
             outputs=outputs,
             output_names=[f"sel_{k}" for k in range(num_lines)],
-        )
-
-    @classmethod
-    def from_binary_sequence(
-        cls,
-        sequence: Sequence[int],
-        address_width: Optional[int] = None,
-        name: str = "fsm_binary",
-    ) -> "FiniteStateMachine":
-        """Build the cyclic FSM producing binary-coded addresses for ``sequence``."""
-        if not sequence:
-            raise ValueError("sequence must be non-empty")
-        if address_width is None:
-            address_width = max(1, max(sequence).bit_length())
-        if max(sequence) >= (1 << address_width):
-            raise ValueError("sequence values do not fit in the address width")
-        n = len(sequence)
-        outputs = [
-            tuple((address >> bit) & 1 for bit in range(address_width))
-            for address in sequence
-        ]
-        return cls(
-            name=name,
-            num_states=n,
-            next_state=[(i + 1) % n for i in range(n)],
-            outputs=outputs,
-            output_names=[f"addr_{k}" for k in range(address_width)],
         )
 
     @classmethod

@@ -31,7 +31,6 @@ from repro.synth.opt.manager import (
     OptReport,
     PassManager,
     optimize_netlist,
-    passes_for_level,
 )
 from repro.synth.opt.passes import (
     BufferCollapsePass,
@@ -53,5 +52,4 @@ __all__ = [
     "PassStats",
     "SharePass",
     "optimize_netlist",
-    "passes_for_level",
 ]

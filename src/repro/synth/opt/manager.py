@@ -1,13 +1,12 @@
-"""Pass pipeline orchestration and the ``opt_level`` policy.
+"""Pass pipeline orchestration.
 
 The :class:`PassManager` runs an ordered list of passes round-robin until a
 full round leaves the netlist unchanged (passes enable each other: constant
 folding creates wire-throughs that sharing then merges, sharing strands
-cells that dead-cell elimination then removes).  ``opt_level`` is the
-knob the synthesis flow, the campaign engine and the CLI all thread
-through: level 0 is the identity (and the default everywhere, so existing
-cache keys and figures are untouched) and level 1 runs the full
-pipeline.  There is no other level.
+cells that dead-cell elimination then removes).  :func:`optimize_netlist`
+runs the one pipeline there is; the synthesis flow calls it only at
+``spec.opt_level`` 1 (:class:`repro.flow.FlowSpec` admits 0 and 1 only),
+so level 0 leaves the netlist as generated.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "OptReport",
     "PassManager",
     "optimize_netlist",
-    "passes_for_level",
 ]
 
 #: Upper bound on pipeline rounds; real netlists converge in 2-3 rounds and
@@ -124,42 +122,26 @@ class PassManager:
         return report
 
 
-def passes_for_level(opt_level: int) -> List[object]:
-    """The pass pipeline ``opt_level`` (0 or 1) selects (empty for level 0).
-
-    Order matters: constant folding first (it creates wire-throughs and
-    inverters), then sharing (decoder subtree merging), then the chain
-    collapses, and dead-cell elimination last to sweep whatever the earlier
-    passes stranded.
-    """
-    if opt_level not in (0, 1):
-        raise ValueError(f"opt_level must be 0 or 1, got {opt_level}")
-    if opt_level == 0:
-        return []
-    return [
-        ConstantFoldPass(),
-        SharePass(),
-        InvPairPass(),
-        BufferCollapsePass(),
-        DeadCellPass(),
-    ]
-
-
 def optimize_netlist(
     netlist: Netlist,
     *,
-    opt_level: int = 1,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     passes: Optional[Sequence[object]] = None,
 ) -> OptReport:
-    """Optimize ``netlist`` in place at ``opt_level``; return the report.
+    """Optimize ``netlist`` in place and return the report.
 
-    ``passes`` overrides the level-selected pipeline (useful for testing a
-    single pass in isolation).  At level 0 (with no override) the netlist is
-    untouched and the report shows zero rounds.
+    The pipeline's order matters: constant folding first (it creates
+    wire-throughs and inverters), then sharing (decoder subtree merging),
+    then the chain collapses, and dead-cell elimination last to sweep
+    whatever the earlier passes stranded.  ``passes`` replaces it (useful
+    for testing a single pass in isolation).
     """
-    chosen = list(passes) if passes is not None else passes_for_level(opt_level)
-    if not chosen:
-        size = len(netlist.cells)
-        return OptReport(original_cells=size, final_cells=size, rounds=0)
-    return PassManager(chosen, max_rounds=max_rounds).run(netlist)
+    if passes is None:
+        passes = [
+            ConstantFoldPass(),
+            SharePass(),
+            InvPairPass(),
+            BufferCollapsePass(),
+            DeadCellPass(),
+        ]
+    return PassManager(passes, max_rounds=max_rounds).run(netlist)

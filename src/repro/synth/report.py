@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 from repro.hdl.netlist import Netlist
 from repro.synth.area import AreaReport
@@ -52,9 +52,6 @@ class SynthesisResult:
         netlist (``None`` unless the flow ran with ``spec.verify`` set).
         Same diagnostic contract as ``lint_report``: never serialised into
         cached records.
-    metadata:
-        Free-form extra data (sequence length, array shape, generator style,
-        mapping parameters) recorded by the experiment harnesses.
     """
 
     name: str
@@ -65,7 +62,6 @@ class SynthesisResult:
     opt_report: Optional[OptReport] = None
     lint_report: Optional[LintReport] = None
     verify_report: Optional[CecResult] = None
-    metadata: Dict[str, object] = field(default_factory=dict)
 
     @property
     def delay_ns(self) -> float:

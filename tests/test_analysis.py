@@ -69,8 +69,6 @@ def test_explore_covers_multiple_architectures():
     result = explore(fifo.fifo_pattern(4, 4))
     styles = {point.style for point in result.points}
     assert {"SRAG", "CntAG"}.issubset(styles)
-    assert result.best_delay() is not None
-    assert result.best_area() is not None
     assert result.pareto()
     text = result.describe()
     assert "Pareto" in text

@@ -29,7 +29,6 @@ from repro.flow import DEFAULT_SPEC, FlowSpec, cli_overrides, opt_label_suffix
 from repro.generators.srag_design import SragDesign
 from repro.synth.cell_library import LIBRARIES, STD018, get_library
 from repro.synth.flow import run_synthesis_flow
-from repro.synth.opt import passes_for_level
 from repro.workloads.fifo import fifo_pattern, incremental_sequence
 from repro.workloads.motion_estimation import read_sequence
 
@@ -359,8 +358,6 @@ def test_opt_levels_above_one_are_rejected_not_aliased_to_o1(level, capsys):
     """Level 2 and up used to run the O1 pipeline under a new key and label."""
     with pytest.raises(ValueError, match="opt_level must be 0 or 1"):
         FlowSpec(opt_level=level)
-    with pytest.raises(ValueError, match="opt_level must be 0 or 1"):
-        passes_for_level(level)
     with pytest.raises(SystemExit) as raised:
         main(["--workload", "fifo", "--rows", "4", "--cols", "4", "--explore",
               "--opt-level", str(level)])

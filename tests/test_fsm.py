@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 
 from repro.hdl.netlist import Bus
 from repro.hdl.simulator import Simulator
-from repro.synth.fsm import (
-    ENCODINGS,
-    FiniteStateMachine,
-    encoding_by_name,
-    synthesize_fsm,
-)
+from repro.synth.fsm.encoding import ENCODINGS, encoding_by_name
+from repro.synth.fsm.fsm import RESET_STATE, FiniteStateMachine
+from repro.synth.fsm.synthesis import synthesize_fsm
 
 
 # ---------------------------------------------------------------------------
@@ -24,18 +21,30 @@ def test_fsm_from_select_sequence_cycles():
     assert [vec.index(1) for vec in fsm.simulate(7)] == [2, 0, 1, 2, 0, 1, 2]
 
 
-def test_fsm_from_binary_sequence():
-    fsm = FiniteStateMachine.from_binary_sequence([0, 3, 1], address_width=2)
-    observed = fsm.simulate(3)
-    decoded = [vec[0] + 2 * vec[1] for vec in observed]
-    assert decoded == [0, 3, 1]
-
-
 def test_fsm_from_two_hot_sequence():
     fsm = FiniteStateMachine.from_two_hot_sequence([0, 1], [1, 0], 2, 2)
     assert fsm.output_width == 4
     first = fsm.outputs[0]
     assert first == (1, 0, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FiniteStateMachine.from_select_sequence([3, 1, 1, 0, 2]),
+        lambda: FiniteStateMachine.from_two_hot_sequence([0, 1, 1, 0], [2, 0, 1, 1], 2, 3),
+    ],
+    ids=["from_select_sequence", "from_two_hot_sequence"],
+)
+def test_fsm_constructors_reach_every_state_from_reset(build):
+    """Each constructor closes one cycle through every state, so none is dead."""
+    fsm = build()
+    visited, state = [], RESET_STATE
+    for _ in range(fsm.num_states):
+        visited.append(state)
+        state = fsm.next_state[state]
+    assert sorted(visited) == list(range(fsm.num_states))
+    assert state == RESET_STATE
 
 
 def test_fsm_validation_errors():

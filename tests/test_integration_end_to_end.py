@@ -11,7 +11,8 @@ from repro.core.sradgen import generate
 from repro.generators.counter_based import CounterBasedAddressGenerator
 from repro.generators.fsm_based import FsmAddressGenerator
 from repro.generators.srag_design import SragDesign
-from repro.synth.fsm import FiniteStateMachine, synthesize_fsm
+from repro.synth.fsm.fsm import FiniteStateMachine
+from repro.synth.fsm.synthesis import synthesize_fsm
 from repro.synth.flow import run_synthesis_flow
 from repro.workloads import dct, fifo, motion_estimation, zoom
 from repro.workloads.fifo import incremental_sequence
@@ -104,7 +105,7 @@ def test_fsm_generator_is_viable_but_expensive_for_block_access():
     fsm_design = FsmAddressGenerator(sequence, output_style="two_hot")
     assert fsm_design.verify()
     srag_design = SragDesign(sequence)
-    fsm_states = fsm_design.fsm_synthesis.fsm.num_states
+    fsm_states = fsm_design.build_fsm().num_states
     srag_flops = (
         srag_design.generator.row_mapping.total_flip_flops
         + srag_design.generator.col_mapping.total_flip_flops

@@ -16,7 +16,6 @@ from repro.lint.design import (
     rules_for_level,
 )
 from repro.synth.cell_library import get_library
-from repro.synth.fsm import FiniteStateMachine
 from repro.workloads.registry import available_workloads, build_pattern
 
 
@@ -63,7 +62,6 @@ def test_rule_catalogue_ids_are_stable():
         "design.fanout-limit",
         "design.missing-clock",
         "design.data-on-clk",
-        "design.fsm-unreachable",
         "design.sat-const-net",
         "design.sat-redundant-logic",
     ]
@@ -231,23 +229,6 @@ def test_data_on_clk_fires_for_gated_clock():
     assert len(findings) == 1
     assert "u_gate.Y" in findings[0].message
     assert report.has_errors
-
-
-def test_fsm_unreachable_fires_and_reachable_is_clean():
-    broken = FiniteStateMachine(
-        name="fsm",
-        num_states=3,
-        next_state=[1, 0, 2],  # state 2 is orphaned from reset state 0
-        outputs=[(0,), (1,), (0,)],
-    )
-    report = lint_netlist(_clean_netlist(), fsm=broken)
-    findings = [f for f in report.findings if f.rule == "design.fsm-unreachable"]
-    assert len(findings) == 1
-    assert "state(s) unreachable" in findings[0].message
-    cyclic = FiniteStateMachine(
-        name="fsm", num_states=3, next_state=[1, 2, 0], outputs=[(0,), (1,), (0,)]
-    )
-    assert lint_netlist(_clean_netlist(), fsm=cyclic).findings == []
 
 
 def test_lint_never_mutates_the_netlist():

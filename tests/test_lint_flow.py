@@ -13,7 +13,6 @@ from repro.engine.runner import evaluate_job
 from repro.flow import FlowSpec
 from repro.generators.fsm_based import FsmAddressGenerator
 from repro.synth.flow import run_synthesis_flow
-from repro.synth.fsm import FiniteStateMachine
 from repro.workloads.registry import build_pattern
 
 
@@ -87,10 +86,8 @@ def test_run_synthesis_flow_lints_the_working_copy(pattern):
     assert (sorted(netlist.nets), sorted(netlist.cells)) == before
 
 
-def test_fsm_generator_feeds_its_machine_to_the_linter(pattern):
+def test_fsm_generator_design_lints_clean(pattern):
     design = FsmAddressGenerator(pattern.to_sequence(), encoding="binary")
-    context = design.lint_context()
-    assert isinstance(context["fsm"], FiniteStateMachine)
     result = design.synthesize(spec=FlowSpec(lint=1))
     assert result.lint_report is not None
     assert result.lint_report.findings == []

@@ -42,7 +42,6 @@ def test_generate_with_verilog_and_synthesis():
     assert result.verilog is not None and "module" in result.verilog
     assert result.synthesis is not None
     assert result.synthesis.delay_ns > 0
-    assert result.synthesis.metadata["rows"] == 4
     assert result.synthesis.summary() in result.describe()
 
 
@@ -208,6 +207,37 @@ def test_cli_explore_refuses_an_input_file_before_reading_it(tmp_path, capsys):
               "--explore"])
     assert raised.value.code == 2
     assert "--explore requires --workload" in capsys.readouterr().err
+
+
+_HDL_OUTSIDE_SINGLE_DESIGN = "--vhdl/--verilog require --input/--workload without --explore"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--campaign", "smoke", "--serial", "--quiet", "--vhdl", "{out}"],
+         _HDL_OUTSIDE_SINGLE_DESIGN),
+        (["--workload", "fifo", "--rows", "4", "--cols", "4", "--explore",
+          "--verilog", "{out}"],
+         _HDL_OUTSIDE_SINGLE_DESIGN),
+        (["--list-campaigns", "--vhdl", "{out}"], _HDL_OUTSIDE_SINGLE_DESIGN),
+        (["--workload", "fifo", "--rows", "4", "--cols", "4",
+          "--connect", "127.0.0.1:1"],
+         "--connect requires --campaign"),
+        (["--list-campaigns", "--connect", "127.0.0.1:1"], "--connect requires --campaign"),
+    ],
+    ids=["vhdl-campaign", "verilog-explore", "vhdl-list", "connect-workload", "connect-list"],
+)
+def test_cli_flag_the_mode_would_ignore_is_a_usage_error(tmp_path, argv, message, capsys):
+    """Each of these used to exit 0 without writing the file or connecting."""
+    out = tmp_path / "missing" / "out.hdl"
+    with pytest.raises(SystemExit) as raised:
+        main([arg.format(out=out) for arg in argv])
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # Raised before the output-path check, which would name the missing dir.
+    assert captured.err.splitlines()[-1] == f"sradgen: error: {message}"
 
 
 @pytest.mark.parametrize("flag", ["--rows", "--cols"])
@@ -450,10 +480,11 @@ def test_cli_import_loads_neither_lint_nor_verify():
     ``--report`` adds the SRAG and its synthesis flow but no engine and no
     baseline generator; a campaign loads every generator.  The design
     checker and the SAT-based verifier load only when a run asks for
-    ``--lint``/``--verify``, and then without the AST lint rules or any
-    test oracle.  One fresh interpreter runs the modes in turn and prints
-    its loaded modules after each; another imports the ``--connect`` client
-    alone, which loads no evaluation code."""
+    ``--lint``/``--verify``, and then without the AST lint rules, any
+    test oracle or the FSM/QM synthesis stack.  One fresh interpreter runs
+    the modes in turn and prints its loaded modules after each; another
+    runs ``--report --lint --verify`` alone, and a third imports the
+    ``--connect`` client alone, which loads no evaluation code."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     script = (
         "import contextlib, io, json, sys, repro.cli\n"
@@ -463,20 +494,22 @@ def test_cli_import_loads_neither_lint_nor_verify():
         "        assert repro.cli.main(argv.split()) == 0\n"
         "    print(json.dumps(sorted(sys.modules)))\n"
     )
-    modes = [
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run_modes(*modes):
+        lines = subprocess.run(
+            [sys.executable, "-c", script, *modes],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        return [json.loads(line) for line in lines]
+
+    imported, listed, reported, campaigned = run_modes(
         "--list-campaigns",
         "--workload fifo --rows 4 --cols 4 --report",
         "--campaign smoke --serial --quiet",
-        "--workload fifo --rows 4 --cols 4 --report --lint --verify",
-    ]
-    env = dict(os.environ, PYTHONPATH=src)
-    lines = subprocess.run(
-        [sys.executable, "-c", script, *modes],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout.splitlines()
-    imported, listed, reported, campaigned, checked = (
-        json.loads(line) for line in lines
     )
+    # In an interpreter of its own, so no earlier mode's modules count.
+    _, checked = run_modes("--workload fifo --rows 4 --cols 4 --report --lint --verify")
     client = json.loads(subprocess.run(
         [sys.executable, "-c", "import json, sys, repro.service.client\n"
          "print(json.dumps(sorted(sys.modules)))"],
@@ -495,4 +528,4 @@ def test_cli_import_loads_neither_lint_nor_verify():
     assert loaded(campaigned, _CHECKERS) == []
     assert set(_BASELINE_GENERATORS + _FSM_QM) <= set(campaigned)
     assert {"repro.lint.design", "repro.verify.cec"} <= set(checked)
-    assert loaded(checked, _NEVER_LOADED) == []
+    assert loaded(checked, _NEVER_LOADED + _FSM_QM) == []

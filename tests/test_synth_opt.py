@@ -26,7 +26,6 @@ from repro.synth.opt import (
     PassManager,
     SharePass,
     optimize_netlist,
-    passes_for_level,
 )
 from repro.workloads.registry import available_workloads, build_pattern
 
@@ -154,7 +153,7 @@ def test_const_fold_keeps_flop_that_can_leave_reset_state():
     q = netlist.new_net("q")
     netlist.add_cell("DFF", D=one, CLK=clk, Q=q)  # 0 on cycle 0, then 1
     netlist.add_output("q", q)
-    opt, _ = _optimize_clone(netlist, opt_level=1)
+    opt, _ = _optimize_clone(netlist)
     assert len(opt.sequential_cells()) == 1
     _assert_equivalent(netlist, opt, 4)
 
@@ -238,7 +237,7 @@ def test_inv_pair_keeps_odd_parity():
     netlist.add_cell("INV", A=n1, Y=n2)
     netlist.add_cell("INV", A=n2, Y=n3)
     netlist.add_output("y", n3)  # ~~~a == ~a
-    opt, _ = _optimize_clone(netlist, opt_level=1)
+    opt, _ = _optimize_clone(netlist)
     assert [c.cell_type for c in opt.cells.values()] == ["INV"]
     _assert_equivalent(netlist, opt, 2)
 
@@ -305,16 +304,15 @@ def test_dead_cells_keeps_flop_feedback_cones():
 
 def test_opt_level_zero_is_identity():
     netlist = build_design(build_pattern("fifo", 8, 8), "CntAG", "decoders").netlist
-    clone = netlist.clone()
-    report = optimize_netlist(clone, opt_level=0)
-    assert report.rounds == 0 and not report.changed
-    assert report.cells_removed == 0
-    assert len(clone.cells) == len(netlist.cells)
+    result = run_synthesis_flow(netlist, spec=FlowSpec(opt_level=0))
+    assert result.opt_report is None
+    # Only the buffer trees join the generated cells.
+    assert len(result.netlist.cells) == len(netlist.cells) + result.buffers_inserted
 
 
 def test_negative_opt_level_rejected():
-    with pytest.raises(ValueError):
-        passes_for_level(-1)
+    with pytest.raises(ValueError, match="opt_level must be >= 0"):
+        FlowSpec(opt_level=-1)
     with pytest.raises(ValueError):
         PassManager([DeadCellPass()], max_rounds=0)
 
@@ -322,7 +320,7 @@ def test_negative_opt_level_rejected():
 def test_report_accounting_and_describe():
     netlist = build_design(build_pattern("dct", 8, 8), "CntAG", "decoders").netlist
     clone = netlist.clone()
-    report = optimize_netlist(clone, opt_level=1)
+    report = optimize_netlist(clone)
     assert isinstance(report, OptReport)
     # The headline invariant: net removals + survivors == original count.
     assert report.cells_removed + report.final_cells == report.original_cells
@@ -341,8 +339,8 @@ def test_pipeline_reaches_fixpoint():
     """Optimizing an already-optimized netlist must change nothing."""
     netlist = build_design(build_pattern("zoombytwo", 8, 8), "CntAG", "decoders").netlist
     first = netlist.clone()
-    optimize_netlist(first, opt_level=1)
-    again = optimize_netlist(first, opt_level=1)
+    optimize_netlist(first)
+    again = optimize_netlist(first)
     assert not again.changed
     assert again.cells_removed == 0
 
