@@ -6,33 +6,18 @@ emit synthesisable HDL plus (optionally) area/delay figures.  On top of
 that, ``--campaign`` drives the batch engine (:mod:`repro.engine`): cached,
 parallel design-space exploration over whole workload/geometry/style grids.
 
-Usage examples::
+Each run is one mode, picked by its source option: ``--input`` or
+``--workload`` (``generate``, or ``explore`` with ``--explore``),
+``--campaign`` (run locally, or against a running ``--serve`` with
+``--connect``), ``--list-campaigns``, ``--compact-cache``,
+``--cache-stats`` or ``--serve``.  :data:`_MODES` names the options each
+mode reads and requires; README's Quickstart has the same table.  Usage
+examples::
 
-    # Map a sequence stored one address per line and write VHDL
     sradgen --input addresses.txt --rows 4 --cols 4 --vhdl srag.vhd
-
-    # Use a built-in workload and print mapping parameters and synthesis data
     sradgen --workload motion_est_read --rows 16 --cols 16 --report
-
-    # Explore the design space for a workload
     sradgen --workload dct --rows 8 --cols 8 --explore
-
-    # Run a batch campaign with a persistent result cache (re-running only
-    # evaluates new points)
-    sradgen --campaign demo --cache-dir .sradgen_cache
-    sradgen --list-campaigns
-
-    # Synthesis figures after logic optimization (what a real tool reports)
-    sradgen --workload dct --rows 8 --cols 8 --report --opt-level 1
-
-    # Bound the symbolic-FSM candidates while exploring
-    sradgen --workload fifo --rows 8 --cols 8 --explore --max-fsm-states 32
-
-    # Drop superseded lines from a long-lived campaign cache
-    sradgen --compact-cache --cache-dir .sradgen_cache
-
-    # Long-running campaign service; any number of clients share its
-    # scheduler, cache and in-flight dedup table
+    sradgen --campaign demo --cache-dir .sradgen_cache --opt-level 1
     sradgen --serve --cache-dir .svc_cache --port 8787
     sradgen --campaign smoke --connect 127.0.0.1:8787
 
@@ -45,11 +30,10 @@ Exit status:
   for a bad input file, output path or cache directory, or a compaction
   that could not take the cache lock.  A closed stdout pipe also exits 1,
   quietly.
-* 2: a usage error (argparse, a malformed ``--connect`` address among
-  them), a flag the selected mode would ignore (``--vhdl``/``--verilog``
-  outside single-design mode, that is ``--input``/``--workload`` without
-  ``--explore``; ``--connect`` without ``--campaign``), or a proven
-  inequivalence under ``--verify``, which outranks 1.
+* 2: a usage error (argparse, a malformed ``--connect`` address or an
+  option the selected mode cannot run without among them), an option the
+  selected mode does not read, or a proven inequivalence under
+  ``--verify``, which outranks 1.
 * 3: ``--connect`` found no campaign service.
 """
 
@@ -59,10 +43,10 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 # Module level holds only what build_parser and every mode need.  Each mode
-# imports the stack it runs inside its own branch, so ``--list-campaigns``
+# imports the stack it runs inside its own handler, so ``--list-campaigns``
 # never loads the generators and ``--report`` never loads the engine.
 from repro.engine.sweep import (
     CAMPAIGNS,
@@ -203,18 +187,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--opt-level",
         type=int,
         choices=(0, 1),
-        default=None,
         help=(
             "logic-optimization effort for synthesis (0 = raw netlist, "
             "1 = constant folding, sharing, chain collapsing and dead-cell "
             "removal; default 0).  With --campaign, overrides every job's "
-            "opt level."
+            "opt level; with --input/--workload, implies --report."
         ),
     )
     parser.add_argument(
         "--max-fsm-states",
         type=_positive_int,
-        default=None,
         metavar="N",
         help=(
             "skip symbolic-FSM candidates for sequences longer than N "
@@ -225,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--lint",
         action="count",
-        default=None,
-        dest="lint",
         help=(
             "run the design-rule checker (repro.lint.design) on every "
             "synthesised netlist and exit 1 on error-severity findings.  "
@@ -240,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify",
         action="store_const",
         const=1,
-        default=None,
-        dest="verify",
         help=(
             "formally verify (SAT-based CEC, repro.verify) that every "
             "synthesised netlist is equivalent to its pre-flow netlist; "
@@ -264,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
             "instead of evaluating locally"
         ),
     )
-    engine.add_argument(
+    pool = engine.add_mutually_exclusive_group()
+    pool.add_argument(
         "--workers",
         type=_non_negative_int,
-        default=None,
         help="worker processes for campaign evaluation (default: min(cpus, 8))",
     )
-    engine.add_argument(
+    pool.add_argument(
         "--serial",
         action="store_true",
         help="evaluate campaign jobs serially in-process",
@@ -286,15 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress per-job campaign progress lines",
     )
     service = parser.add_argument_group("service options")
+    # Every option defaults to None or False, so _select_mode can tell it
+    # was given; --serve applies these two defaults itself.
     service.add_argument(
         "--host",
-        default="127.0.0.1",
         help="interface for --serve to bind (default 127.0.0.1)",
     )
     service.add_argument(
         "--port",
         type=_port,
-        default=0,
         help="port for --serve to bind (default 0: pick a free port and print it)",
     )
     resilience = parser.add_argument_group("resilience options")
@@ -363,12 +341,8 @@ def _write_text(path: str, text: str) -> None:
         raise SystemExit(f"{path}: {error.strerror}") from None
 
 
-def _existing_cache_dir(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, flag: str
-) -> str:
+def _existing_cache_dir(args: argparse.Namespace) -> str:
     """The --cache-dir a cache maintenance mode reads; it must already exist."""
-    if not args.cache_dir:
-        parser.error(f"{flag} requires --cache-dir")
     if not os.path.isdir(args.cache_dir):
         raise SystemExit(f"{args.cache_dir}: no such cache directory")
     return args.cache_dir
@@ -444,7 +418,7 @@ def _compact_cache(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     """
     from repro.engine.cache import CacheLockTimeout, ResultCache
 
-    cache = ResultCache(_existing_cache_dir(args, parser, "--compact-cache"))
+    cache = ResultCache(_existing_cache_dir(args))
     path = cache.path
     before = _count_cache_lines(cache)
     segments = sum(1 for p in cache.data_paths() if p != path)
@@ -466,7 +440,7 @@ def _cache_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     """Print cache health figures: entries, stale lines, status mix."""
     from repro.engine.cache import ResultCache
 
-    cache = ResultCache(_existing_cache_dir(args, parser, "--cache-stats"))
+    cache = ResultCache(_existing_cache_dir(args))
     path = cache.path
     total_lines = _count_cache_lines(cache)
     live = len(cache)
@@ -494,7 +468,7 @@ def _cache_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _run_campaign(args: argparse.Namespace) -> int:
+def _run_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     campaign = build_campaign(args.campaign)
     overrides = cli_overrides(args)
     if overrides:
@@ -632,7 +606,7 @@ def _report_verify(records: Sequence[EvalRecord]) -> int:
     return failures
 
 
-def _serve(args: argparse.Namespace) -> int:
+def _serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Run the campaign service until SIGINT/SIGTERM (drains, then exits)."""
     import asyncio
     import signal
@@ -646,7 +620,9 @@ def _serve(args: argparse.Namespace) -> int:
     )
 
     async def _main() -> None:
-        host, port = await service.start(args.host, args.port)
+        host, port = await service.start(
+            "127.0.0.1" if args.host is None else args.host, args.port or 0
+        )
         print(f"sradgen service listening on {host}:{port}", flush=True)
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):
@@ -663,32 +639,136 @@ def _serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
+def _list_campaigns(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    # Descriptions come from the registry, so listing never expands a grid.
+    for name in available_campaigns():
+        print(f"{name:<18} {campaign_description(name)}")
+    return 0
+
+
+def _explore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from repro.analysis.explorer import explore
+
+    spec = dataclasses.replace(DEFAULT_SPEC, **cli_overrides(args))
+    result = explore(_build_pattern(args, parser), spec=spec)
+    print(result.describe())
+    return _report_records(args, result.points + result.skipped)
+
+
+def _generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from repro.core.mapping_params import MappingError
+    from repro.core.sradgen import generate
+
+    sequence = _load_sequence(args, parser)
+    # The CLI builds exactly one FlowSpec and hands it down; every flow flag
+    # is one namespace attribute named after its spec field.
+    overrides = cli_overrides(args)
     try:
-        return _dispatch(argv)
-    except BrokenPipeError:
-        # Downstream pager/head closed the pipe; die quietly like cat does.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        result = generate(
+            sequence,
+            emit_vhdl_text=bool(args.vhdl),
+            emit_verilog_text=bool(args.verilog),
+            # Any flow flag (--opt-level, --lint, --verify) implies --report.
+            synthesize=args.report or bool(overrides),
+            spec=dataclasses.replace(DEFAULT_SPEC, **overrides),
+        )
+    except MappingError as error:
+        print(f"mapping failed: {error}", file=sys.stderr)
+        print(
+            "hint: the sequence violates an SRAG restriction; a CntAG or FSM "
+            "generator may fit instead (--explore with --workload compares "
+            "every architecture).",
+            file=sys.stderr,
+        )
         return 1
 
+    print(result.describe())
+    status = 0
+    if args.lint:
+        report = result.synthesis.lint_report
+        for finding in report.findings:
+            print(f"lint: {finding.render()}", file=sys.stderr)
+        print(f"lint: {report.summary()}")
+        status = int(report.has_errors)
+    if args.verify:
+        verdict = result.synthesis.verify_report
+        print(f"verify: {verdict.summary()}")
+        if not verdict.equivalent:
+            print(f"verify: {verdict.counterexample.describe()}", file=sys.stderr)
+            status = 2  # proven inequivalence outranks lint errors
+    if args.vhdl:
+        _write_text(args.vhdl, result.vhdl)
+        print(f"wrote VHDL to {args.vhdl}")
+    if args.verilog:
+        _write_text(args.verilog, result.verilog)
+        print(f"wrote Verilog to {args.verilog}")
+    return status
 
-def _mode(args: argparse.Namespace) -> str:
-    """Short label for the selected mode, used as the root span detail."""
-    if args.list_campaigns:
-        return "list-campaigns"
-    if args.compact_cache:
-        return "compact-cache"
-    if args.cache_stats:
-        return "cache-stats"
-    if args.serve:
-        return "serve"
-    if args.campaign:
-        return f"campaign {args.campaign}"
-    if args.explore:
-        return "explore"
-    return "generate"
+
+class _Mode(NamedTuple):
+    run: Callable[[argparse.Namespace, argparse.ArgumentParser], int]
+    reads: Tuple[str, ...]  # every option the mode reads, its source first
+    requires: Tuple[str, ...] = ()  # the options it cannot run without
+
+
+_FLOW = ("--opt-level", "--max-fsm-states", "--lint", "--verify")
+_POOL = ("--workers", "--serial")
+#: Options every mode reads.
+_EVERY_MODE = ("--trace", "--metrics-out")
+
+#: Mode name -> handler, the options it reads and the ones it requires.  A
+#: command that gives an option outside its mode's row is a usage error.
+_MODES = {
+    "list-campaigns": _Mode(_list_campaigns, ("--list-campaigns",)),
+    "compact-cache": _Mode(_compact_cache, ("--compact-cache", "--cache-dir"), ("--cache-dir",)),
+    "cache-stats": _Mode(_cache_stats, ("--cache-stats", "--cache-dir"), ("--cache-dir",)),
+    "serve": _Mode(_serve, ("--serve", "--cache-dir", *_POOL, "--host", "--port", "--retry-max")),
+    "campaign": _Mode(
+        _run_campaign,
+        ("--campaign", *_FLOW, "--cache-dir", *_POOL, "--force", "--quiet", "--retry-max"),
+    ),
+    "campaign --connect": _Mode(
+        _run_campaign,
+        ("--campaign", "--connect", *_FLOW, "--force", "--quiet", "--retry-max"),
+        ("--connect",),
+    ),
+    "explore": _Mode(
+        _explore,
+        ("--workload", "--explore", "--rows", "--cols", *_FLOW),
+        ("--explore", "--rows", "--cols"),
+    ),
+    "generate": _Mode(
+        _generate,
+        ("--input", "--workload", "--rows", "--cols", "--vhdl", "--verilog", "--report",
+         "--opt-level", "--lint", "--verify"),
+        ("--rows", "--cols"),
+    ),
+}
+
+
+def _select_mode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
+    """The mode the options pick; refuses options outside its row or missing from it."""
+    # Every option defaults to None or False, so any other value was given.
+    given = [
+        action.option_strings[0]
+        for action in parser._actions
+        if (value := getattr(args, action.dest, None)) is not None and value is not False
+    ]
+    source = given[0]  # argparse requires one source, and the sources come first
+    if source == "--campaign":
+        mode = "campaign --connect" if "--connect" in given else "campaign"
+    elif source in ("--input", "--workload"):
+        mode = "explore" if "--explore" in given else "generate"
+    else:
+        mode = source[2:]
+    row = _MODES[mode]
+    refused = [flag for flag in given if flag not in row.reads + _EVERY_MODE]
+    if refused:
+        parser.error(f"{mode} mode does not read {', '.join(refused)}")
+    missing = [flag for flag in row.requires if flag not in given]
+    if missing:
+        parser.error(f"{mode} mode requires {', '.join(missing)}")
+    return mode
 
 
 def _retry_policy(args: argparse.Namespace) -> Optional["RetryPolicy"]:
@@ -700,15 +780,21 @@ def _retry_policy(args: argparse.Namespace) -> Optional["RetryPolicy"]:
     return RetryPolicy(max_retries=args.retry_max)
 
 
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Entry point; returns the process exit code."""
+    try:
+        return _dispatch(argv)
+    except BrokenPipeError:
+        # Downstream pager/head closed the pipe; die quietly like cat does.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
 def _dispatch(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # A flag the selected mode would ignore is a usage error, not a no-op.
-    single_design = (args.input or args.workload) and not args.explore
-    if (args.vhdl or args.verilog) and not single_design:
-        parser.error("--vhdl/--verilog require --input/--workload without --explore")
-    if args.connect and not args.campaign:
-        parser.error("--connect requires --campaign")
+    mode = _select_mode(args, parser)
     for path in (args.vhdl, args.verilog, args.metrics_out):
         if path:
             _check_output_path(path)
@@ -716,8 +802,8 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
         enable_tracing()
     usage_error = False
     try:
-        with span("sradgen", detail=_mode(args)):
-            return _execute(args, parser)
+        with span("sradgen", detail=f"campaign {args.campaign}" if args.campaign else mode):
+            return _MODES[mode].run(args, parser)
     except SystemExit as exit_:
         usage_error = exit_.code == 2
         raise
@@ -731,95 +817,6 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
                 print(rendered, file=sys.stderr)
         if args.metrics_out:
             _write_text(args.metrics_out, metrics.to_json() + "\n")
-
-
-def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.list_campaigns:
-        # Descriptions come from the registry, so listing never expands a grid.
-        for name in available_campaigns():
-            print(f"{name:<18} {campaign_description(name)}")
-        return 0
-
-    if args.compact_cache:
-        return _compact_cache(args, parser)
-
-    if args.cache_stats:
-        return _cache_stats(args, parser)
-
-    if args.serve:
-        return _serve(args)
-
-    if args.campaign:
-        return _run_campaign(args)
-
-    if args.rows is None or args.cols is None:
-        parser.error("--rows and --cols are required with --input/--workload")
-    # The CLI builds exactly one FlowSpec and hands it down; every flow flag
-    # is one namespace attribute named after its spec field.
-    spec = dataclasses.replace(DEFAULT_SPEC, **cli_overrides(args))
-
-    if args.explore:
-        if not args.workload:
-            parser.error("--explore requires --workload (it needs the loop nest)")
-        from repro.analysis.explorer import explore
-
-        result = explore(_build_pattern(args, parser), spec=spec)
-        print(result.describe())
-        return _report_records(args, result.points + result.skipped)
-
-    from repro.core.mapping_params import MappingError
-    from repro.core.sradgen import generate
-
-    sequence = _load_sequence(args, parser)
-    try:
-        result = generate(
-            sequence,
-            emit_vhdl_text=bool(args.vhdl) or not args.verilog,
-            emit_verilog_text=bool(args.verilog),
-            synthesize=args.report or bool(args.lint) or bool(args.verify),
-            spec=spec,
-        )
-    except MappingError as error:
-        print(f"mapping failed: {error}", file=sys.stderr)
-        print(
-            "hint: the sequence violates an SRAG restriction; a CntAG or FSM "
-            "generator may fit instead (--explore with --workload compares "
-            "every architecture).",
-            file=sys.stderr,
-        )
-        return 1
-
-    print(result.describe())
-    lint_failed = False
-    if args.lint and result.synthesis is not None:
-        report = result.synthesis.lint_report
-        if report is not None:
-            for finding in report.findings:
-                print(f"lint: {finding.render()}", file=sys.stderr)
-            print(f"lint: {report.summary()}")
-            lint_failed = report.has_errors
-    verify_failed = False
-    if args.verify and result.synthesis is not None:
-        verdict = result.synthesis.verify_report
-        if verdict is not None:
-            print(f"verify: {verdict.summary()}")
-            if not verdict.equivalent:
-                assert verdict.counterexample is not None
-                print(
-                    f"verify: {verdict.counterexample.describe()}",
-                    file=sys.stderr,
-                )
-                verify_failed = True
-    if args.vhdl:
-        _write_text(args.vhdl, result.vhdl or "")
-        print(f"wrote VHDL to {args.vhdl}")
-    if args.verilog:
-        _write_text(args.verilog, result.verilog or "")
-        print(f"wrote Verilog to {args.verilog}")
-    # Proven inequivalence outranks everything: exit 2 > 1 > 0.
-    if verify_failed:
-        return 2
-    return 1 if lint_failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via the console script

@@ -11,10 +11,6 @@ that machinery:
   direct cube list for very wide functions).
 * :func:`~repro.synth.logic.synthesize.sop_to_netlist` -- map a sum-of-products
   cover onto AND/OR gate trees inside a netlist.
+
+The package root re-exports nothing: import names from their submodules.
 """
-
-from repro.synth.logic.minimize import Implicant, MinimizationStats, minimize
-from repro.synth.logic.synthesize import sop_to_netlist
-from repro.synth.logic.truth_table import TruthTable
-
-__all__ = ["TruthTable", "Implicant", "MinimizationStats", "minimize", "sop_to_netlist"]

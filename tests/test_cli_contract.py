@@ -13,11 +13,14 @@ A failure says why in one stderr line:
 A returned 1 or 2 is a result (error records, lint errors, a proven
 inequivalence, a mapping failure), and the run prints it.
 
-Options and their values are drawn from ``build_parser()``'s own actions,
-so a new option is fuzzed without editing this file.  Its source is one of
-the source group's options, and ``--input`` files come from a small
-grammar: numbers, comments, blank lines, negative and out-of-range
-addresses, non-ASCII text and raw bytes.  The scope keeps the property
+Options and their values are drawn from ``build_parser()``'s own actions
+and ``repro.cli``'s mode table, so a new option or mode is fuzzed without
+editing this file.  Each argv picks a mode and gives one of its source
+options and, seven times in eight each, the options it requires; then up
+to five options, each from the mode's row seven times in eight and from
+all options otherwise.  ``--input`` files come from a small grammar:
+numbers, comments, blank lines, negative and out-of-range addresses,
+non-ASCII text and raw bytes.  The scope keeps the property
 cheap and in-process: arrays of at most 8x8, the ``smoke`` campaign grid,
 no pool above one worker, and ``--connect`` only to malformed or refused
 addresses.  ``--serve``, a live server and larger pools start sockets or
@@ -33,17 +36,19 @@ import tempfile
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.cli import build_parser, main
+from repro.cli import _EVERY_MODE, _MODES, build_parser, main
 from repro.obs import Tracer, get_tracer, set_tracer
 
 PARSER = build_parser()
-(_SOURCE_GROUP,) = PARSER._mutually_exclusive_groups
-#: The source options, without ``--serve`` (it serves until stopped).
-SOURCES = [a for a in _SOURCE_GROUP._group_actions if a.dest != "serve"]
+(_SOURCE_GROUP,) = [group for group in PARSER._mutually_exclusive_groups if group.required]
+SOURCES = _SOURCE_GROUP._group_actions
 OPTIONS = [
     a for a in PARSER._actions
-    if a.option_strings and a.dest != "help" and a not in _SOURCE_GROUP._group_actions
+    if a.option_strings and a.dest != "help" and a not in SOURCES
 ]
+BY_FLAG = {action.option_strings[0]: action for action in PARSER._actions}
+#: Every mode but ``serve`` (it serves until stopped).
+MODES = [mode for mode in _MODES if mode != "serve"]
 
 #: Exit statuses the ``repro.cli`` docstring documents.
 EXIT_CODES = {0, 1, 2, 3}
@@ -86,16 +91,6 @@ _SCOPED = {
 }
 
 
-#: Options a source needs to get past argument checking, added for it
-#: seven times in eight.
-_COMPANIONS = {
-    "input": ("--rows", "--cols"),
-    "workload": ("--rows", "--cols"),
-    "compact_cache": ("--cache-dir",),
-    "cache_stats": ("--cache-dir",),
-}
-
-
 def _value(action):
     """The strategy for one option's value."""
     if action.dest in _SCOPED:
@@ -109,22 +104,25 @@ def _value(action):
 
 @st.composite
 def argvs(draw):
-    """One source option, then any subset of the other options."""
-    source = draw(st.sampled_from(SOURCES))
+    """A mode's source option, its required options, then other options."""
+    row = _MODES[draw(st.sampled_from(MODES))]
+    source = draw(st.sampled_from([BY_FLAG[f] for f in row.reads if BY_FLAG[f] in SOURCES]))
     argv = [source.option_strings[0]]
     if source.nargs != 0:
         argv.append(draw(_value(source)))
-    chosen = draw(st.lists(st.sampled_from(OPTIONS), max_size=5, unique=True))
-    by_flag = {action.option_strings[0]: action for action in OPTIONS}
-    for flag in _COMPANIONS.get(source.dest, ()):
-        if by_flag[flag] not in chosen and draw(_mostly(st.just(True), st.just(False))):
-            chosen.append(by_flag[flag])
+    in_row = [BY_FLAG[flag] for flag in row.reads + _EVERY_MODE if BY_FLAG[flag] in OPTIONS]
+    chosen = draw(st.lists(
+        _mostly(st.sampled_from(in_row), st.sampled_from(OPTIONS)), max_size=5, unique=True
+    ))
+    for flag in row.requires:
+        if BY_FLAG[flag] not in chosen and draw(_mostly(st.just(True), st.just(False))):
+            chosen.append(BY_FLAG[flag])
     for action in chosen:
         if action.nargs == 0:
             argv += [action.option_strings[0]] * draw(st.integers(1, 2))
         else:
             argv += [action.option_strings[0], draw(_value(action))]
-    if source.dest == "campaign" and "--workers" not in argv:
+    if source.dest == "campaign" and not {"--workers", "--connect"} & set(argv):
         argv.append("--serial")  # the default pool has more than one worker
     return argv
 
@@ -206,6 +204,13 @@ def _run(argv, directory):
 @example(argv=["--campaign", "smoke", "--connect", REFUSED, "--retry-max", "1"], input_file=b"")
 # Found here: --trace printed its span tree after a usage error's line.
 @example(argv=["--compact-cache", "--trace"], input_file=b"")
+# Options the selected mode does not read used to be ignored.
+@example(argv=["--workload", "fifo", "--rows", "4", "--cols", "4", "--report", "--cache-dir", "nc",
+               "--workers", "3", "--force", "--retry-max", "2", "--max-fsm-states", "3"],
+         input_file=b"")
+@example(argv=["--list-campaigns", "--opt-level", "1", "--lint"], input_file=b"")
+@example(argv=["--campaign", "smoke", "--connect", REFUSED, "--serial", "--cache-dir", "x",
+               "--workers", "3"], input_file=b"")
 def test_any_argv_gives_a_result_or_one_line(tmp_path, argv, input_file):
     directory = tempfile.mkdtemp(dir=tmp_path)
     with open(os.path.join(directory, INPUT), "wb") as handle:

@@ -633,7 +633,7 @@ def test_cli_explore_still_works(capsys):
 def test_cli_requires_rows_cols_for_single_runs(capsys):
     with pytest.raises(SystemExit):
         main(["--workload", "fifo"])
-    assert "--rows and --cols are required" in capsys.readouterr().err
+    assert "generate mode requires --rows, --cols" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Tests for the SRAdGen flow facade and the sradgen command-line tool."""
 
+import argparse
 import json
 import os
+import socket
 import subprocess
 import sys
 
 import pytest
 
 import repro
-from repro.cli import _parse_address, build_parser, main
+from repro.cli import _EVERY_MODE, _MODES, _parse_address, _select_mode, build_parser, main
 from repro.core.mapping_params import MappingError
 from repro.core.sradgen import generate
 from repro.workloads import motion_estimation, patterns
@@ -206,38 +208,147 @@ def test_cli_explore_refuses_an_input_file_before_reading_it(tmp_path, capsys):
         main(["--input", str(tmp_path / "missing.txt"), "--rows", "4", "--cols", "4",
               "--explore"])
     assert raised.value.code == 2
-    assert "--explore requires --workload" in capsys.readouterr().err
+    assert "explore mode does not read --input" in capsys.readouterr().err
 
 
-_HDL_OUTSIDE_SINGLE_DESIGN = "--vhdl/--verilog require --input/--workload without --explore"
+#: A value for every option that takes one; ``{tmp}`` is the test's directory.
+_OPTION_VALUES = {
+    "--input": "{tmp}/addresses.txt", "--workload": "fifo", "--campaign": "smoke",
+    "--rows": "4", "--cols": "4", "--vhdl": "{tmp}/missing/out.vhd",
+    "--verilog": "{tmp}/missing/out.v", "--opt-level": "1", "--max-fsm-states": "3",
+    "--cache-dir": "{tmp}/nc", "--connect": "127.0.0.1:1", "--workers": "3",
+    "--host": "127.0.0.1", "--port": "0", "--retry-max": "2",
+}
+#: Given to these modes, the option picks another mode instead.
+_PICKS_ANOTHER_MODE = {("generate", "--explore"), ("campaign", "--connect")}
+_PARSER = build_parser()
+_OPTIONS = [action.option_strings[0] for action in _PARSER._actions if action.dest != "help"]
+_SOURCES = {
+    action.option_strings[0]
+    for group in _PARSER._mutually_exclusive_groups if group.required
+    for action in group._group_actions
+}
+
+
+def _command(flags, values=_OPTION_VALUES):
+    """argv giving each flag, with its value from ``values``."""
+    argv = []
+    for flag in flags:
+        argv += [flag, values[flag]] if flag in values else [flag]
+    return argv
+
+
+def _refused_pairs():
+    """Every (mode, option outside its row) pair, from the parser and the table.
+
+    Source options are left out: argparse already refuses a second one.
+    """
+    for mode, row in _MODES.items():
+        base = _command((row.reads[0],) + row.requires)
+        for flag in _OPTIONS:
+            if flag in row.reads + _EVERY_MODE or flag in _SOURCES:
+                continue
+            if (mode, flag) not in _PICKS_ANOTHER_MODE:
+                yield pytest.param(base + _command([flag]), f"{mode} mode does not read {flag}",
+                                   id=f"{mode}-{flag}")
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--campaign", "smoke", "--serial", "--quiet", "--vhdl", "{out}"],
-         _HDL_OUTSIDE_SINGLE_DESIGN),
-        (["--workload", "fifo", "--rows", "4", "--cols", "4", "--explore",
-          "--verilog", "{out}"],
-         _HDL_OUTSIDE_SINGLE_DESIGN),
-        (["--list-campaigns", "--vhdl", "{out}"], _HDL_OUTSIDE_SINGLE_DESIGN),
-        (["--workload", "fifo", "--rows", "4", "--cols", "4",
-          "--connect", "127.0.0.1:1"],
-         "--connect requires --campaign"),
-        (["--list-campaigns", "--connect", "127.0.0.1:1"], "--connect requires --campaign"),
+        pytest.param(["--campaign", "smoke", "--serial", "--quiet", "--vhdl", "{tmp}/missing/out"],
+                     "campaign mode does not read --vhdl", id="vhdl-campaign"),
+        pytest.param(["--workload", "fifo", "--rows", "4", "--cols", "4", "--explore",
+                      "--verilog", "{tmp}/missing/out"],
+                     "explore mode does not read --verilog", id="verilog-explore"),
+        pytest.param(["--list-campaigns", "--vhdl", "{tmp}/missing/out"],
+                     "list-campaigns mode does not read --vhdl", id="vhdl-list"),
+        pytest.param(["--workload", "fifo", "--rows", "4", "--cols", "4",
+                      "--connect", "127.0.0.1:1"],
+                     "generate mode does not read --connect", id="connect-workload"),
+        pytest.param(["--list-campaigns", "--connect", "127.0.0.1:1"],
+                     "list-campaigns mode does not read --connect", id="connect-list"),
+        # One line names every refused option, in --help order.
+        pytest.param("--workload fifo --rows 4 --cols 4 --report --cache-dir {tmp}/nc --workers 3 "
+                     "--force --retry-max 2 --max-fsm-states 3".split(),
+                     "generate mode does not read --max-fsm-states, --cache-dir, --workers, "
+                     "--force, --retry-max", id="report-with-campaign-options"),
+        pytest.param("--list-campaigns --opt-level 1 --lint".split(),
+                     "list-campaigns mode does not read --opt-level, --lint", id="list-with-flow"),
+        pytest.param("--campaign smoke --connect 127.0.0.1:1 --serial --cache-dir {tmp}/nc "
+                     "--workers 3".split(),
+                     "argument --workers: not allowed with argument --serial",
+                     id="connect-with-serial-and-workers"),
+        *_refused_pairs(),
     ],
-    ids=["vhdl-campaign", "verilog-explore", "vhdl-list", "connect-workload", "connect-list"],
 )
 def test_cli_flag_the_mode_would_ignore_is_a_usage_error(tmp_path, argv, message, capsys):
-    """Each of these used to exit 0 without writing the file or connecting."""
-    out = tmp_path / "missing" / "out.hdl"
+    """Each of these used to exit 0, ignoring the option."""
     with pytest.raises(SystemExit) as raised:
-        main([arg.format(out=out) for arg in argv])
+        main([arg.format(tmp=tmp_path) for arg in argv])
     assert raised.value.code == 2
     captured = capsys.readouterr()
+    # Raised before any work and before the output-path check, which would
+    # name the missing directory.
     assert captured.out == ""
-    # Raised before the output-path check, which would name the missing dir.
     assert captured.err.splitlines()[-1] == f"sradgen: error: {message}"
+    assert not (tmp_path / "nc").exists()
+
+
+def _recording_namespace(reads):
+    """An ``argparse.Namespace`` that adds every attribute name read to ``reads``."""
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    return Recording()
+
+
+#: Options read only to pick the mode (by ``_select_mode``), not by its handler.
+_PICK_THE_MODE = {"--list-campaigns", "--compact-cache", "--cache-stats", "--explore"}
+
+
+@pytest.mark.parametrize("mode", [mode for mode in _MODES if mode != "serve"])
+def test_each_mode_reads_every_option_in_its_row(tmp_path, mode, capsys):
+    """The table against the code: a mode's handler reads every option in its row.
+
+    ``serve`` is left out: its handler serves until it is stopped.  Of two
+    options argparse refuses together, only the first in the row is given;
+    the handler must still read the other.
+    """
+    (tmp_path / "addresses.txt").write_text("\n".join(str(i) for i in range(16)))
+    (tmp_path / "missing").mkdir()
+    (tmp_path / "nc").mkdir()
+    parser = build_parser()
+    row = _MODES[mode]
+    exclusive = [{action.option_strings[0] for action in group._group_actions}
+                 for group in parser._mutually_exclusive_groups]
+    given = [flag for i, flag in enumerate(row.reads)
+             if not any(flag in group and group & set(row.reads[:i]) for group in exclusive)]
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))
+        # Quick values: an in-process pool, no FSM candidates, a refused port.
+        values = dict(_OPTION_VALUES, **{
+            "--workers": "0", "--max-fsm-states": "1", "--retry-max": "0",
+            "--connect": f"127.0.0.1:{closed.getsockname()[1]}",
+        })
+        argv = [arg.format(tmp=tmp_path) for arg in _command(given, values)]
+        reads = set()
+        args = parser.parse_args(argv, namespace=_recording_namespace(reads))
+        assert _select_mode(args, parser) == mode
+        reads.clear()
+        row.run(args, parser)
+    capsys.readouterr()
+    read = {parser._option_string_actions[flag].dest for flag in set(row.reads) - _PICK_THE_MODE}
+    assert read - reads == set()
+
+
+def test_cli_any_flow_flag_implies_report(capsys):
+    """--opt-level runs the synthesis flow, as --lint and --verify do."""
+    assert main(["--workload", "fifo", "--rows", "4", "--cols", "4", "--opt-level", "1"]) == 0
+    assert "area =" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag", ["--rows", "--cols"])
