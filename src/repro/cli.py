@@ -97,6 +97,13 @@ def _port(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    """Argparse type: a file or directory name; an empty one is refused."""
+    if not text:
+        raise argparse.ArgumentTypeError("expects a path, got ''")
+    return text
+
+
 def _parse_address(text: str) -> Tuple[str, int]:
     """Argparse type: a ``HOST:PORT`` address (``[HOST]:PORT`` for IPv6)."""
     host, sep, port = text.rpartition(":")
@@ -127,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--input",
+        type=_path,
         help="file containing one linear address per line (comments start with '#')",
     )
     source.add_argument(
@@ -171,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--rows", type=_positive_int, help="memory array rows")
     parser.add_argument("--cols", type=_positive_int, help="memory array columns")
-    parser.add_argument("--vhdl", help="write generated VHDL to this file")
-    parser.add_argument("--verilog", help="write generated Verilog to this file")
+    parser.add_argument("--vhdl", type=_path, help="write generated VHDL to this file")
+    parser.add_argument("--verilog", type=_path, help="write generated Verilog to this file")
     parser.add_argument(
         "--report",
         action="store_true",
@@ -231,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     engine = parser.add_argument_group("campaign options")
     engine.add_argument(
         "--cache-dir",
+        type=_path,
         help="persistent result-cache directory (campaigns resume from it)",
     )
     engine.add_argument(
@@ -296,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs.add_argument(
         "--metrics-out",
+        type=_path,
         metavar="FILE",
         help="write the process metrics registry as JSON to FILE on exit",
     )

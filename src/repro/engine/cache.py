@@ -169,8 +169,10 @@ class ResultCache:
     ----------
     directory:
         Cache directory; created on first write.  ``None`` gives a purely
-        in-memory cache (useful for tests and one-shot runs).  A path that
-        exists but is not a directory raises ``NotADirectoryError``.
+        in-memory cache (useful for tests and one-shot runs).  An empty
+        path raises ``ValueError`` (it would write into the working
+        directory); a path that exists but is not a directory raises
+        ``NotADirectoryError``.
     backend:
         Accepts only ``"sharded"``, the one write path; anything else
         raises ``ValueError``.
@@ -179,6 +181,8 @@ class ResultCache:
     def __init__(self, directory: Optional[str] = None, *, backend: str = "sharded"):
         if backend != "sharded":
             raise ValueError(f"unknown cache backend {backend!r}; available: sharded")
+        if directory == "":
+            raise ValueError("cache directory is empty; pass None for an in-memory cache")
         if directory and os.path.exists(directory) and not os.path.isdir(directory):
             raise NotADirectoryError(f"{directory}: not a directory")
         self.directory = directory

@@ -183,9 +183,6 @@ def evaluate_point(
         )
 
     try:
-        # Inside the try: an injected exception classifies exactly like a
-        # real one (deterministic -> skipped, transient -> error).
-        fault_point("runner.evaluate")
         with span("job.pattern"):
             built = pattern()
         if style == "FSM" and built.trip_count > spec.max_fsm_states:

@@ -65,7 +65,6 @@ from repro.engine.jobs import EvalJob
 from repro.engine.records import ERROR, EvalRecord
 from repro.engine.runner import _warm_worker, warn_unclosed
 from repro.obs import get_tracer, log, metrics, span, tracing_enabled
-from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy
 
 __all__ = ["Scheduler", "SchedulerTimeout", "Submission"]
@@ -360,7 +359,6 @@ class Scheduler:
         else is owned by this submission and dispatched.  Returns the
         :class:`Submission` to iterate for records.
         """
-        fault_point("scheduler.submit")
         submission = Submission(self)
         owned: List[EvalJob] = []
         with span("scheduler.submit"):
@@ -411,7 +409,6 @@ class Scheduler:
                 # the span trees back for re-parenting.
                 trace_workers = tracing_enabled()
                 for batch in batches:
-                    fault_point("scheduler.dispatch")
                     future = pool.submit(_runner._evaluate_batch, batch, trace_workers)
                     future.add_done_callback(
                         lambda f, batch=batch, g=generation: self._on_batch_done(

@@ -161,8 +161,7 @@ def emit_vhdl(netlist: Netlist, *, include_primitives: bool = True) -> str:
     # Output ports may alias internal nets; add explicit assignments.
     for port_name, net in netlist.outputs.items():
         if net.name != port_name:
-            source = _escape(net.name) if net.name in internal_nets or net.name in netlist.inputs else _escape(net.name)
-            lines.append(f"  {_escape(port_name)} <= {source};")
+            lines.append(f"  {_escape(port_name)} <= {_escape(net.name)};")
 
     for cell in netlist.cells.values():
         assocs = []

@@ -1,27 +1,21 @@
-"""Deterministic fault injection: named sites, seeded triggers, four actions.
+"""Deterministic fault injection: named sites, hit-schedule triggers, three actions.
 
-The pipeline's hot seams are instrumented with *fault points* -- one
-:func:`fault_point` (or :func:`fault_data`, for write payloads) call per
-seam, named like metrics counters:
+The pipeline's seams that the chaos suite breaks are instrumented with
+*fault points* -- one :func:`fault_point` (or :func:`fault_data`, for write
+payloads) call per seam, named like metrics counters:
 
 ==========================  ====================================================
 site                        seam
 ==========================  ====================================================
-``cache.append``            before a base/segment JSONL append
+``cache.append``            before a segment JSONL append
 ``cache.append.write``      the append payload itself (``torn`` truncates it)
 ``cache.append.flush``      after write+flush, before the index ack
 ``cache.lock.acquire``      each :class:`~repro.engine.cache.CacheLock` attempt
 ``cache.compact.merge``     after reading sources, before writing the temp file
 ``cache.compact.commit``    temp file written, before the ``os.replace``
 ``cache.compact.cleanup``   base replaced, before merged segments are removed
-``scheduler.submit``        top of :meth:`Scheduler.submit`
-``scheduler.dispatch``      before each pool batch submission
 ``scheduler.worker``        worker-side, top of a pool batch evaluation
-``runner.evaluate``         inside :func:`~repro.engine.runner.evaluate_point`
-``service.read``            per request line read by the server
 ``service.write``           per response line written by the server
-``service.handler``         per record the server's evaluation handler relays
-``client.connect``          :meth:`ServiceClient.connect`
 ``client.stream``           per protocol line the client reads
 ==========================  ====================================================
 
@@ -31,12 +25,11 @@ global load and a ``None`` compare -- the ``NULL_SPAN`` discipline from
 permanently; the floor is pinned by test.
 
 **Deterministic when armed.**  A :class:`FaultPlan` maps sites to
-:class:`FaultRule` triggers: a fixed hit schedule (``on_hits``), every Nth
-hit (``every``), or a per-hit probability drawn from a PRNG seeded per
-``(plan seed, site)`` -- so a plan replays identically run to run, process
-to process.  Actions: ``raise`` a chosen exception type, ``delay``,
-``torn`` (truncate a write payload), or ``exit`` (hard ``os._exit``, the
-worker-crash / kill -9 simulator).
+:class:`FaultRule` triggers: a fixed hit schedule (``on_hits``), else every
+hit, bounded by ``max_fires`` -- so a plan replays identically run to run,
+process to process.  Actions: ``raise`` a named exception, ``torn`` (keep
+the first half of a write payload), or ``exit`` (hard ``os._exit`` with
+:data:`EXIT_CODE`, the worker-crash / kill -9 simulator).
 
 Arm programmatically with :func:`install_plan`, or for a whole process tree
 (pool workers inherit the environment) with ``SRADGEN_FAULTS=plan.json``.
@@ -46,7 +39,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -54,6 +46,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.obs import log, metrics
 
 __all__ = [
+    "EXIT_CODE",
     "FAULTS_ENV_VAR",
     "FaultInjected",
     "FaultPlan",
@@ -69,7 +62,10 @@ __all__ = [
 #: therefore inside every pool worker that inherits the environment).
 FAULTS_ENV_VAR = "SRADGEN_FAULTS"
 
-_ACTIONS = ("raise", "delay", "torn", "exit")
+#: The status an ``exit`` rule kills its process with.
+EXIT_CODE = 86
+
+_ACTIONS = ("raise", "torn", "exit")
 
 
 class FaultInjected(RuntimeError):
@@ -82,11 +78,6 @@ _EXCEPTIONS: Dict[str, type] = {
     "FaultInjected": FaultInjected,
     "OSError": OSError,
     "ConnectionResetError": ConnectionResetError,
-    "ConnectionRefusedError": ConnectionRefusedError,
-    "BrokenPipeError": BrokenPipeError,
-    "TimeoutError": TimeoutError,
-    "RuntimeError": RuntimeError,
-    "ValueError": ValueError,
 }
 
 
@@ -94,22 +85,16 @@ _EXCEPTIONS: Dict[str, type] = {
 class FaultRule:
     """When and how one site misbehaves.
 
-    Trigger precedence: an explicit ``on_hits`` schedule, else ``every`` Nth
-    hit, else a seeded ``probability`` coin flip, else every hit.  However
-    triggered, ``max_fires`` bounds the total fires per process (``None``
-    for unbounded).
+    The rule fires on the hits listed in ``on_hits`` (1-based), or on every
+    hit when the schedule is empty; ``max_fires`` bounds the total fires per
+    process (``None`` for unbounded).
     """
 
     site: str
     action: str = "raise"
     on_hits: Tuple[int, ...] = ()
-    every: int = 0
-    probability: float = 0.0
     max_fires: Optional[int] = 1
-    delay_s: float = 0.01
     exception: str = "FaultInjected"
-    keep_chars: Optional[int] = None
-    exit_code: int = 86
 
     def __post_init__(self):
         if self.action not in _ACTIONS:
@@ -123,47 +108,18 @@ class FaultRule:
             )
         if not self.site:
             raise ValueError("fault rule needs a site name")
-        if self.every < 0 or not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"bad trigger on fault rule for {self.site!r}")
 
-    def should_fire(self, hit: int, fires: int, rng: random.Random) -> bool:
+    def should_fire(self, hit: int, fires: int) -> bool:
         """Whether hit number ``hit`` (1-based) fires, after ``fires`` fires."""
         if self.max_fires is not None and fires >= self.max_fires:
             return False
-        if self.on_hits:
-            return hit in self.on_hits
-        if self.every:
-            return hit % self.every == 0
-        if self.probability:
-            return rng.random() < self.probability
-        return True
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"site": self.site, "action": self.action}
-        if self.on_hits:
-            data["on_hits"] = list(self.on_hits)
-        if self.every:
-            data["every"] = self.every
-        if self.probability:
-            data["probability"] = self.probability
-        if self.max_fires != 1:
-            data["max_fires"] = self.max_fires
-        if self.action == "delay":
-            data["delay_s"] = self.delay_s
-        if self.action == "raise" and self.exception != "FaultInjected":
-            data["exception"] = self.exception
-        if self.action == "torn" and self.keep_chars is not None:
-            data["keep_chars"] = self.keep_chars
-        if self.action == "exit" and self.exit_code != 86:
-            data["exit_code"] = self.exit_code
-        return data
+        return not self.on_hits or hit in self.on_hits
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultRule":
         if not isinstance(data, dict):
             raise ValueError(f"fault rule must be an object, got {type(data).__name__}")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown fault rule field(s): {', '.join(sorted(unknown))}")
         kwargs = dict(data)
@@ -174,22 +130,15 @@ class FaultRule:
 
 @dataclass
 class FaultPlan:
-    """A reproducible set of armed fault rules.
-
-    ``seed`` drives every probabilistic trigger (per-site PRNGs are seeded
-    from ``(seed, site)``), so the same plan over the same hit sequence
-    fires identically everywhere.
-    """
+    """A reproducible set of armed fault rules."""
 
     rules: List[FaultRule] = field(default_factory=list)
-    seed: int = 2026
 
     def __post_init__(self):
         self._lock = threading.Lock()
         self._hits: Dict[str, int] = {}
         self._fires: Dict[str, int] = {}
         self._rules_by_site: Dict[str, List[FaultRule]] = {}
-        self._rngs: Dict[str, random.Random] = {}
         for rule in self.rules:
             self._rules_by_site.setdefault(rule.site, []).append(rule)
 
@@ -213,74 +162,49 @@ class FaultPlan:
             hit = self._hits.get(site, 0) + 1
             self._hits[site] = hit
             fires = self._fires.get(site, 0)
-            rng = self._rngs.get(site)
-            if rng is None:
-                rng = self._rngs[site] = random.Random(f"{self.seed}:{site}")
             for rule in rules:
-                if rule.should_fire(hit, fires, rng):
+                if rule.should_fire(hit, fires):
                     self._fires[site] = fires + 1
                     return rule
         return None
 
     # ------------------------------------------------------------- execution
-    def trigger(self, site: str) -> None:
-        """Execute the armed action for ``site``, if this hit fires."""
-        rule = self._fired_rule(site)
-        if rule is None:
-            return
-        _announce(site, rule)
-        if rule.action == "delay":
-            import time
+    def trigger(self, site: str, data: Optional[str] = None) -> Optional[str]:
+        """Execute the armed action for ``site``, if this hit fires.
 
-            time.sleep(rule.delay_s)
-            return
-        if rule.action == "exit":
-            os._exit(rule.exit_code)
-        # "raise" -- and "torn" outside a payload site degrades to raise.
-        raise _EXCEPTIONS[rule.exception](f"fault injected at {site}")
-
-    def trigger_data(self, site: str, data: str) -> str:
-        """Payload-site variant: a ``torn`` rule returns a truncated payload.
-
-        Any other action behaves exactly like :meth:`trigger`.  Callers must
-        treat a result that is not the original object as a write the
-        process died in the middle of: write the fragment, then fail the
-        operation (never acknowledge it).
+        Returns ``data`` itself unless a ``torn`` rule fires on a payload
+        site, which returns its first half.  Callers must treat a result
+        that is not the original object as a write the process died in the
+        middle of: write the fragment, then fail the operation (never
+        acknowledge it).  ``torn`` without a payload raises.
         """
         rule = self._fired_rule(site)
         if rule is None:
             return data
-        _announce(site, rule)
-        if rule.action == "torn":
-            keep = rule.keep_chars if rule.keep_chars is not None else len(data) // 2
-            return data[: max(0, keep)]
-        if rule.action == "delay":
-            import time
-
-            time.sleep(rule.delay_s)
-            return data
+        metrics.incr("faults.injected")
+        metrics.incr(f"faults.{site}")
+        log.warning(
+            "fault injected", component="faults", site=site, action=rule.action,
+            pid=os.getpid(),
+        )
         if rule.action == "exit":
-            os._exit(rule.exit_code)
+            os._exit(EXIT_CODE)
+        if rule.action == "torn" and data is not None:
+            return data[: len(data) // 2]
         raise _EXCEPTIONS[rule.exception](f"fault injected at {site}")
 
     # --------------------------------------------------------- serialisation
-    def to_dict(self) -> Dict[str, Any]:
-        return {"seed": self.seed, "rules": [rule.to_dict() for rule in self.rules]}
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
         if not isinstance(data, dict):
             raise ValueError(f"fault plan must be an object, got {type(data).__name__}")
-        unknown = set(data) - {"seed", "rules"}
+        unknown = set(data) - {"rules"}
         if unknown:
             raise ValueError(f"unknown fault plan field(s): {', '.join(sorted(unknown))}")
         rules_data = data.get("rules", [])
         if not isinstance(rules_data, list):
             raise ValueError("fault plan 'rules' must be a list")
-        return cls(
-            rules=[FaultRule.from_dict(rule) for rule in rules_data],
-            seed=int(data.get("seed", 2026)),
-        )
+        return cls(rules=[FaultRule.from_dict(rule) for rule in rules_data])
 
     @classmethod
     def load(cls, path: str) -> "FaultPlan":
@@ -291,18 +215,6 @@ class FaultPlan:
             except json.JSONDecodeError as error:
                 raise ValueError(f"{path}: not a JSON fault plan: {error}") from None
         return cls.from_dict(data)
-
-
-def _announce(site: str, rule: FaultRule) -> None:
-    metrics.incr("faults.injected")
-    metrics.incr(f"faults.{site}")
-    log.warning(
-        "fault injected",
-        component="faults",
-        site=site,
-        action=rule.action,
-        pid=os.getpid(),
-    )
 
 
 #: The armed plan.  ``None`` (the overwhelmingly common state) makes every
@@ -328,7 +240,7 @@ def fault_data(site: str, data: str) -> str:
     plan = _PLAN
     if plan is None:
         return data
-    return plan.trigger_data(site, data)
+    return plan.trigger(site, data)
 
 
 def install_plan(plan: FaultPlan) -> Optional[FaultPlan]:
@@ -340,7 +252,6 @@ def install_plan(plan: FaultPlan) -> Optional[FaultPlan]:
         "fault plan armed",
         component="faults",
         rules=len(plan.rules),
-        seed=plan.seed,
         pid=os.getpid(),
     )
     return previous

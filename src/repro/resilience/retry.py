@@ -89,16 +89,12 @@ class RetryPolicy:
         return classify_exception(error) == TRANSIENT
 
 
-#: A conservative default for infrastructure-level loops (appends,
-#: reconnects).  Job-level retry stays opt-in on the Scheduler.
-DEFAULT_POLICY = RetryPolicy()
-
 T = TypeVar("T")
 
 
 def call_with_retry(
     func: Callable[[], T],
-    policy: Optional[RetryPolicy] = None,
+    policy: RetryPolicy,
     *,
     retry_on: Tuple[Type[BaseException], ...] = (Exception,),
     metric: Optional[str] = None,
@@ -111,8 +107,6 @@ def call_with_retry(
     exception propagates unchanged.  Each retry increments ``metric`` (when
     given) and ``retries.total``.
     """
-    if policy is None:
-        policy = DEFAULT_POLICY
     if sleep is None:
         import time
 

@@ -99,7 +99,6 @@ class ServiceClient:
         attempt = 0
         while True:
             try:
-                fault_point("client.connect")
                 self._reader, self._writer = await asyncio.open_connection(
                     self.host, self.port, limit=MAX_LINE_BYTES
                 )

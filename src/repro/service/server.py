@@ -72,8 +72,8 @@ class CampaignService:
         ``heartbeat`` event.  Heartbeats keep long evaluations from looking
         like dead connections *and* probe the socket: a client that
         vanished mid-evaluation is detected at the next beat and its
-        submission is cancelled instead of pumping into the void.  ``0``
-        disables them.
+        submission is cancelled instead of pumping into the void.  Must be
+        positive: heartbeats are always on.
 
     A request's evaluation deadline is its own ``timeout`` field, else
     :data:`REQUEST_TIMEOUT_S`; shutdown waits :data:`DRAIN_TIMEOUT_S` for
@@ -88,6 +88,8 @@ class CampaignService:
         retry_policy: Optional[RetryPolicy] = None,
         heartbeat_interval: float = 5.0,
     ):
+        if heartbeat_interval <= 0:
+            raise ValueError(f"heartbeat_interval must be > 0, got {heartbeat_interval}")
         self._scheduler = Scheduler(cache, workers=workers, retry_policy=retry_policy)
         self.heartbeat_interval = heartbeat_interval
         self._server: Optional[asyncio.AbstractServer] = None
@@ -173,7 +175,6 @@ class CampaignService:
         try:
             while True:  # sradlint: disable=ast.bare-retry-loop -- request read loop: each pass consumes a new protocol line, not a retry
                 try:
-                    fault_point("service.read")
                     line = await reader.readline()
                 except (
                     asyncio.LimitOverrunError,
@@ -347,26 +348,22 @@ class CampaignService:
         done = 0
         try:
             while True:
-                if self.heartbeat_interval > 0:
-                    try:
-                        kind, payload = await asyncio.wait_for(
-                            events.get(), timeout=self.heartbeat_interval
-                        )
-                    except asyncio.TimeoutError:
-                        # Quiet interval: beat.  A failed beat means the
-                        # client is gone -- the except below cleans up.
-                        metrics.incr("service.heartbeats")
-                        await self._send(
-                            writer,
-                            write_lock,
-                            {**envelope, "event": "heartbeat", "done": done},
-                        )
-                        continue
-                else:
-                    kind, payload = await events.get()
+                try:
+                    kind, payload = await asyncio.wait_for(
+                        events.get(), timeout=self.heartbeat_interval
+                    )
+                except asyncio.TimeoutError:
+                    # Quiet interval: beat.  A failed beat means the
+                    # client is gone -- the except below cleans up.
+                    metrics.incr("service.heartbeats")
+                    await self._send(
+                        writer,
+                        write_lock,
+                        {**envelope, "event": "heartbeat", "done": done},
+                    )
+                    continue
                 if kind == "record":
                     done += 1
-                    fault_point("service.handler")
                     event = {
                         **envelope,
                         "event": "record",

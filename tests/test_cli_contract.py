@@ -36,7 +36,7 @@ import tempfile
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.cli import _EVERY_MODE, _MODES, build_parser, main
+from repro.cli import _EVERY_MODE, _MODES, _path, build_parser, main
 from repro.obs import Tracer, get_tracer, set_tracer
 
 PARSER = build_parser()
@@ -97,7 +97,7 @@ def _value(action):
         return _SCOPED[action.dest]
     if action.choices is not None:
         return _mostly(st.sampled_from([str(c) for c in action.choices]), st.just("bogus"))
-    if action.type is not None:
+    if action.type not in (None, _path):
         return _mostly(_ints(-2, 600), st.sampled_from(["x", "", "1.5"]))
     return _PATHS
 
@@ -211,6 +211,13 @@ def _run(argv, directory):
 @example(argv=["--list-campaigns", "--opt-level", "1", "--lint"], input_file=b"")
 @example(argv=["--campaign", "smoke", "--connect", REFUSED, "--serial", "--cache-dir", "x",
                "--workers", "3"], input_file=b"")
+# An empty path used to be ignored, or to write into the working directory.
+@example(argv=["--workload", "fifo", "--rows", "4", "--cols", "4", "--vhdl", ""], input_file=b"")
+@example(argv=["--workload", "fifo", "--rows", "4", "--cols", "4", "--metrics-out", ""],
+         input_file=b"")
+@example(argv=["--campaign", "smoke", "--serial", "--cache-dir", ""], input_file=b"")
+@example(argv=["--compact-cache", "--cache-dir", ""], input_file=b"")
+@example(argv=["--input", "", "--rows", "4", "--cols", "4"], input_file=b"")
 def test_any_argv_gives_a_result_or_one_line(tmp_path, argv, input_file):
     directory = tempfile.mkdtemp(dir=tmp_path)
     with open(os.path.join(directory, INPUT), "wb") as handle:

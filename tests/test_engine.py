@@ -148,6 +148,14 @@ def test_in_memory_cache_does_not_persist():
     assert cache.get("k") == {"value": 1}
 
 
+def test_empty_cache_directory_is_refused(tmp_path, monkeypatch):
+    """An empty path would put segments/ and results.jsonl in the cwd."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="cache directory is empty"):
+        ResultCache("")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------

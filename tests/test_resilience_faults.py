@@ -1,8 +1,10 @@
-"""Fault-injection harness: triggers, actions, determinism, overhead floor."""
+"""Fault-injection harness: triggers, actions, determinism, overhead floor,
+and the census of fault sites."""
 
+import ast
 import json
 import os
-import random
+import re
 import subprocess
 import sys
 import time
@@ -12,6 +14,7 @@ import pytest
 
 from repro.obs import metrics
 from repro.resilience.faults import (
+    EXIT_CODE,
     FAULTS_ENV_VAR,
     FaultInjected,
     FaultPlan,
@@ -47,53 +50,24 @@ def test_rule_validation_rejects_bad_configs():
         FaultRule(site="x", action="explode")
     with pytest.raises(ValueError, match="unknown fault exception"):
         FaultRule(site="x", exception="SystemExit")
+    with pytest.raises(ValueError, match="unknown fault exception"):
+        FaultRule(site="x", exception="TimeoutError")  # not one a plan uses
+    with pytest.raises(ValueError, match="unknown fault action"):
+        FaultRule(site="x", action="delay")
     with pytest.raises(ValueError, match="needs a site"):
         FaultRule(site="")
-    with pytest.raises(ValueError, match="bad trigger"):
-        FaultRule(site="x", probability=1.5)
-    with pytest.raises(ValueError, match="bad trigger"):
-        FaultRule(site="x", every=-1)
 
 
 def test_on_hits_schedule_fires_exactly_those_hits():
     rule = FaultRule(site="x", on_hits=(2, 4), max_fires=None)
-    rng = random.Random(0)
-    fired = [rule.should_fire(hit, 0, rng) for hit in range(1, 6)]
+    fired = [rule.should_fire(hit, 0) for hit in range(1, 6)]
     assert fired == [False, True, False, True, False]
-
-
-def test_every_nth_hit_fires_periodically():
-    rule = FaultRule(site="x", every=3, max_fires=None)
-    rng = random.Random(0)
-    fired = [hit for hit in range(1, 10) if rule.should_fire(hit, 0, rng)]
-    assert fired == [3, 6, 9]
 
 
 def test_max_fires_bounds_total_fires():
     rule = FaultRule(site="x")  # always-fire, max_fires=1 (the default)
-    rng = random.Random(0)
-    assert rule.should_fire(1, 0, rng)
-    assert not rule.should_fire(2, 1, rng)  # budget spent
-
-
-def test_probability_trigger_is_deterministic_per_seed():
-    def fires(seed):
-        plan = FaultPlan(
-            [FaultRule(site="x", probability=0.5, max_fires=None)], seed=seed
-        )
-        out = []
-        for hit in range(40):
-            try:
-                plan.trigger("x")
-                out.append(False)
-            except FaultInjected:
-                out.append(True)
-        return out
-
-    a, b = fires(7), fires(7)
-    assert a == b  # same seed, same schedule -- replayable chaos
-    assert True in a and False in a
-    assert fires(8) != a  # and the seed actually matters
+    assert rule.should_fire(1, 0)
+    assert not rule.should_fire(2, 1)  # budget spent
 
 
 # ------------------------------------------------------------------- actions
@@ -104,18 +78,11 @@ def test_raise_action_uses_the_named_exception():
     fault_point("x")  # max_fires=1: the second hit is clean
 
 
-def test_delay_action_sleeps_then_continues():
-    install_plan(FaultPlan([FaultRule(site="x", action="delay", delay_s=0.05)]))
-    start = time.perf_counter()
-    fault_point("x")
-    assert time.perf_counter() - start >= 0.04
-
-
 def test_torn_action_returns_a_prefix_and_fails_identity():
-    install_plan(FaultPlan([FaultRule(site="w", action="torn", keep_chars=4)]))
+    install_plan(FaultPlan([FaultRule(site="w", action="torn")]))
     line = "0123456789\n"
     torn = fault_data("w", line)
-    assert torn == "0123" and torn is not line
+    assert torn == "01234" and torn is not line  # half of 11 characters
     clean = fault_data("w", line)  # fire budget spent
     assert clean is line  # identity, not just equality: the no-op contract
 
@@ -128,7 +95,7 @@ def test_torn_default_keeps_half_the_payload():
 def test_exit_action_kills_the_process(tmp_path):
     plan = tmp_path / "plan.json"
     plan.write_text(
-        json.dumps({"rules": [{"site": "x", "action": "exit", "exit_code": 77}]})
+        json.dumps({"rules": [{"site": "x", "action": "exit"}]})
     )
     proc = subprocess.run(
         [
@@ -143,7 +110,7 @@ def test_exit_action_kills_the_process(tmp_path):
         },
         capture_output=True,
     )
-    assert proc.returncode == 77
+    assert proc.returncode == EXIT_CODE == 86
 
 
 # ----------------------------------------------------------- plan bookkeeping
@@ -180,21 +147,22 @@ def test_install_plan_returns_previous_and_clear_disarms():
 
 # --------------------------------------------------------------- persistence
 def test_plan_json_round_trip(tmp_path):
-    plan = FaultPlan(
-        [
-            FaultRule(site="a", on_hits=(1, 3), max_fires=None),
-            FaultRule(site="b", action="torn", keep_chars=7),
-            FaultRule(site="c", action="delay", delay_s=0.2, every=5),
-            FaultRule(site="d", action="exit", exit_code=9),
-            FaultRule(site="e", exception="OSError", probability=0.25),
-        ],
-        seed=99,
-    )
+    """A hand-written plan with every rule field loads to the same rules."""
     path = tmp_path / "plan.json"
-    path.write_text(json.dumps(plan.to_dict()))
-    loaded = FaultPlan.load(str(path))
-    assert loaded.to_dict() == plan.to_dict()
-    assert loaded.rules == plan.rules and loaded.seed == 99
+    path.write_text(
+        """{"rules": [
+            {"site": "a", "on_hits": [1, 3], "max_fires": null},
+            {"site": "b", "action": "torn", "max_fires": 2},
+            {"site": "c", "action": "exit"},
+            {"site": "d", "action": "raise", "exception": "ConnectionResetError"}
+        ]}"""
+    )
+    assert FaultPlan.load(str(path)).rules == [
+        FaultRule(site="a", on_hits=(1, 3), max_fires=None),
+        FaultRule(site="b", action="torn", max_fires=2),
+        FaultRule(site="c", action="exit"),
+        FaultRule(site="d", exception="ConnectionResetError"),
+    ]
 
 
 def test_plan_load_rejects_unknown_fields_and_garbage(tmp_path):
@@ -212,14 +180,14 @@ def test_plan_load_rejects_unknown_fields_and_garbage(tmp_path):
 
 def test_env_var_arms_a_fresh_process(tmp_path):
     plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps({"rules": [{"site": "x"}], "seed": 5}))
+    plan.write_text(json.dumps({"rules": [{"site": "x"}]}))
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
             "from repro.resilience import faults\n"
             "plan = faults.active_plan()\n"
-            "assert plan is not None and plan.seed == 5\n"
+            "assert plan is not None and len(plan.rules) == 1\n"
             "try:\n"
             "    faults.fault_point('x')\n"
             "except faults.FaultInjected:\n"
@@ -256,6 +224,64 @@ def test_disabled_fault_point_overhead_floor():
         assert fault_data("cache.append.write", payload) is payload
     elapsed = time.perf_counter() - start
     assert elapsed < n * 2.5e-6, f"disabled fault_data too slow: {elapsed:.3f}s"
+
+
+# ------------------------------------------------------------- site census
+_FAULT_CALLS = ("fault_point", "fault_data")
+
+
+def _fault_calls(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in _FAULT_CALLS:
+            yield node
+
+
+def _source_sites():
+    """Every site a fault point in ``src`` names: ``{site: "file:line"}``."""
+    sites = {}
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        for call in _fault_calls(ast.parse(path.read_text(), str(path))):
+            where = f"{path.relative_to(REPO_ROOT)}:{call.lineno}"
+            (site,) = call.args[:1] or [None]
+            assert isinstance(site, ast.Constant) and isinstance(site.value, str), (
+                f"{where}: a fault site must be a string literal"
+            )
+            sites[site.value] = where
+    return sites
+
+
+def _armed_sites():
+    """Strings the tests name, except as a disarmed fault point's argument,
+    plus the sites of the plan CI's chaos-smoke job arms."""
+    armed = set()
+    for path in (REPO_ROOT / "tests").rglob("test_*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        calls = {id(call.args[0]) for call in _fault_calls(tree) if call.args}
+        armed.update(
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in calls
+        )
+    plan = FaultPlan.load(str(REPO_ROOT / "examples" / "chaos_smoke_faults.json"))
+    return armed | {rule.site for rule in plan.rules}
+
+
+def test_every_fault_site_is_armed_by_a_test_or_ci():
+    """A site nothing arms proves no recovery; it is code to delete."""
+    unarmed = {
+        site: where for site, where in _source_sites().items()
+        if site not in _armed_sites()
+    }
+    assert not unarmed, f"fault sites no test or CI plan arms: {unarmed}"
+
+
+def test_readme_site_table_lists_exactly_the_source_sites():
+    readme = (REPO_ROOT / "README.md").read_text()
+    table = readme.split("Fault points (`site` names", 1)[1].split("\n\n")[1]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    documented = [re.match(r"\| `([^`]+)`", row).group(1) for row in rows]
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(_source_sites())
 
 
 # ------------------------------------------------------------- retry policy

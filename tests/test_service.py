@@ -69,6 +69,12 @@ def test_job_from_wire_rejects_bad_shapes():
         job_from_wire({**job_to_wire(JOB_A), "spec": [1]})
 
 
+@pytest.mark.parametrize("interval", [0, -1.0])
+def test_heartbeats_cannot_be_switched_off(interval):
+    with pytest.raises(ValueError, match="heartbeat_interval must be > 0"):
+        CampaignService(cache=ResultCache(None), heartbeat_interval=interval)
+
+
 # ------------------------------------------------------------ test harness
 @contextlib.contextmanager
 def service_running(**kwargs):

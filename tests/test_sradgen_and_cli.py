@@ -188,6 +188,29 @@ def test_cli_refuses_an_output_file_in_a_missing_directory_before_any_work(
     assert raised.value.code == f"{tmp_path}: Is a directory"
 
 
+@pytest.mark.parametrize("argv", [
+    "--input {} --rows 4 --cols 4",
+    "--workload fifo --rows 4 --cols 4 --vhdl {}",
+    "--workload fifo --rows 4 --cols 4 --report --verilog {}",
+    "--campaign smoke --serial --quiet --cache-dir {}",
+    "--workload fifo --rows 4 --cols 4 --metrics-out {}",
+])
+def test_cli_empty_path_is_a_usage_error(tmp_path, monkeypatch, argv, capsys):
+    """Each of these used to exit 0 ignoring the path, write into the
+    working directory, or print an error naming no file."""
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.format("") for arg in argv.split()]
+    flag = argv[argv.index("") - 1]
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("sradgen: error:")]
+    assert errors == [f"sradgen: error: argument {flag}: expects a path, got ''"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("mode", ["--cache-stats", "--compact-cache"])
 def test_cli_cache_maintenance_needs_an_existing_cache_dir(tmp_path, mode, capsys):
     missing = tmp_path / "no_cache"
